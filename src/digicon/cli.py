@@ -10,9 +10,11 @@ deterministic for a fixed request, regardless of --workers.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from decimal import Decimal
 from importlib import resources
 
 from .convexity import (
@@ -52,166 +54,131 @@ from .products import (
     count_complete_product,
     count_grid_p2,
     count_grid_via_arrays,
-    count_mis_grid3,
     generate_grid_p2,
 )
-from .sequences import compare_with_bfile
+from .sequences import ComparisonReport, compare_with_bfile
 
-FAMILIES = ("path", "cycle", "complete", "cycle-power", "complete-product", "path-grid")
 
-# per family: required parameter names and the methods that can count it,
-# first method listed is the default
-_FAMILY_PARAMS = {
-    "path": ("n",),
-    "cycle": ("n",),
-    "complete": ("n",),
-    "cycle-power": ("n", "k"),
-    "complete-product": ("n", "m"),
-    "path-grid": ("n", "m"),
+def _sweep(graph):
+    """Count and enumerate routes over every subset of graph(**params)."""
+    return (lambda budget, **p: count_digitally_convex(graph(**p), budget),
+            lambda budget, **p: enumerate_digitally_convex(graph(**p), budget))
+
+
+def _string_sets(power: int, n: int, budget):
+    # the block-string bijection: strings with blocks >= power+1 <-> convex sets
+    return (convex_set_from_string(power, n, s) for s in enumerate_B(power + 1, n, budget))
+
+
+def _image_sets(n: int, m: int, budget):
+    # with the row-major cell order, an image code is its convex set's bitmask
+    return (VertexSet(n * m, code) for code in _image_codes(n, m, budget))
+
+
+def _ladder_length(n: int, m: int) -> int:
+    if m != 2:
+        raise InvalidParameterError("method recurrence for path-grid needs --m 2")
+    return n
+
+
+def _count_complete(n: int) -> int:
+    # N[S] is every vertex for nonempty S, so only the empty and full sets are convex
+    if n < 1:
+        raise InvalidParameterError(f"--n must be >= 1, got {n}")
+    return 2
+
+
+# family -> (required parameters, {method: (count route, enumerate route or None)}).
+# The first method is the count default; enumerate defaults to bruteforce.
+# Routes look library functions up when called, never at import, so a
+# function rebound on its module (by a profiler, say) is the one that runs.
+FAMILIES = {
+    "path": (("n",), {
+        "bruteforce": _sweep(lambda n: make_path(n)),
+        "arrays": (lambda budget, n: count_grid_via_arrays(n, 1, budget),
+                   lambda budget, n: _image_sets(n, 1, budget)),
+    }),
+    "cycle": (("n",), {
+        "recurrence": (lambda budget, n: count_cycle_power(1, n), None),
+        "bruteforce": _sweep(lambda n: make_cycle(n)),
+        "bijection": (lambda budget, n: sum(1 for _ in enumerate_B(2, n, budget)),
+                      lambda budget, n: _string_sets(1, n, budget)),
+    }),
+    "complete": (("n",), {
+        "formula": (lambda budget, n: _count_complete(n), None),
+        "bruteforce": _sweep(lambda n: make_complete(n)),
+    }),
+    "cycle-power": (("n", "k"), {
+        "recurrence": (lambda budget, n, k: count_cycle_power(k, n), None),
+        "bruteforce": _sweep(lambda n, k: graph_power(make_cycle(n), k)),
+        "bijection": (lambda budget, n, k: sum(1 for _ in enumerate_B(k + 1, n, budget)),
+                      lambda budget, n, k: _string_sets(k, n, budget)),
+    }),
+    "complete-product": (("n", "m"), {
+        "formula": (lambda budget, n, m: count_complete_product(n, m), None),
+        "bruteforce": _sweep(lambda n, m: cartesian_product(make_complete(n), make_complete(m))),
+    }),
+    "path-grid": (("n", "m"), {
+        "arrays": (lambda budget, n, m: count_grid_via_arrays(n, m, budget),
+                   lambda budget, n, m: _image_sets(n, m, budget)),
+        "bruteforce": _sweep(lambda n, m: cartesian_product(make_path(n), make_path(m))),
+        "recurrence": (lambda budget, n, m: count_grid_p2(_ladder_length(n, m)),
+                       lambda budget, n, m: generate_grid_p2(_ladder_length(n, m))),
+    }),
 }
-_COUNT_METHODS = {
-    "path": ("bruteforce", "arrays"),
-    "cycle": ("recurrence", "bruteforce", "bijection"),
-    "complete": ("formula", "bruteforce"),
-    "cycle-power": ("recurrence", "bruteforce", "bijection"),
-    "complete-product": ("formula", "bruteforce"),
-    "path-grid": ("arrays", "bruteforce", "recurrence"),
-}
-_ENUM_METHODS = {
-    "path": ("bruteforce", "arrays"),
-    "cycle": ("bruteforce", "bijection"),
-    "complete": ("bruteforce",),
-    "cycle-power": ("bruteforce", "bijection"),
-    "complete-product": ("bruteforce",),
-    "path-grid": ("bruteforce", "arrays", "recurrence"),
-}
 
 
-def _usage_error(message: str):
-    raise InvalidParameterError(message)
-
-
-def _family_graph(family: str, n: int, m, k):
-    if family == "path":
-        return make_path(n)
-    if family == "cycle":
-        return make_cycle(n)
-    if family == "complete":
-        return make_complete(n)
-    if family == "cycle-power":
-        return graph_power(make_cycle(n), k)
-    if family == "complete-product":
-        return cartesian_product(make_complete(n), make_complete(m))
-    return cartesian_product(make_path(n), make_path(m))
-
-
-def _check_params(args, family: str):
-    needed = _FAMILY_PARAMS[family]
+def _route(args, command: str):
+    """Check parameters and method; return them and the route for "count" or "enumerate"."""
+    family = args.family
+    needed, methods = FAMILIES[family]
     for name in needed:
         if getattr(args, name) is None:
-            _usage_error(f"family {family} needs --{name}")
+            raise InvalidParameterError(f"family {family} needs --{name}")
     for name in ("n", "m", "k"):
         if name not in needed and getattr(args, name) is not None:
-            _usage_error(f"family {family} does not take --{name}")
-
-
-def _params_dict(args, family: str) -> dict:
-    return {name: getattr(args, name) for name in _FAMILY_PARAMS[family]}
+            raise InvalidParameterError(f"family {family} does not take --{name}")
+    method = args.method or (next(iter(methods)) if command == "count" else "bruteforce")
+    routes = methods.get(method, (None, None))
+    route = routes[0] if command == "count" else routes[1]
+    if route is None:
+        raise InvalidParameterError(f"family {family} cannot {command} by method {method}")
+    return {name: getattr(args, name) for name in needed}, method, route
 
 
 def _budget_from(args) -> EnumerationBudget:
     cap = args.max_subsets
-    if cap is None:
-        env = os.environ.get("DIGICON_MAX_SUBSETS")
-        if env is not None:
-            try:
-                cap = int(env)
-            except ValueError:
-                _usage_error(f"DIGICON_MAX_SUBSETS must be an integer, got {env!r}")
-    if cap is None:
-        cap = DEFAULT_MAX_SUBSETS
-    return EnumerationBudget(max_subsets=cap, workers=args.workers)
-
-
-def _count_value(args, family: str, method: str, budget: EnumerationBudget) -> int:
-    n, m, k = args.n, args.m, args.k
-    if method == "bruteforce":
-        return count_digitally_convex(_family_graph(family, n, m, k), budget)
-    if family == "path" and method == "arrays":
-        return count_grid_via_arrays(n, 1, budget)
-    if family == "cycle":
-        if method == "recurrence":
-            return count_cycle_power(1, n)
-        return sum(1 for _ in enumerate_B(2, n, budget))
-    if family == "complete":
-        if n < 1:
-            _usage_error(f"--n must be >= 1, got {n}")
-        return 2
-    if family == "cycle-power":
-        if method == "recurrence":
-            return count_cycle_power(k, n)
-        return sum(1 for _ in enumerate_B(k + 1, n, budget))
-    if family == "complete-product":
-        return count_complete_product(n, m)
-    # path-grid
-    if method == "arrays":
-        return count_grid_via_arrays(n, m, budget)
-    if m != 2:
-        _usage_error("method recurrence for path-grid needs --m 2")
-    return count_grid_p2(n)
+    env = os.environ.get("DIGICON_MAX_SUBSETS")
+    if cap is None and env is not None:
+        try:
+            cap = int(env)
+        except ValueError:
+            raise InvalidParameterError(
+                f"DIGICON_MAX_SUBSETS must be an integer, got {env!r}") from None
+    return EnumerationBudget(DEFAULT_MAX_SUBSETS if cap is None else cap, args.workers)
 
 
 def _cmd_count(args) -> int:
-    family = args.family
-    _check_params(args, family)
-    method = args.method or _COUNT_METHODS[family][0]
-    if method not in _COUNT_METHODS[family]:
-        _usage_error(f"family {family} cannot count by method {method}")
-    budget = _budget_from(args)
-    value = _count_value(args, family, method, budget)
-    params = _params_dict(args, family)
+    params, method, count = _route(args, "count")
+    # exact at any size, where str(int) stops at 4300 digits by default
+    value = str(Decimal(count(_budget_from(args), **params)))
     if args.format == "csv":
         print("family,params,method,count")
         joined = ";".join(f"{k}={v}" for k, v in params.items())
-        print(f"{family},{joined},{method},{value}")
+        print(f"{args.family},{joined},{method},{value}")
     elif args.format == "jsonl":
-        print(json.dumps({"family": family, "params": params, "method": method, "count": str(value)}))
+        print(json.dumps({"family": args.family, "params": params, "method": method,
+                          "count": value}))
     else:
         print(value)
     return 0
 
 
-def _enumerated_sets(args, family: str, method: str, budget: EnumerationBudget):
-    n, m, k = args.n, args.m, args.k
-    if method == "bruteforce":
-        yield from enumerate_digitally_convex(_family_graph(family, n, m, k), budget)
-        return
-    if method == "bijection":
-        power = 1 if family == "cycle" else k
-        for s in enumerate_B(power + 1, n, budget):
-            yield convex_set_from_string(power, n, s)
-        return
-    if method == "recurrence":
-        if m != 2:
-            _usage_error("method recurrence for path-grid needs --m 2")
-        yield from generate_grid_p2(n)
-        return
-    # arrays: a path is a 1-column grid; image codes are exactly set masks
-    cols = 1 if family == "path" else m
-    for code in _image_codes(n, cols, budget):
-        yield VertexSet(n * cols, code)
-
-
 def _cmd_enumerate(args) -> int:
-    family = args.family
-    _check_params(args, family)
-    method = args.method or _ENUM_METHODS[family][0]
-    if method not in _ENUM_METHODS[family]:
-        _usage_error(f"family {family} cannot enumerate by method {method}")
+    params, _, enumerate_sets = _route(args, "enumerate")
     if args.format == "csv":
-        _usage_error("enumerate emits jsonl or plain, not csv")
-    budget = _budget_from(args)
-    for s in _enumerated_sets(args, family, method, budget):
+        raise InvalidParameterError("enumerate emits jsonl or plain, not csv")
+    for s in enumerate_sets(_budget_from(args), **params):
         if args.format == "plain":
             print(" ".join(str(v + 1) for v in s.indices()))
         else:
@@ -220,21 +187,17 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    series = a_series(args.k, args.terms)
+    coefficients = [str(Decimal(c)) for c in a_series(args.k, args.terms).coefficients]
     if args.format == "csv":
         print("n,coefficient")
-        for i, c in enumerate(series.coefficients):
+        for i, c in enumerate(coefficients):
             print(f"{i},{c}")
     elif args.format == "jsonl":
-        for i, c in enumerate(series.coefficients):
-            print(json.dumps({"n": i, "coefficient": str(c)}))
+        for i, c in enumerate(coefficients):
+            print(json.dumps({"n": i, "coefficient": c}))
     else:
-        print(json.dumps([str(c) for c in series.coefficients]))
+        print(json.dumps(coefficients))
     return 0
-
-
-def _default_bfile():
-    return resources.as_file(resources.files("digicon") / "data" / "A217637.txt")
 
 
 def _grid_cells(max_cells: int):
@@ -271,26 +234,23 @@ def _suite_cycle_power(max_k: int, max_n: int, budget) -> list:
             via_strings = a_count(k + 1, n)
             ok = len(brute) == recurrence == via_strings
             detail = f"bruteforce {len(brute)}, recurrence {recurrence}, strings {via_strings}"
-            round_trip = all(
-                convex_set_from_string(k, n, string_from_convex_set(k, n, s)) == s
-                for s in brute
-            )
-            if not round_trip:
+            if any(convex_set_from_string(k, n, string_from_convex_set(k, n, s)) != s
+                   for s in brute):
                 ok = False
                 detail += ", round trip failed"
             cases.append((f"cycle-power k={k} n={n}", ok, detail))
     return cases
 
 
-def _suite_complete_product(max_n: int, budget) -> list:
+def _suite_fast_route(label: str, family: str, cells, budget) -> list:
+    """The family's default count route against the exhaustive sweep."""
+    routes = FAMILIES[family][1]
+    methods = (next(iter(routes)), "bruteforce")
     cases = []
-    for n in range(1, max_n + 1):
-        for m in range(1, max_n + 1):
-            formula = count_complete_product(n, m)
-            brute = count_digitally_convex(
-                cartesian_product(make_complete(n), make_complete(m)), budget)
-            cases.append((f"complete-product {n}x{m}", formula == brute,
-                          f"formula {formula}, bruteforce {brute}"))
+    for n, m in cells:
+        counts = [routes[method][0](budget, n=n, m=m) for method in methods]
+        cases.append((f"{label} {n}x{m}", counts[0] == counts[1],
+                      f"{methods[0]} {counts[0]}, bruteforce {counts[1]}"))
     return cases
 
 
@@ -307,27 +267,24 @@ def _suite_grid_p2(max_n: int, budget) -> list:
     return cases
 
 
-def _suite_grid_arrays(max_cells: int, budget) -> list:
-    cases = []
-    for n, m in _grid_cells(max_cells):
-        arrays = count_grid_via_arrays(n, m, budget)
-        brute = count_digitally_convex(
-            cartesian_product(make_path(n), make_path(m)), budget)
-        cases.append((f"grid {n}x{m}", arrays == brute,
-                      f"arrays {arrays}, bruteforce {brute}"))
-    return cases
-
-
-def _suite_oeis(bfile_path, max_cells: int, budget) -> list:
+def _oeis_report(bfile, max_cells: int, budget) -> ComparisonReport:
+    """Grid counts for every n x m with n*m <= max_cells, in antidiagonal
+    order, compared against the sequence file (default: bundled snapshot)."""
     values = [
         (_antidiagonal_index(n, m), count_grid_via_arrays(n, m, budget))
         for n, m in _grid_cells(max_cells)
     ]
-    if bfile_path is None:
-        with _default_bfile() as path:
-            report = compare_with_bfile(values, path)
-    else:
-        report = compare_with_bfile(values, bfile_path)
+    try:
+        if bfile is None:
+            with resources.as_file(resources.files("digicon") / "data" / "A217637.txt") as path:
+                return compare_with_bfile(values, path)
+        return compare_with_bfile(values, bfile)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot read the sequence file: {exc}") from None
+
+
+def _suite_oeis(bfile, max_cells: int, budget) -> list:
+    report = _oeis_report(bfile, max_cells, budget)
     cases = [("sequence-file overlap", report.all_match,
               f"matched {report.matched}, mismatches {len(report.mismatches)}")]
     for index, expected, found in report.mismatches:
@@ -337,28 +294,34 @@ def _suite_oeis(bfile_path, max_cells: int, budget) -> list:
 
 def _checked_bound(value, flag: str):
     if value is not None and value < 1:
-        _usage_error(f"{flag} must be a positive integer, got {value}")
+        raise InvalidParameterError(f"{flag} must be a positive integer, got {value}")
     return value
+
+
+# suite -> its cases, from the checked bounds (None for the suite's default)
+_SUITES = {
+    "cyclic-strings": lambda a, budget: _suite_cyclic_strings(a.max_k or 5, a.max_n or 14, budget),
+    "cycle-power-bijection": lambda a, budget: _suite_cycle_power(a.max_k or 3, a.max_n or 12, budget),
+    "complete-product": lambda a, budget: _suite_fast_route(
+        "complete-product", "complete-product",
+        itertools.product(range(1, (a.max_n or 4) + 1), repeat=2), budget),
+    "grid-p2": lambda a, budget: _suite_grid_p2(a.max_n or 8, budget),
+    "grid-arrays": lambda a, budget: _suite_fast_route(
+        "grid", "path-grid", _grid_cells(a.max_cells or 16), budget),
+    "oeis": lambda a, budget: _suite_oeis(a.bfile, a.max_cells or 20, budget),
+}
 
 
 def _cmd_verify(args) -> int:
     budget = _budget_from(args)
-    max_k = _checked_bound(args.max_k, "--max-k")
-    max_n = _checked_bound(args.max_n, "--max-n")
-    max_cells = _checked_bound(args.max_cells, "--max-cells")
-    suites = {
-        "cyclic-strings": lambda: _suite_cyclic_strings(max_k or 5, max_n or 14, budget),
-        "cycle-power-bijection": lambda: _suite_cycle_power(max_k or 3, max_n or 12, budget),
-        "complete-product": lambda: _suite_complete_product(max_n or 4, budget),
-        "grid-p2": lambda: _suite_grid_p2(max_n or 8, budget),
-        "grid-arrays": lambda: _suite_grid_arrays(max_cells or 16, budget),
-        "oeis": lambda: _suite_oeis(args.bfile, max_cells or 20, budget),
-    }
-    chosen = list(suites) if args.suite == "all" else [args.suite]
+    _checked_bound(args.max_k, "--max-k")
+    _checked_bound(args.max_n, "--max-n")
+    _checked_bound(args.max_cells, "--max-cells")
+    chosen = list(_SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     total = 0
     for name in chosen:
-        for case, ok, detail in suites[name]():
+        for case, ok, detail in _SUITES[name](args, budget):
             total += 1
             failures += not ok
             print(f"{'ok  ' if ok else 'FAIL'} [{name}] {case}: {detail}")
@@ -371,35 +334,27 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oeis(args) -> int:
     budget = _budget_from(args)
-    max_cells = _checked_bound(args.max_cells, "--max-cells")
-    values = [
-        (_antidiagonal_index(n, m), count_grid_via_arrays(n, m, budget))
-        for n, m in _grid_cells(max_cells)
-    ]
-    if args.bfile is None:
-        with _default_bfile() as path:
-            report = compare_with_bfile(values, path)
-    else:
-        report = compare_with_bfile(values, args.bfile)
+    report = _oeis_report(args.bfile, _checked_bound(args.max_cells, "--max-cells"), budget)
     print(report.to_json())
     return 0 if report.all_match else 1
 
 
-def _add_common(sub, with_format=True):
+def _add_budget(sub):
     sub.add_argument("--workers", type=int, default=1, help="worker threads for sweeps")
     sub.add_argument("--max-subsets", type=int, default=None,
                      help=f"sweep size cap (default {DEFAULT_MAX_SUBSETS}, env DIGICON_MAX_SUBSETS)")
-    if with_format:
-        sub.add_argument("--format", choices=("jsonl", "csv", "plain"), default=None)
 
 
-def _add_family_params(sub):
-    sub.add_argument("--family", required=True, choices=FAMILIES)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--m", type=int, default=None)
-    sub.add_argument("--k", type=int, default=None)
+def _add_family_command(commands, name: str, handler, text: str):
+    sub = commands.add_parser(name, help=text)
+    sub.add_argument("--family", required=True, choices=tuple(FAMILIES))
+    for param in ("--n", "--m", "--k"):
+        sub.add_argument(param, type=int, default=None)
     sub.add_argument("--method", default=None,
                      choices=("bruteforce", "recurrence", "formula", "bijection", "arrays"))
+    _add_budget(sub)
+    sub.add_argument("--format", choices=("jsonl", "csv", "plain"), default=None)
+    sub.set_defaults(handler=handler)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -408,38 +363,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact enumeration of digitally convex sets of graphs.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    count = commands.add_parser("count", help="count digitally convex sets of a graph family")
-    _add_family_params(count)
-    _add_common(count)
-    count.set_defaults(handler=_cmd_count)
-
-    enum = commands.add_parser("enumerate", help="stream the digitally convex sets themselves")
-    _add_family_params(enum)
-    _add_common(enum)
-    enum.set_defaults(handler=_cmd_enumerate)
+    _add_family_command(commands, "count", _cmd_count,
+                        "count digitally convex sets of a graph family")
+    _add_family_command(commands, "enumerate", _cmd_enumerate,
+                        "stream the digitally convex sets themselves")
 
     series = commands.add_parser("series", help="expand the block-string counting series")
     series.add_argument("--k", type=int, required=True, help="minimum block length, >= 2")
     series.add_argument("--terms", type=int, required=True, help="highest exponent to expand")
-    _add_common(series)
+    series.add_argument("--format", choices=("jsonl", "csv", "plain"), default=None)
     series.set_defaults(handler=_cmd_series)
 
     verify = commands.add_parser("verify", help="cross-validate counts between independent methods")
     verify.add_argument("--suite", required=True,
-                        choices=("cyclic-strings", "cycle-power-bijection", "complete-product",
-                                 "grid-p2", "grid-arrays", "oeis", "all"))
+                        choices=(*_SUITES, "all"))
     verify.add_argument("--max-n", type=int, default=None)
     verify.add_argument("--max-k", type=int, default=None)
     verify.add_argument("--max-cells", type=int, default=None)
     verify.add_argument("--bfile", default=None, help="sequence file for the oeis suite")
-    _add_common(verify, with_format=False)
+    _add_budget(verify)
     verify.set_defaults(handler=_cmd_verify)
 
     oeis = commands.add_parser("oeis", help="compare grid counts against a sequence file")
     oeis.add_argument("--bfile", default=None, help="path to the sequence file (default: bundled snapshot)")
     oeis.add_argument("--max-cells", type=int, default=20, help="largest n*m to compute")
-    _add_common(oeis, with_format=False)
+    _add_budget(oeis)
     oeis.set_defaults(handler=_cmd_oeis)
     return parser
 

@@ -20,8 +20,8 @@ from .graphs import Graph, VertexSet
 
 DEFAULT_MAX_SUBSETS = 1 << 26
 
-# the int64 block kernels need subset codes and neighbourhood masks < 2^62
-_MAX_SWEEP_VERTICES = 62
+# the int64 block kernels need every code they shift or mask to stay < 2^62
+_MAX_SWEEP_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,21 @@ def digital_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
         mask = grown
 
 
-def _checked_budget(order: int, budget: EnumerationBudget | None, what: str) -> EnumerationBudget:
+def _checked_budget(exponent: int, width: int, budget: EnumerationBudget | None,
+                    what: str) -> EnumerationBudget:
+    """The budget for a sweep of 2^exponent candidates whose int64 kernel
+    needs width-bit codes (0 for a pure-Python sweep).
+
+    The width is checked first, so a sweep that cannot run at any budget is
+    a parameter error, never a budget error asking for a rerun.
+    """
     if budget is None:
         budget = EnumerationBudget()
-    if order > _MAX_SWEEP_VERTICES:
+    if width > _MAX_SWEEP_BITS:
         raise InvalidParameterError(
-            f"exhaustive sweep supports at most {_MAX_SWEEP_VERTICES} vertices, got {order}"
+            f"exhaustive sweep supports at most {_MAX_SWEEP_BITS}-bit codes, got {width}"
         )
-    required = 1 << order
+    required = 1 << exponent
     if required > budget.max_subsets:
         raise BudgetExceededError(required, budget.max_subsets, what=what)
     return budget
@@ -111,7 +118,7 @@ def enumerate_digitally_convex(g: Graph, budget: EnumerationBudget | None = None
     so the stream is identical for any worker count.  Raises a budget error
     (never truncates) when 2^order exceeds the cap.
     """
-    budget = _checked_budget(g.order, budget, "subsets")
+    budget = _checked_budget(g.order, g.order, budget, "subsets")
     masks = g.closed_masks
 
     def block(lo, hi):
@@ -124,7 +131,7 @@ def enumerate_digitally_convex(g: Graph, budget: EnumerationBudget | None = None
 
 def count_digitally_convex(g: Graph, budget: EnumerationBudget | None = None) -> int:
     """Exact number of digitally convex subsets of g, by exhaustive sweep."""
-    budget = _checked_budget(g.order, budget, "subsets")
+    budget = _checked_budget(g.order, g.order, budget, "subsets")
     masks = g.closed_masks
 
     def block(lo, hi):

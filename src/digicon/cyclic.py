@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .convexity import EnumerationBudget, is_digitally_convex
-from .errors import BudgetExceededError, InvalidParameterError, NotConvexError, NotMemberError
+from .convexity import EnumerationBudget, _checked_budget, is_digitally_convex
+from .errors import InvalidParameterError, NotConvexError, NotMemberError
 from .graphs import VertexSet, graph_power, make_cycle
 from .sequences import LinearRecurrence, PowerSeries, eval_recurrence, expand_rational
 
@@ -155,13 +155,10 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
         raise InvalidParameterError(f"k must be >= 2, got {k}")
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if budget is None:
-        budget = EnumerationBudget()
-    required = 1 << n
-    if required > budget.max_subsets:
-        raise BudgetExceededError(required, budget.max_subsets, what="strings")
+    # a pure-Python sweep: no int64 width to check
+    _checked_budget(n, 0, budget, "strings")
     top = n - 1
-    for code in range(required):
+    for code in range(1 << n):
         bits = tuple(code >> (top - i) & 1 for i in range(n))
         if _blocks_ok(bits, k):
             yield CyclicBinaryString(bits)

@@ -19,10 +19,11 @@ import numpy as np
 from . import _kernels
 from .convexity import (
     EnumerationBudget,
+    _checked_budget,
     enumerate_digitally_convex,
     is_digitally_convex,
 )
-from .errors import BudgetExceededError, InvalidParameterError, NotConvexError, NotImageError
+from .errors import InvalidParameterError, NotConvexError, NotImageError
 from .graphs import VertexSet, cartesian_product, make_path
 from .sequences import LinearRecurrence, eval_recurrence
 
@@ -79,33 +80,15 @@ class BinaryArray:
 def min_transform(a: BinaryArray) -> BinaryArray:
     """Each output cell is the minimum over the cell and its existing
     horizontal and vertical neighbours (boundary cells just have fewer)."""
-    return _pointwise_transform(a, min)
+    return BinaryArray.from_code(a.rows, a.cols, _min_codes(a.rows, a.cols, a.code))
 
 
 def max_transform(a: BinaryArray) -> BinaryArray:
     """Each output cell is the maximum over the cell and its existing
-    horizontal and vertical neighbours."""
-    return _pointwise_transform(a, max)
-
-
-def _pointwise_transform(a: BinaryArray, pick) -> BinaryArray:
-    n, m = a.rows, a.cols
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            value = a.cells[i][j]
-            if i > 0:
-                value = pick(value, a.cells[i - 1][j])
-            if i + 1 < n:
-                value = pick(value, a.cells[i + 1][j])
-            if j > 0:
-                value = pick(value, a.cells[i][j - 1])
-            if j + 1 < m:
-                value = pick(value, a.cells[i][j + 1])
-            row.append(value)
-        out.append(tuple(row))
-    return BinaryArray(tuple(out))
+    horizontal and vertical neighbours: the complement of the minimum
+    transform of the complement."""
+    full = (1 << a.rows * a.cols) - 1
+    return BinaryArray.from_code(a.rows, a.cols, full ^ _min_codes(a.rows, a.cols, full ^ a.code))
 
 
 def _grid_field_masks(n: int, m: int) -> tuple[int, int, int, int, int]:
@@ -119,7 +102,8 @@ def _grid_field_masks(n: int, m: int) -> tuple[int, int, int, int, int]:
 
 
 def _min_codes(n: int, m: int, codes):
-    """Vectorized minimum transform on row-major bit codes (int64 array).
+    """Minimum transform on row-major bit codes: an int64 array (each code
+    below 2^(n*m) and n*m + m <= 62) or one Python int of any size.
 
     Neighbour fields come from bit shifts; positions whose neighbour falls
     off the grid are forced to 1 (the identity for min), which also voids
@@ -254,21 +238,15 @@ def _image_codes(n: int, m: int, budget: EnumerationBudget | None = None) -> lis
     """Sorted distinct images of the minimum transform over all n x m arrays."""
     if n < 1 or m < 1:
         raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
-    if budget is None:
-        budget = EnumerationBudget()
-    cells = n * m
-    required = 1 << cells
-    if required > budget.max_subsets:
-        raise BudgetExceededError(required, budget.max_subsets, what="arrays")
-    if cells + m > 62:
-        raise InvalidParameterError(f"array sweep supports at most 62 shifted bits, got {cells + m}")
+    # shifting a code up by one row needs n*m + m bits
+    budget = _checked_budget(n * m, n * m + m, budget, "arrays")
 
     def block(lo, hi):
         codes = np.arange(lo, hi, dtype=np.int64)
         return np.unique(_min_codes(n, m, codes))
 
     images: set[int] = set()
-    for uniq in _kernels.scan_blocks(required, block, budget.workers):
+    for uniq in _kernels.scan_blocks(1 << n * m, block, budget.workers):
         images.update(uniq.tolist())
     return sorted(images)
 
@@ -316,15 +294,11 @@ def count_mis_grid3(n: int, m: int, budget: EnumerationBudget | None = None) -> 
     """
     if n < 1 or m < 1:
         raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
-    if budget is None:
-        budget = EnumerationBudget()
     box = cartesian_product(cartesian_product(make_path(n), make_path(m)), make_path(2))
-    required = 1 << box.order
-    if required > budget.max_subsets:
-        raise BudgetExceededError(required, budget.max_subsets, what="subsets")
+    budget = _checked_budget(box.order, box.order, budget, "subsets")
     masks = box.closed_masks
 
     def block(lo, hi):
         return int(_kernels.mis_flags(masks, lo, hi).sum())
 
-    return sum(_kernels.scan_blocks(required, block, budget.workers))
+    return sum(_kernels.scan_blocks(1 << box.order, block, budget.workers))

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import BfileParseError, EmptyOverlapError, InvalidParameterError
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearRecurrence:
     """f(n) = sum of coefficient * f(n - offset), from first_recurrent_index on.
 
@@ -27,8 +27,9 @@ class LinearRecurrence:
     first_recurrent_index: int
 
     def __post_init__(self):
-        self.taps = tuple((int(o), int(c)) for o, c in self.taps)
-        self.initial_terms = {int(i): int(v) for i, v in self.initial_terms.items()}
+        object.__setattr__(self, "taps", tuple((int(o), int(c)) for o, c in self.taps))
+        object.__setattr__(self, "initial_terms",
+                           {int(i): int(v) for i, v in self.initial_terms.items()})
         if not self.taps:
             raise InvalidParameterError("recurrence needs at least one tap")
         if any(o < 1 for o, _ in self.taps):

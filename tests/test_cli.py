@@ -3,12 +3,13 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
 import digicon._kernels as kernels
-from digicon import count_grid_via_arrays, generate_grid_p2
-from digicon.cli import main
+from digicon import PowerSeries, cli, count_cycle_power, count_grid_via_arrays, generate_grid_p2
+from digicon.cli import FAMILIES, main
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +60,80 @@ def test_count_jsonl_record(capsys):
     }
 
 
+# the count default is the family's first method, enumerate's is bruteforce
+COUNT_DEFAULTS = {
+    "path": "bruteforce",
+    "cycle": "recurrence",
+    "complete": "formula",
+    "cycle-power": "recurrence",
+    "complete-product": "formula",
+    "path-grid": "arrays",
+}
+SMALL = {
+    "path": ("--n", "5"),
+    "cycle": ("--n", "7"),
+    "complete": ("--n", "3"),
+    "cycle-power": ("--n", "8", "--k", "2"),
+    "complete-product": ("--n", "2", "--m", "3"),
+    "path-grid": ("--n", "3", "--m", "2"),
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_method_defaults(capsys, family):
+    code, out, _ = run_cli(capsys, "count", "--family", family, *SMALL[family], "--format", "jsonl")
+    assert code == 0
+    assert json.loads(out)["method"] == COUNT_DEFAULTS[family]
+    streams = []
+    for method in ((), ("--method", "bruteforce")):
+        code, out, _ = run_cli(capsys, "enumerate", "--family", family, *SMALL[family], *method)
+        assert code == 0
+        streams.append(out)
+    assert streams[0] == streams[1]
+
+
+@pytest.mark.parametrize("family,method", [
+    (family, method)
+    for family, (_, methods) in FAMILIES.items()
+    for method, (_, enumerate_route) in methods.items()
+    if enumerate_route is not None
+])
+def test_count_equals_enumerated_lines(capsys, family, method):
+    code, counted, _ = run_cli(capsys, "count", "--family", family, *SMALL[family],
+                               "--method", method)
+    assert code == 0
+    code, streamed, _ = run_cli(capsys, "enumerate", "--family", family, *SMALL[family],
+                                "--method", method)
+    assert code == 0
+    assert int(counted) == len(streamed.splitlines())
+
+
+def test_counts_past_the_int_string_digit_limit_print_exactly(capsys):
+    code, out, _ = run_cli(capsys, "count", "--family", "cycle", "--n", "30000")
+    assert code == 0
+    assert len(out.strip()) > 4300
+    assert Decimal(out) == count_cycle_power(1, 30000)
+
+
+LAST_COEFFICIENT = {
+    "plain": lambda out: json.loads(out)[-1],
+    "csv": lambda out: out.splitlines()[-1].split(",")[1],
+    "jsonl": lambda out: json.loads(out.splitlines()[-1])["coefficient"],
+}
+
+
+@pytest.mark.parametrize("fmt", list(LAST_COEFFICIENT))
+def test_series_coefficients_past_the_digit_limit_print_exactly(monkeypatch, capsys, fmt):
+    # k = 2 first passes 4300 digits near x^20600; a stand-in series keeps the test small
+    huge = 7 ** 6000
+    monkeypatch.setattr(cli, "a_series", lambda k, terms: PowerSeries((1, huge)))
+    code, out, _ = run_cli(capsys, "series", "--k", "2", "--terms", "1", "--format", fmt)
+    assert code == 0
+    printed = LAST_COEFFICIENT[fmt](out)
+    assert len(printed) > 4300
+    assert Decimal(printed) == huge
+
+
 def test_count_csv_record(capsys):
     code, out, _ = run_cli(
         capsys, "count", "--family", "complete-product", "--n", "3", "--m", "2",
@@ -105,6 +180,13 @@ def test_usage_errors_exit_2(capsys, argv):
 def test_unknown_family_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--family", "hypercube", "--n", "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--workers", "--max-subsets"])
+def test_series_takes_no_sweep_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--k", "2", "--terms", "5", flag, "2"])
     assert exc.value.code == 2
 
 
@@ -264,6 +346,16 @@ def test_oeis_empty_overlap_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("oeis",), ("verify", "--suite", "oeis")])
+@pytest.mark.parametrize("unreadable", ["missing.txt", "."])
+def test_unreadable_sequence_file_exits_2(tmp_path, capsys, argv, unreadable):
+    path = tmp_path / unreadable
+    code, out, err = run_cli(capsys, *argv, "--max-cells", "2", "--bfile", str(path))
+    assert code == 2
+    assert out == ""
+    assert "cannot read the sequence file" in err
+
+
 # --- budgets ---
 
 
@@ -284,6 +376,16 @@ def test_max_subsets_flag_sets_the_ceiling(capsys):
         "--max-subsets", "1024", "--workers", "4",
     )
     assert (code, out) == (0, "110\n")
+
+
+@pytest.mark.parametrize("extra", [(), ("--max-subsets", str(1 << 64))])
+def test_grid_too_wide_for_the_kernels_exits_2_at_any_budget(capsys, extra):
+    # an 8 x 8 array sweep shifts 72-bit codes: no budget can make it run
+    code, out, err = run_cli(capsys, "count", "--family", "path-grid", "--n", "8", "--m", "8",
+                             *extra)
+    assert (code, out) == (2, "")
+    assert "62" in err
+    assert "rerun" not in err
 
 
 def test_env_var_budget(monkeypatch, capsys):

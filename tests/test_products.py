@@ -103,6 +103,17 @@ def test_transform_duality():
         assert max_transform(a) == flip(min_transform(flip(a)))
 
 
+def test_transforms_past_the_int64_width():
+    rng = random.Random(11)
+    for _ in range(40):
+        n, m = rng.randint(8, 12), rng.randint(8, 12)
+        full = (1 << (n * m)) - 1
+        a = BinaryArray.from_code(n, m, rng.randrange(full + 1))
+        assert min_transform(a) == min_transform_via_graph(a)
+        flipped = min_transform_via_graph(BinaryArray.from_code(n, m, full ^ a.code))
+        assert max_transform(a).code == full ^ flipped.code
+
+
 @given(binary_arrays())
 def test_min_shrinks_and_max_grows(a):
     full = (1 << (a.rows * a.cols)) - 1
@@ -305,6 +316,16 @@ def test_mis_count_budget():
     with pytest.raises(BudgetExceededError) as exc:
         count_mis_grid3(4, 4)
     assert exc.value.required == 1 << 32
+
+
+def test_mis_count_width_is_checked_before_the_budget(monkeypatch):
+    # P_8 x P_4 x P_2 has 64 vertices, beyond the int64 kernels at any budget
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(kernels, "scan_blocks", no_sweep)
+    with pytest.raises(InvalidParameterError):
+        count_mis_grid3(8, 4, EnumerationBudget(max_subsets=1 << 64))
 
 
 def test_mis_count_validation():

@@ -1,6 +1,7 @@
 """Recurrence evaluation, series expansion, and sequence-file comparison."""
 
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -78,6 +79,14 @@ def test_recurrence_validation():
         LinearRecurrence(taps=((0, 1),), initial_terms={0: 1}, first_recurrent_index=1)
     with pytest.raises(InvalidParameterError):
         LinearRecurrence(taps=((1, 1),), initial_terms={}, first_recurrent_index=1)
+
+
+def test_recurrence_is_frozen():
+    rec = LinearRecurrence(taps=((1, 1),), initial_terms={0: 7}, first_recurrent_index=1)
+    with pytest.raises(FrozenInstanceError):
+        rec.taps = ((1, 2),)
+    with pytest.raises(FrozenInstanceError):
+        rec.first_recurrent_index = 5
 
 
 # --- power series ---
