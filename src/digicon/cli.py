@@ -16,6 +16,7 @@ import os
 import sys
 from decimal import Decimal
 from importlib import resources
+from pathlib import Path
 
 from .convexity import (
     DEFAULT_MAX_SUBSETS,
@@ -269,18 +270,20 @@ def _suite_grid_p2(max_n: int, budget) -> list:
 
 def _oeis_report(bfile, max_cells: int, budget) -> ComparisonReport:
     """Grid counts for every n x m with n*m <= max_cells, in antidiagonal
-    order, compared against the sequence file (default: bundled snapshot)."""
+    order, compared against the sequence file (default: bundled snapshot).
+
+    The file is read before any count, so an unreadable one costs no sweep.
+    """
+    path = resources.files("digicon") / "data" / "A217637.txt" if bfile is None else Path(bfile)
+    try:
+        lines = path.read_text().splitlines()
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot read the sequence file: {exc}") from None
     values = [
         (_antidiagonal_index(n, m), count_grid_via_arrays(n, m, budget))
         for n, m in _grid_cells(max_cells)
     ]
-    try:
-        if bfile is None:
-            with resources.as_file(resources.files("digicon") / "data" / "A217637.txt") as path:
-                return compare_with_bfile(values, path)
-        return compare_with_bfile(values, bfile)
-    except OSError as exc:
-        raise InvalidParameterError(f"cannot read the sequence file: {exc}") from None
+    return compare_with_bfile(values, lines)
 
 
 def _suite_oeis(bfile, max_cells: int, budget) -> list:
@@ -395,7 +398,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout must fail here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, and send what is still
+        # buffered to devnull so that the final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -93,7 +93,7 @@ def digital_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
 def _checked_budget(exponent: int, width: int, budget: EnumerationBudget | None,
                     what: str) -> EnumerationBudget:
     """The budget for a sweep of 2^exponent candidates whose int64 kernel
-    needs width-bit codes (0 for a pure-Python sweep).
+    needs width-bit codes.
 
     The width is checked first, so a sweep that cannot run at any budget is
     a parameter error, never a budget error asking for a rerun.

@@ -15,6 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
+from . import _kernels
 from .convexity import EnumerationBudget, _checked_budget, is_digitally_convex
 from .errors import InvalidParameterError, NotConvexError, NotMemberError
 from .graphs import VertexSet, graph_power, make_cycle
@@ -108,60 +111,54 @@ def cyclic_blocks(s: CyclicBinaryString) -> BlockProfile:
     return BlockProfile(tuple((b, length) for _, b, length in _cyclic_runs(s.bits)))
 
 
-def _blocks_ok(bits, k: int) -> bool:
+def _rot(n: int, codes, d: int):
+    """Rotate n-bit codes cyclically, bit i moving to bit i + d (mod n): one
+    Python int of any size, or an int64 array of codes below 2^n."""
+    d %= n
+    low = (1 << n - d) - 1  # the bits that stay below 2^n after the shift
+    return (codes & low) << d | codes >> n - d
+
+
+def _blocks_ok(n: int, k: int, codes):
     """Every cyclic block has length >= k (n >= k), or the string is constant (n < k).
 
-    Single pass with early exit; the run containing position 0 is checked
-    last, after its wraparound half is known.
+    t marks the block boundaries, and a block shorter than k puts two of
+    them less than k apart.  For n < k the shift d = n is among those
+    tested, so only a constant string (t = 0) passes.  Answers in kind.
     """
-    n = len(bits)
-    first = bits[0]
-    if n < k:
-        return all(b == first for b in bits)
-    i = 1
-    while i < n and bits[i] == first:
-        i += 1
-    if i == n:
-        return True
-    cur = bits[i]
-    length = 1
-    for j in range(i + 1, n):
-        if bits[j] == cur:
-            length += 1
-        else:
-            if length < k:
-                return False
-            cur = bits[j]
-            length = 1
-    if cur == first:
-        return length + i >= k
-    return length >= k and i >= k
+    t = codes ^ _rot(n, codes, 1)
+    clash = 0
+    for d in range(1, k):
+        clash |= t & _rot(n, t, d)
+    return clash == 0
 
 
 def is_member_B(k: int, s: CyclicBinaryString) -> bool:
     """Membership in the family of strings with all cyclic blocks >= k."""
     if k < 2:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
-    return _blocks_ok(s.bits, k)
+    return _blocks_ok(s.length, k, s.code)
 
 
 def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iterator[CyclicBinaryString]:
     """Yield all members of length n in increasing code order.
 
     Position 0 is the most significant bit of the code, and rotations are
-    distinct members (no necklace quotienting).
+    distinct members (no necklace quotienting).  The codes are swept in
+    int64 blocks, so the stream is identical for any worker count.
     """
     if k < 2:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    # a pure-Python sweep: no int64 width to check
-    _checked_budget(n, 0, budget, "strings")
-    top = n - 1
-    for code in range(1 << n):
-        bits = tuple(code >> (top - i) & 1 for i in range(n))
-        if _blocks_ok(bits, k):
-            yield CyclicBinaryString(bits)
+    budget = _checked_budget(n, n, budget, "strings")
+
+    def block(lo, hi):
+        return lo + np.flatnonzero(_blocks_ok(n, k, np.arange(lo, hi, dtype=np.int64)))
+
+    for codes in _kernels.scan_blocks(1 << n, block, budget.workers):
+        for code in codes.tolist():
+            yield CyclicBinaryString.from_code(n, code)
 
 
 def _a_recurrence(k: int) -> LinearRecurrence:
@@ -236,17 +233,15 @@ def convex_set_from_string(k: int, n: int, s: CyclicBinaryString) -> VertexSet:
         raise InvalidParameterError(f"n must be >= 3, got {n}")
     if s.length != n:
         raise InvalidParameterError(f"string length {s.length} != n = {n}")
-    if not _blocks_ok(s.bits, k + 1):
+    if not _blocks_ok(n, k + 1, s.code):
         raise NotMemberError(
             f"string {s} has a cyclic block shorter than {k + 1}; it matches no convex set"
         )
-    if all(b == 1 for b in s.bits):
-        return VertexSet.full(n)
-    mask = 0
-    for start, bit, length in _cyclic_runs(s.bits):
-        if bit == 1:
-            for t in range(length - k):
-                mask |= 1 << (start + t) % n
+    # vertex x is in the set iff positions x..x+k are all ones
+    ones = sum(b << i for i, b in enumerate(s.bits))
+    mask = ones
+    for j in range(1, k + 1):
+        mask &= _rot(n, ones, -j)
     return VertexSet(n, mask)
 
 

@@ -7,6 +7,7 @@ Everything stays in arbitrary-precision Python ints; nothing here rounds.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -39,23 +40,31 @@ class LinearRecurrence:
 
 
 def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
-    """Term n of the recurrence by forward iteration, exact throughout."""
-    known = dict(rec.initial_terms)
-    lowest = min(known)
+    """Term n of the recurrence by forward iteration, exact throughout.
+
+    Only the last max-offset terms are kept, so memory does not grow with n.
+    """
+    initial = rec.initial_terms
+    lowest = min(initial)
     if n < lowest:
         raise InvalidParameterError(f"index {n} is below the first defined term {lowest}")
-    if n < rec.first_recurrent_index:
-        if n not in known:
+    first = rec.first_recurrent_index
+    if n < first:
+        if n not in initial:
             raise InvalidParameterError(f"index {n} is not covered by the initial terms")
-        return known[n]
-    for i in range(rec.first_recurrent_index, n + 1):
-        try:
-            known[i] = sum(c * known[i - off] for off, c in rec.taps)
-        except KeyError as missing:
-            raise InvalidParameterError(
-                f"term {i} needs undefined back-reference {missing.args[0]}"
-            ) from None
-    return known[n]
+        return initial[n]
+    span = max(off for off, _ in rec.taps)
+    # terms i-span..i-1; None marks an index below first with no initial term
+    window = deque((initial.get(j) for j in range(first - span, first)), maxlen=span)
+    for i in range(first, n + 1):
+        term = 0
+        for off, c in rec.taps:
+            back = window[-off]
+            if back is None:
+                raise InvalidParameterError(f"term {i} needs undefined back-reference {i - off}")
+            term += c * back
+        window.append(term)
+    return window[-1]
 
 
 @dataclass(frozen=True)

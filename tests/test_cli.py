@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, exit codes, budgets, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -348,7 +349,11 @@ def test_oeis_empty_overlap_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [("oeis",), ("verify", "--suite", "oeis")])
 @pytest.mark.parametrize("unreadable", ["missing.txt", "."])
-def test_unreadable_sequence_file_exits_2(tmp_path, capsys, argv, unreadable):
+def test_unreadable_sequence_file_exits_2(tmp_path, capsys, monkeypatch, argv, unreadable):
+    def no_count(*args, **kwargs):
+        raise AssertionError("the file is read before any grid count")
+
+    monkeypatch.setattr(cli, "count_grid_via_arrays", no_count)
     path = tmp_path / unreadable
     code, out, err = run_cli(capsys, *argv, "--max-cells", "2", "--bfile", str(path))
     assert code == 2
@@ -415,15 +420,16 @@ def test_enumerate_bytes_identical_across_workers(monkeypatch, capsys):
     monkeypatch.setattr(
         kernels, "iter_blocks", lambda total, block_size=0: real_iter(total, 1 << 8)
     )
-    outputs = []
-    for workers in ("1", "8"):
-        code, out, _ = run_cli(
-            capsys, "enumerate", "--family", "path-grid", "--n", "6", "--m", "2",
-            "--format", "jsonl", "--workers", workers,
-        )
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
+    for route in (("--family", "path-grid", "--n", "6", "--m", "2"),
+                  ("--family", "cycle-power", "--n", "12", "--k", "1", "--method", "bijection")):
+        outputs = []
+        for workers in ("1", "8"):
+            code, out, _ = run_cli(
+                capsys, "enumerate", *route, "--format", "jsonl", "--workers", workers,
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
 
 def test_count_bytes_identical_across_workers(capsys):
@@ -449,6 +455,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "122\n"
+
+
+@pytest.mark.parametrize("argv,lines", [
+    # about 200 kB, more than a pipe holds: a write meets the closed end mid-stream
+    (("enumerate", "--family", "path-grid", "--n", "5", "--m", "4", "--method", "arrays"), 1),
+    # one short line, still buffered when the handler returns
+    (("count", "--family", "cycle", "--n", "10"), 0),
+])
+def test_closed_stdout_ends_the_stream_quietly(argv, lines):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "digicon", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_console_script_usage_error():

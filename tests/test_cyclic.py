@@ -1,7 +1,9 @@
 """Block strings, their counting sequence, and the cycle-power bijection."""
 
+import numpy as np
 import pytest
 
+import digicon._kernels as kernels
 from digicon import (
     BudgetExceededError,
     CyclicBinaryString,
@@ -23,6 +25,7 @@ from digicon import (
     make_cycle,
     string_from_convex_set,
 )
+from digicon.cyclic import _blocks_ok, _cyclic_runs
 
 
 def all_strings(n):
@@ -125,6 +128,19 @@ def test_membership_agrees_with_block_profile(k, n):
         assert is_member_B(k, s) == expected
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_block_test_matches_the_run_definition(n):
+    """The rotation test, on one int and on an int64 array, against the
+    run decomposition: all runs >= k, or a constant string when n < k."""
+    codes = np.arange(1 << n, dtype=np.int64)
+    runs = [_cyclic_runs(s.bits) for s in all_strings(n)]
+    for k in range(2, 9):
+        expected = [len(r) == 1 if n < k else all(length >= k for _, _, length in r)
+                    for r in runs]
+        assert [_blocks_ok(n, k, code) for code in range(1 << n)] == expected
+        assert _blocks_ok(n, k, codes).tolist() == expected
+
+
 def test_membership_rejects_small_k():
     with pytest.raises(InvalidParameterError):
         is_member_B(1, CyclicBinaryString.from_text("00"))
@@ -162,6 +178,15 @@ def test_enumeration_budget():
     assert exc.value.required == 32
     assert "strings" in str(exc.value)
     assert len(list(enumerate_B(2, 5, EnumerationBudget(max_subsets=32)))) == 12
+
+
+def test_string_sweep_wider_than_62_bits_is_a_parameter_error(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(kernels, "scan_blocks", no_sweep)
+    with pytest.raises(InvalidParameterError):
+        next(enumerate_B(2, 63, EnumerationBudget(max_subsets=1 << 63)))
 
 
 # --- the counting sequence ---

@@ -1,6 +1,7 @@
 """Recurrence evaluation, series expansion, and sequence-file comparison."""
 
 import json
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -13,6 +14,7 @@ from digicon import (
     LinearRecurrence,
     PowerSeries,
     compare_with_bfile,
+    count_grid_p2,
     eval_recurrence,
     expand_rational,
     parse_bfile,
@@ -68,8 +70,19 @@ def test_recurrence_rejects_missing_back_reference():
     rec = LinearRecurrence(
         taps=((3, 1),), initial_terms={1: 1, 2: 1}, first_recurrent_index=3
     )
-    with pytest.raises(InvalidParameterError):
-        eval_recurrence(rec, 3)  # would need term 0
+    with pytest.raises(InvalidParameterError, match="term 3 needs undefined back-reference 0"):
+        eval_recurrence(rec, 3)
+
+
+def test_recurrence_memory_does_not_grow_with_n():
+    # a term of count_grid_p2(20000) is 3.3 kB, so keeping every term would take about 35 MB
+    tracemalloc.start()
+    try:
+        count_grid_p2(20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_recurrence_validation():
