@@ -276,8 +276,8 @@ def _oeis_report(bfile, max_cells: int, budget) -> ComparisonReport:
     """
     path = resources.files("digicon") / "data" / "A217637.txt" if bfile is None else Path(bfile)
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read the sequence file: {exc}") from None
     values = [
         (_antidiagonal_index(n, m), count_grid_via_arrays(n, m, budget))

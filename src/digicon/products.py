@@ -290,7 +290,9 @@ def count_mis_grid3(n: int, m: int, budget: EnumerationBudget | None = None) -> 
     """Number of maximal independent sets of P_n x P_m x P_2, by brute force.
 
     Observed (and for small m known) to equal the number of digitally
-    convex sets of P_n x P_m.
+    convex sets of P_n x P_m.  A block whose high vertices (past the
+    kernel's table) already hold two adjacent members is rejected whole,
+    without a vector op; the sweep still covers every subset.
     """
     if n < 1 or m < 1:
         raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")

@@ -361,6 +361,20 @@ def test_unreadable_sequence_file_exits_2(tmp_path, capsys, monkeypatch, argv, u
     assert "cannot read the sequence file" in err
 
 
+@pytest.mark.parametrize("argv", [("oeis",), ("verify", "--suite", "oeis")])
+def test_non_utf8_sequence_file_exits_2(tmp_path, capsys, monkeypatch, argv):
+    def no_count(*args, **kwargs):
+        raise AssertionError("the file is read before any grid count")
+
+    monkeypatch.setattr(cli, "count_grid_via_arrays", no_count)
+    path = tmp_path / "b.txt"
+    path.write_bytes(b"\xff\xfe1 2\n")
+    code, out, err = run_cli(capsys, *argv, "--max-cells", "2", "--bfile", str(path))
+    assert code == 2
+    assert out == ""
+    assert "cannot read the sequence file" in err
+
+
 # --- budgets ---
 
 
