@@ -1,10 +1,10 @@
 """Vectorized block kernels for exhaustive bitmask sweeps.
 
-Every exhaustive sweep below walks the integers 0..2^n - 1 in contiguous
-blocks, evaluates a predicate or transform on each block as one numpy int64
-vector, and consumes the per-block results in block order.  Workers only
-change which thread evaluates a block, never the order results are merged,
-so output is identical for any worker count.
+Every exhaustive sweep walks the integers 0..2^n - 1 in contiguous blocks,
+flags the codes of each block with one vectorized predicate, and counts or
+lists the flagged codes in block order.  Workers only change which thread
+evaluates a block, never the order results are merged, so output is
+identical for any worker count.
 
 The subset kernels split a code into its low part (members below
 b = min(n, TABLE_BITS)) and its high part.  A span lies inside one aligned
@@ -55,6 +55,17 @@ def scan_blocks(total: int, block_fn, workers: int = 1, block_size: int = BLOCK_
             yield pending.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def count_flagged(total: int, flags, workers: int = 1) -> int:
+    """How many codes in range(total) the bool vectors flags(lo, hi) mark."""
+    return sum(scan_blocks(total, lambda lo, hi: int(np.count_nonzero(flags(lo, hi))), workers))
+
+
+def iter_flagged(total: int, flags, workers: int = 1):
+    """Yield the codes in range(total) that flags(lo, hi) marks, ascending."""
+    for codes in scan_blocks(total, lambda lo, hi: lo + np.flatnonzero(flags(lo, hi)), workers):
+        yield from codes.tolist()
 
 
 @functools.lru_cache(maxsize=1)

@@ -25,6 +25,7 @@ from .convexity import (
     enumerate_digitally_convex,
 )
 from .cyclic import (
+    _check_power,
     a_count,
     a_series,
     convex_set_from_string,
@@ -66,9 +67,15 @@ def _sweep(graph):
             lambda budget, **p: enumerate_digitally_convex(graph(**p), budget))
 
 
+def _strings(power: int, n: int, budget):
+    # the block-string bijection: strings with blocks >= power+1 <-> convex
+    # sets of C_n^power, so the parameters are checked as for the cycle power
+    _check_power(power, n)
+    return enumerate_B(power + 1, n, budget)
+
+
 def _string_sets(power: int, n: int, budget):
-    # the block-string bijection: strings with blocks >= power+1 <-> convex sets
-    return (convex_set_from_string(power, n, s) for s in enumerate_B(power + 1, n, budget))
+    return (convex_set_from_string(power, n, s) for s in _strings(power, n, budget))
 
 
 def _image_sets(n: int, m: int, budget):
@@ -102,7 +109,7 @@ FAMILIES = {
     "cycle": (("n",), {
         "recurrence": (lambda budget, n: count_cycle_power(1, n), None),
         "bruteforce": _sweep(lambda n: make_cycle(n)),
-        "bijection": (lambda budget, n: sum(1 for _ in enumerate_B(2, n, budget)),
+        "bijection": (lambda budget, n: sum(1 for _ in _strings(1, n, budget)),
                       lambda budget, n: _string_sets(1, n, budget)),
     }),
     "complete": (("n",), {
@@ -112,7 +119,7 @@ FAMILIES = {
     "cycle-power": (("n", "k"), {
         "recurrence": (lambda budget, n, k: count_cycle_power(k, n), None),
         "bruteforce": _sweep(lambda n, k: graph_power(make_cycle(n), k)),
-        "bijection": (lambda budget, n, k: sum(1 for _ in enumerate_B(k + 1, n, budget)),
+        "bijection": (lambda budget, n, k: sum(1 for _ in _strings(k, n, budget)),
                       lambda budget, n, k: _string_sets(k, n, budget)),
     }),
     "complete-product": (("n", "m"), {
@@ -353,8 +360,8 @@ def _add_family_command(commands, name: str, handler, text: str):
     sub.add_argument("--family", required=True, choices=tuple(FAMILIES))
     for param in ("--n", "--m", "--k"):
         sub.add_argument(param, type=int, default=None)
-    sub.add_argument("--method", default=None,
-                     choices=("bruteforce", "recurrence", "formula", "bijection", "arrays"))
+    sub.add_argument("--method", default=None, choices=tuple(
+        dict.fromkeys(method for _, methods in FAMILIES.values() for method in methods)))
     _add_budget(sub)
     sub.add_argument("--format", choices=("jsonl", "csv", "plain"), default=None)
     sub.set_defaults(handler=handler)

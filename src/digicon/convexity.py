@@ -2,17 +2,17 @@
 enumeration of digitally convex sets.
 
 A set S is digitally convex when every vertex v outside S has a private
-neighbour with respect to S, some vertex of N[v] that N[S] misses.  The
-enumeration here is the brute-force oracle the family-specific counters are
-validated against.
+neighbour with respect to S, some vertex of N[v] that N[S] misses: S is a
+fixed point of the closure S -> {v : N[v] inside N[S]}.  The enumeration
+here is the brute-force oracle the family-specific counters are validated
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
-
-import numpy as np
 
 from . import _kernels
 from .errors import BudgetExceededError, InvalidParameterError
@@ -61,33 +61,32 @@ def has_private_neighbor(g: Graph, v: int, s: VertexSet) -> bool:
     return (g.closed_masks[v] & ~ns) != 0
 
 
+def _closure(g: Graph, mask: int) -> int:
+    """The vertices v whose N[v] lies inside N[S], for S given by mask.
+
+    Every member qualifies, so S is convex iff this is S itself.
+    """
+    ns = _neighborhood_mask(g, mask)
+    return sum(1 << v for v, closed in enumerate(g.closed_masks) if closed & ~ns == 0)
+
+
 def is_digitally_convex(g: Graph, s: VertexSet) -> bool:
     """True iff every vertex outside s keeps a private neighbour."""
     mask = _member_mask(g, s)
-    ns = _neighborhood_mask(g, mask)
-    for v in range(g.order):
-        if not mask >> v & 1 and (g.closed_masks[v] & ~ns) == 0:
-            return False
-    return True
+    return _closure(g, mask) == mask
 
 
 def digital_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
     """The smallest digitally convex superset of s.
 
     Any convex superset T of S has N[S] contained in N[T], so a vertex with
-    N[v] inside N[S] is forced into T; absorbing all such vertices until
-    nothing changes therefore reaches the minimal convex superset.
+    N[v] inside N[S] is forced into T; taking the closure until nothing
+    changes therefore reaches the minimal convex superset.
     """
     mask = _member_mask(g, s)
-    while True:
-        ns = _neighborhood_mask(g, mask)
-        grown = mask
-        for v in range(g.order):
-            if not mask >> v & 1 and (g.closed_masks[v] & ~ns) == 0:
-                grown |= 1 << v
-        if grown == mask:
-            return VertexSet(g.order, mask)
+    while (grown := _closure(g, mask)) != mask:
         mask = grown
+    return VertexSet(g.order, mask)
 
 
 def _checked_budget(exponent: int, width: int, budget: EnumerationBudget | None,
@@ -119,22 +118,13 @@ def enumerate_digitally_convex(g: Graph, budget: EnumerationBudget | None = None
     (never truncates) when 2^order exceeds the cap.
     """
     budget = _checked_budget(g.order, g.order, budget, "subsets")
-    masks = g.closed_masks
-
-    def block(lo, hi):
-        return lo + np.flatnonzero(_kernels.convex_flags(masks, lo, hi))
-
-    for codes in _kernels.scan_blocks(1 << g.order, block, budget.workers):
-        for code in codes.tolist():
-            yield VertexSet(g.order, code)
+    flags = partial(_kernels.convex_flags, g.closed_masks)
+    for code in _kernels.iter_flagged(1 << g.order, flags, budget.workers):
+        yield VertexSet(g.order, code)
 
 
 def count_digitally_convex(g: Graph, budget: EnumerationBudget | None = None) -> int:
     """Exact number of digitally convex subsets of g, by exhaustive sweep."""
     budget = _checked_budget(g.order, g.order, budget, "subsets")
-    masks = g.closed_masks
-
-    def block(lo, hi):
-        return int(_kernels.convex_flags(masks, lo, hi).sum())
-
-    return sum(_kernels.scan_blocks(1 << g.order, block, budget.workers))
+    flags = partial(_kernels.convex_flags, g.closed_masks)
+    return _kernels.count_flagged(1 << g.order, flags, budget.workers)

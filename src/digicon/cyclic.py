@@ -152,13 +152,10 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     budget = _checked_budget(n, n, budget, "strings")
-
-    def block(lo, hi):
-        return lo + np.flatnonzero(_blocks_ok(n, k, np.arange(lo, hi, dtype=np.int64)))
-
-    for codes in _kernels.scan_blocks(1 << n, block, budget.workers):
-        for code in codes.tolist():
-            yield CyclicBinaryString.from_code(n, code)
+    codes = _kernels.iter_flagged(
+        1 << n, lambda lo, hi: _blocks_ok(n, k, np.arange(lo, hi, dtype=np.int64)), budget.workers)
+    for code in codes:
+        yield CyclicBinaryString.from_code(n, code)
 
 
 def _a_recurrence(k: int) -> LinearRecurrence:
@@ -195,6 +192,14 @@ def a_series(k: int, terms: int) -> PowerSeries:
     return expand_rational(numerator, denominator, terms)
 
 
+def _check_power(k: int, n: int) -> None:
+    """The parameters of the k-th power of an n-cycle: k >= 1 and n >= 3."""
+    if k < 1:
+        raise InvalidParameterError(f"k must be >= 1, got {k}")
+    if n < 3:
+        raise InvalidParameterError(f"n must be >= 3, got {n}")
+
+
 def string_from_convex_set(k: int, n: int, s: VertexSet) -> CyclicBinaryString:
     """Indicator string of a digitally convex set of the k-th power of C_n.
 
@@ -202,10 +207,7 @@ def string_from_convex_set(k: int, n: int, s: VertexSet) -> CyclicBinaryString:
     every cyclic block of length >= k+1.  Only defined on digitally convex
     inputs (checked).
     """
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    if n < 3:
-        raise InvalidParameterError(f"n must be >= 3, got {n}")
+    _check_power(k, n)
     if s.universe != n:
         raise InvalidParameterError(f"set universe {s.universe} != cycle length {n}")
     g = graph_power(make_cycle(n), k)
@@ -227,10 +229,7 @@ def convex_set_from_string(k: int, n: int, s: CyclicBinaryString) -> VertexSet:
     p..p+L-k-1 (mod n); the constant strings map to the empty and full sets.
     Only defined on strings with all cyclic blocks >= k+1 (checked).
     """
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    if n < 3:
-        raise InvalidParameterError(f"n must be >= 3, got {n}")
+    _check_power(k, n)
     if s.length != n:
         raise InvalidParameterError(f"string length {s.length} != n = {n}")
     if not _blocks_ok(n, k + 1, s.code):
@@ -251,8 +250,5 @@ def count_cycle_power(k: int, n: int) -> int:
     Equals the block-string count with threshold k+1: the indicator map
     above is a bijection onto those strings.
     """
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    if n < 3:
-        raise InvalidParameterError(f"n must be >= 3, got {n}")
+    _check_power(k, n)
     return a_count(k + 1, n)

@@ -6,13 +6,14 @@ The grid route rests on the fact that the distinct images of n x m binary
 arrays under the minimum-over-closed-neighbourhood transform are exactly the
 indicator arrays of the digitally convex sets of P_n x P_m.  With the
 row-major cell order (i, j) -> i*m + j, an image's bit code is literally the
-vertex bitmask of its convex set.
+vertex bitmask of its convex set, and the images are the codes equal to
+their closure min(max(x)), so the sweep flags them without a dedupe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .convexity import (
     EnumerationBudget,
     _checked_budget,
     enumerate_digitally_convex,
-    is_digitally_convex,
 )
 from .errors import InvalidParameterError, NotConvexError, NotImageError
 from .graphs import VertexSet, cartesian_product, make_path
@@ -234,37 +234,42 @@ def generate_grid_p2(n: int) -> tuple[VertexSet, ...]:
     return tuple(VertexSet(2 * n, mask) for mask in sorted(combined))
 
 
+def _closed_codes(n: int, m: int, codes):
+    """min(max(codes)), in either form _min_codes takes.  Min and max are an
+    erosion/dilation adjunction, so the min images are its fixed points."""
+    full = (1 << n * m) - 1
+    return _min_codes(n, m, full ^ _min_codes(n, m, full ^ codes))
+
+
 def _image_codes(n: int, m: int, budget: EnumerationBudget | None = None) -> list[int]:
-    """Sorted distinct images of the minimum transform over all n x m arrays."""
+    """The images of the minimum transform over all n x m arrays, ascending:
+    the codes equal to their closure, so no image is met twice."""
     if n < 1 or m < 1:
         raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
     # shifting a code up by one row needs n*m + m bits
     budget = _checked_budget(n * m, n * m + m, budget, "arrays")
 
-    def block(lo, hi):
+    def closed(lo, hi):
         codes = np.arange(lo, hi, dtype=np.int64)
-        return np.unique(_min_codes(n, m, codes))
+        return _closed_codes(n, m, codes) == codes
 
-    images: set[int] = set()
-    for uniq in _kernels.scan_blocks(1 << n * m, block, budget.workers):
-        images.update(uniq.tolist())
-    return sorted(images)
+    return list(_kernels.iter_flagged(1 << n * m, closed, budget.workers))
 
 
 def count_grid_via_arrays(n: int, m: int, budget: EnumerationBudget | None = None) -> int:
-    """Number of distinct minimum-transform images of n x m binary arrays,
-    which equals the number of digitally convex sets of P_n x P_m."""
+    """Number of minimum-transform images of n x m binary arrays (the codes
+    equal to their closure), which equals the number of digitally convex
+    sets of P_n x P_m."""
     return len(_image_codes(n, m, budget))
 
 
 def set_from_array(astar: BinaryArray) -> VertexSet:
     """The vertex set whose indicator is the given image array.
 
-    Valid inputs are exactly the fixed images of the minimum transform; the
-    check runs the canonical round trip (maximum transform, then minimum)
-    and demands the input back.
+    Valid inputs are exactly the images of the minimum transform: the
+    arrays equal to their closure (maximum transform, then minimum).
     """
-    if min_transform(max_transform(astar)) != astar:
+    if _closed_codes(astar.rows, astar.cols, astar.code) != astar.code:
         raise NotImageError(
             "array is not a minimum-transform image, so its cells are not a digitally convex set"
         )
@@ -274,14 +279,13 @@ def set_from_array(astar: BinaryArray) -> VertexSet:
 def array_from_set(dims: tuple[int, int], s: VertexSet) -> BinaryArray:
     """The canonical preimage of a digitally convex set of P_n x P_m: the
     maximum transform of its indicator array.  Its minimum transform gives
-    the indicator back."""
+    the indicator back; a set is convex iff its code is its closure."""
     n, m = dims
     if n < 1 or m < 1:
         raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
     if s.universe != n * m:
         raise InvalidParameterError(f"set universe {s.universe} != {n}*{m}")
-    grid = cartesian_product(make_path(n), make_path(m))
-    if not is_digitally_convex(grid, s):
+    if _closed_codes(n, m, s.mask) != s.mask:
         raise NotConvexError(f"set {list(s.indices())} is not digitally convex in the {n} x {m} grid")
     return max_transform(BinaryArray.from_code(n, m, s.mask))
 
@@ -298,9 +302,5 @@ def count_mis_grid3(n: int, m: int, budget: EnumerationBudget | None = None) -> 
         raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
     box = cartesian_product(cartesian_product(make_path(n), make_path(m)), make_path(2))
     budget = _checked_budget(box.order, box.order, budget, "subsets")
-    masks = box.closed_masks
-
-    def block(lo, hi):
-        return int(_kernels.mis_flags(masks, lo, hi).sum())
-
-    return sum(_kernels.scan_blocks(1 << box.order, block, budget.workers))
+    flags = partial(_kernels.mis_flags, box.closed_masks)
+    return _kernels.count_flagged(1 << box.order, flags, budget.workers)

@@ -242,6 +242,26 @@ def test_enumerate_bijection_method_yields_the_same_family(capsys):
     assert sorted(streams[0]) == sorted(streams[1])
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (("--family", "cycle", "--n", "1"), "n must be >= 3, got 1"),
+        (("--family", "cycle", "--n", "2"), "n must be >= 3, got 2"),
+        (("--family", "cycle-power", "--n", "1", "--k", "2"), "n must be >= 3, got 1"),
+        (("--family", "cycle-power", "--n", "2", "--k", "3"), "n must be >= 3, got 2"),
+        (("--family", "cycle-power", "--n", "5", "--k", "0"), "k must be >= 1, got 0"),
+    ],
+)
+def test_bijection_checks_parameters_like_the_recurrence(capsys, params, message):
+    # the bijection count used to sweep strings for n < 3 and print 2
+    runs = [
+        run_cli(capsys, command, *params, "--method", method)
+        for command, method in (("count", "bijection"), ("enumerate", "bijection"),
+                                ("count", "recurrence"))
+    ]
+    assert runs == [(2, "", f"error: {message}\n")] * 3
+
+
 # --- series ---
 
 

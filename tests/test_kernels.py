@@ -10,9 +10,12 @@ import pytest
 import digicon._kernels as kernels
 from digicon import (
     EnumerationBudget,
+    a_count,
     cartesian_product,
     count_digitally_convex,
+    count_grid_via_arrays,
     count_mis_grid3,
+    enumerate_B,
     graph_power,
     make_complete,
     make_cycle,
@@ -83,6 +86,9 @@ def test_small_blocks_and_workers_keep_the_counts(monkeypatch):
         budget = EnumerationBudget(workers=workers)
         assert count_mis_grid3(3, 3, budget) == 66
         assert count_digitally_convex(ring, budget) == 92
+        assert count_grid_via_arrays(3, 4, budget) == 244
+        strings = [s.code for s in enumerate_B(3, 12, budget)]
+        assert strings == sorted(strings) and len(strings) == a_count(3, 12) == 92
 
 
 def test_scan_runs_a_bounded_window_ahead(monkeypatch):

@@ -1,5 +1,6 @@
 """Product-graph counting: complete products, ladders, grids, MIS."""
 
+import itertools
 import random
 
 import pytest
@@ -29,7 +30,13 @@ from digicon import (
     set_from_array,
     array_from_set,
 )
-from oracles import is_mis_naive, min_transform_via_graph
+from digicon.products import _image_codes
+from oracles import (
+    all_convex_masks_naive,
+    is_convex_naive,
+    is_mis_naive,
+    min_transform_via_graph,
+)
 
 WORKED_A = BinaryArray(((1, 1, 0), (1, 1, 1), (0, 1, 1)))
 WORKED_A_STAR = BinaryArray(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -226,6 +233,14 @@ def test_grid_count_equals_distinct_pure_python_images():
             for code in range(1 << (n * m))
         }
         assert count_grid_via_arrays(n, m) == len(images)
+        assert _image_codes(n, m) == sorted(images)
+
+
+def test_image_codes_are_the_convex_masks():
+    for n in range(1, 13):
+        for m in range(1, 12 // n + 1):
+            g = cartesian_product(make_path(n), make_path(m))
+            assert _image_codes(n, m) == all_convex_masks_naive(g), (n, m)
 
 
 def test_grid_count_matches_brute_force_small():
@@ -275,6 +290,25 @@ def test_array_from_set_round_trips_everything_small():
             canonical = array_from_set((n, m), s)
             assert min_transform(canonical).code == s.mask
             assert set_from_array(min_transform(canonical)) == s
+
+
+def test_conversions_accept_exactly_the_convex_masks():
+    for n, m in itertools.product(range(1, 4), repeat=2):
+        g = cartesian_product(make_path(n), make_path(m))
+        for code in range(1 << n * m):
+            convex = is_convex_naive(g, [v for v in range(n * m) if code >> v & 1])
+            try:
+                array_from_set((n, m), VertexSet(n * m, code))
+            except NotConvexError:
+                assert not convex, (n, m, code)
+            else:
+                assert convex, (n, m, code)
+            try:
+                s = set_from_array(BinaryArray.from_code(n, m, code))
+            except NotImageError:
+                assert not convex, (n, m, code)
+            else:
+                assert convex and s.mask == code, (n, m, code)
 
 
 def test_array_from_set_rejects_non_convex():
