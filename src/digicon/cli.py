@@ -78,6 +78,13 @@ def _string_sets(power: int, n: int, budget):
     return (convex_set_from_string(power, n, s) for s in _strings(power, n, budget))
 
 
+def _cycle_graph(n: int, k: int | None = None):
+    # C_n (k None) or C_n^k, checked as on the recurrence and bijection
+    # routes, so that a bad parameter gets one message whatever the method
+    _check_power(1 if k is None else k, n)
+    return make_cycle(n) if k is None else graph_power(make_cycle(n), k)
+
+
 def _image_sets(n: int, m: int, budget):
     # with the row-major cell order, an image code is its convex set's bitmask
     return (VertexSet(n * m, code) for code in _image_codes(n, m, budget))
@@ -108,7 +115,7 @@ FAMILIES = {
     }),
     "cycle": (("n",), {
         "recurrence": (lambda budget, n: count_cycle_power(1, n), None),
-        "bruteforce": _sweep(lambda n: make_cycle(n)),
+        "bruteforce": _sweep(_cycle_graph),
         "bijection": (lambda budget, n: sum(1 for _ in _strings(1, n, budget)),
                       lambda budget, n: _string_sets(1, n, budget)),
     }),
@@ -118,7 +125,7 @@ FAMILIES = {
     }),
     "cycle-power": (("n", "k"), {
         "recurrence": (lambda budget, n, k: count_cycle_power(k, n), None),
-        "bruteforce": _sweep(lambda n, k: graph_power(make_cycle(n), k)),
+        "bruteforce": _sweep(_cycle_graph),
         "bijection": (lambda budget, n, k: sum(1 for _ in _strings(k, n, budget)),
                       lambda budget, n, k: _string_sets(k, n, budget)),
     }),

@@ -4,8 +4,10 @@ digitally convex sets of cycle powers.
 A string is read cyclically, so a run of equal bits touching both ends is a
 single block.  For k >= 2, the family of interest is the length-n strings
 whose cyclic blocks all have length >= k (when n < k only the two constant
-strings qualify).  Its cardinality a_count(k, n) satisfies a short linear
-recurrence, and for k+1 these strings are exactly the indicator strings of
+strings qualify).  Its cardinality a_count(k, n) is the number of closed
+walks of length n in a 2k-state run-length automaton, so its linear
+recurrence, initial terms and series all follow from one polynomial, and
+for k+1 these strings are exactly the indicator strings of
 the digitally convex sets of the k-th power of an n-cycle, with vertex x
 contributing ones at positions x..x+k (mod n).
 """
@@ -18,9 +20,9 @@ from typing import Iterator
 import numpy as np
 
 from . import _kernels
-from .convexity import EnumerationBudget, _checked_budget, is_digitally_convex
+from .convexity import EnumerationBudget, _checked_budget
 from .errors import InvalidParameterError, NotConvexError, NotMemberError
-from .graphs import VertexSet, graph_power, make_cycle
+from .graphs import VertexSet
 from .sequences import LinearRecurrence, PowerSeries, eval_recurrence, expand_rational
 
 
@@ -158,19 +160,33 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
         yield CyclicBinaryString.from_code(n, code)
 
 
+def _q_poly(k: int) -> list[int]:
+    """Q_k(x) = det(I - x A_k) = 1 - 2x + x^2 - x^{2k}, coefficients by degree.
+
+    A_k is the 2k-state run-length automaton: state (bit, run length capped
+    at k) steps to (bit, run + 1 capped at k), and (b, k) also steps to
+    (1 - b, 1).  A cyclic string with every block >= k is exactly one closed
+    walk from its state at position 0, so a_count(k, n) = trace(A_k^n) for
+    all n >= 1: the power sums of the reciprocal roots of Q_k.
+    """
+    q = [1, -2, 1] + [0] * (2 * k - 2)
+    q[2 * k] -= 1
+    return q
+
+
 def _a_recurrence(k: int) -> LinearRecurrence:
-    """The order-2k recurrence f(n) = 2f(n-1) - f(n-2) + f(n-2k) with its
-    initial band: 2 up to n = 2k-1, then 2 + n(n-2k+1) through n = 2k+2."""
-    initial = {1: 2, 2: 2}
-    for i in range(3, 2 * k):
-        initial[i] = 2
-    for j in range(2 * k, 2 * k + 3):
-        initial[j] = 2 + j * (j - 2 * k + 1)
-    return LinearRecurrence(
-        taps=((1, 2), (2, -1), (2 * k, 1)),
-        initial_terms=initial,
-        first_recurrent_index=2 * k + 3,
-    )
+    """The power sums p_n of Q_k by Newton's identities,
+    p_n = -n q_n - sum_{i=1}^{n-1} q_i p_{n-i}: for n > 2k this is the
+    order-2k recurrence f(n) = 2f(n-1) - f(n-2) + f(n-2k), taps (i, -q_i),
+    and for n = 1..2k it gives the initial terms.  O(k) work, since Q_k has
+    three nonzero coefficients past the constant."""
+    q = _q_poly(k)
+    degree = len(q) - 1
+    taps = tuple((i, -c) for i, c in enumerate(q) if i and c)
+    p: dict[int, int] = {}
+    for n in range(1, degree + 1):
+        p[n] = -n * q[n] + sum(c * p[n - i] for i, c in taps if i < n)
+    return LinearRecurrence(taps=taps, initial_terms=p, first_recurrent_index=degree + 1)
 
 
 def a_count(k: int, n: int) -> int:
@@ -183,13 +199,14 @@ def a_count(k: int, n: int) -> int:
 
 
 def a_series(k: int, terms: int) -> PowerSeries:
-    """Coefficients x^0..x^terms of the counting series
-    (2x - 2x^2 + 2k x^{2k}) / (1 - 2x + x^2 - x^{2k})."""
+    """Coefficients x^0..x^terms of sum_n a_count(k, n) x^n = -x Q_k'(x) / Q_k(x),
+    the generating function of Q_k's power sums:
+    (2x - 2x^2 + 2k x^{2k}) / (1 - 2x + x^2 - x^{2k}), by long division
+    in O(terms * k) integer steps."""
     if k < 2:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
-    numerator = [0, 2, -2] + [0] * (2 * k - 3) + [2 * k]
-    denominator = [1, -2, 1] + [0] * (2 * k - 3) + [-1]
-    return expand_rational(numerator, denominator, terms)
+    q = _q_poly(k)
+    return expand_rational([-i * c for i, c in enumerate(q)], q, terms)
 
 
 def _check_power(k: int, n: int) -> None:
@@ -200,26 +217,33 @@ def _check_power(k: int, n: int) -> None:
         raise InvalidParameterError(f"n must be >= 3, got {n}")
 
 
+def _erode(n: int, k: int, ones: int) -> int:
+    """The vertices x whose positions x..x+k are all ones."""
+    mask = ones
+    for j in range(1, k + 1):
+        mask &= _rot(n, ones, -j)
+    return mask
+
+
 def string_from_convex_set(k: int, n: int, s: VertexSet) -> CyclicBinaryString:
     """Indicator string of a digitally convex set of the k-th power of C_n.
 
     Each member vertex x sets positions x..x+k (mod n) to 1; the result has
     every cyclic block of length >= k+1.  Only defined on digitally convex
-    inputs (checked).
+    inputs (checked on the string side: by the bijection, a set is convex
+    iff its string has every block >= k+1 and maps back to the set).
     """
     _check_power(k, n)
     if s.universe != n:
         raise InvalidParameterError(f"set universe {s.universe} != cycle length {n}")
-    g = graph_power(make_cycle(n), k)
-    if not is_digitally_convex(g, s):
+    ones = 0
+    for j in range(k + 1):
+        ones |= _rot(n, s.mask, j)
+    if not (_blocks_ok(n, k + 1, ones) and _erode(n, k, ones) == s.mask):
         raise NotConvexError(
             f"set {list(s.indices())} is not digitally convex in the power-{k} {n}-cycle"
         )
-    bits = [0] * n
-    for x in s:
-        for j in range(k + 1):
-            bits[(x + j) % n] = 1
-    return CyclicBinaryString(tuple(bits))
+    return CyclicBinaryString(tuple(ones >> i & 1 for i in range(n)))
 
 
 def convex_set_from_string(k: int, n: int, s: CyclicBinaryString) -> VertexSet:
@@ -236,12 +260,7 @@ def convex_set_from_string(k: int, n: int, s: CyclicBinaryString) -> VertexSet:
         raise NotMemberError(
             f"string {s} has a cyclic block shorter than {k + 1}; it matches no convex set"
         )
-    # vertex x is in the set iff positions x..x+k are all ones
-    ones = sum(b << i for i, b in enumerate(s.bits))
-    mask = ones
-    for j in range(1, k + 1):
-        mask &= _rot(n, ones, -j)
-    return VertexSet(n, mask)
+    return VertexSet(n, _erode(n, k, sum(b << i for i, b in enumerate(s.bits))))
 
 
 def count_cycle_power(k: int, n: int) -> int:

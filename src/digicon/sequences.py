@@ -39,10 +39,61 @@ class LinearRecurrence:
             raise InvalidParameterError("recurrence needs initial terms")
 
 
-def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
-    """Term n of the recurrence by forward iteration, exact throughout.
+def _advance(taps, window: deque, start: int, stop: int) -> None:
+    """Append terms start..stop-1 to the window of the terms just before them."""
+    for i in range(start, stop):
+        term = 0
+        for off, c in taps:
+            back = window[-off]
+            if back is None:
+                raise InvalidParameterError(f"term {i} needs undefined back-reference {i - off}")
+            term += c * back
+        window.append(term)
 
-    Only the last max-offset terms are kept, so memory does not grow with n.
+
+def _reduce(poly: list[int], taps, span: int) -> list[int]:
+    """poly mod x^span - sum c x^(span - off), from the top degree down."""
+    for d in range(len(poly) - 1, span - 1, -1):
+        top = poly[d]
+        if top:
+            for off, c in taps:
+                poly[d - off] += c * top
+    return poly[:span]
+
+
+def _x_power_mod(taps, span: int, e: int) -> list[int]:
+    """Coefficients of x^0..x^(span-1) in x^e mod the characteristic
+    polynomial x^span - sum c x^(span - off), by binary powering: one
+    squaring per bit of e, and a shift by x for each set bit."""
+    r = [1] + [0] * (span - 1)
+    for bit in bin(e)[2:]:
+        square = [0] * (2 * span - 1)
+        for i, a in enumerate(r):
+            if a:
+                square[2 * i] += a * a
+                twice = a << 1
+                for d, b in enumerate(r[i + 1:], 2 * i + 1):
+                    if b:
+                        square[d] += twice * b
+        r = _reduce(square, taps, span)
+        if bit == "1":
+            r = _reduce([0] + r, taps, span)
+    return r
+
+
+def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
+    """Term n of the recurrence, exact throughout.
+
+    The first span recurrent terms (span = the largest tap offset) are
+    stepped forward from the initial terms; every back-reference is read on
+    the way, so an undefined one raises.  From those terms f(first + i),
+    i < span, term n is the dot product with the coefficients of x^e mod
+    x^span - sum c x^(span - off), e = n - first (Fiduccia, SIAM J. Comput.
+    14, 1985).  That costs about span^2 * log2(e) big-integer products
+    against len(taps) * e for stepping on, and the cheaper of the two runs:
+    doubling for short recurrences at large n, forward steps for wide,
+    sparse ones at modest n.  Either way memory holds O(span) numbers no
+    larger than the answer, not n terms.
     """
     initial = rec.initial_terms
     lowest = min(initial)
@@ -53,17 +104,17 @@ def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
         if n not in initial:
             raise InvalidParameterError(f"index {n} is not covered by the initial terms")
         return initial[n]
-    span = max(off for off, _ in rec.taps)
+    taps = rec.taps
+    span = max(off for off, _ in taps)
     # terms i-span..i-1; None marks an index below first with no initial term
     window = deque((initial.get(j) for j in range(first - span, first)), maxlen=span)
-    for i in range(first, n + 1):
-        term = 0
-        for off, c in rec.taps:
-            back = window[-off]
-            if back is None:
-                raise InvalidParameterError(f"term {i} needs undefined back-reference {i - off}")
-            term += c * back
-        window.append(term)
+    _advance(taps, window, first, min(n + 1, first + span))
+    e = n - first
+    if e < span:
+        return window[-1]
+    if span * span * e.bit_length() < len(taps) * e:
+        return sum(r * term for r, term in zip(_x_power_mod(taps, span, e), window))
+    _advance(taps, window, first + span, n + 1)
     return window[-1]
 
 

@@ -113,3 +113,87 @@ def random_graph(rng, order, p=0.4) -> Graph:
         if rng.random() < p
     ]
     return Graph.from_edges(order, edges)
+
+
+def recurrence_terms_naive(rec, n) -> dict:
+    """Every defined term of the recurrence up to index n, by stepping
+    forward one term at a time and keeping them all."""
+    terms = {i: v for i, v in rec.initial_terms.items() if i < rec.first_recurrent_index}
+    for i in range(rec.first_recurrent_index, n + 1):
+        total = 0
+        for off, c in rec.taps:
+            if i - off not in terms:
+                raise ValueError(f"term {i} needs undefined back-reference {i - off}")
+            total += c * terms[i - off]
+        terms[i] = total
+    return terms
+
+
+def berkowitz(matrix) -> list:
+    """Coefficients of det(tI - A), leading 1 first, for a square integer
+    matrix, with no division (Berkowitz 1984).  Read from the constant term
+    up, the same list is det(I - xA).
+
+    The leading (r+1) x (r+1) block [[A_r, C], [R, a]] has characteristic
+    polynomial T * p_r, where T is the lower-triangular Toeplitz matrix with
+    first column 1, -a, -RC, -R A_r C, ..., -R A_r^(r-1) C.
+    """
+    poly = [1]
+    for r in range(len(matrix)):
+        row = matrix[r][:r]
+        vec = [matrix[i][r] for i in range(r)]
+        column = [1, -matrix[r][r]]
+        for _ in range(r):
+            column.append(-sum(x * y for x, y in zip(row, vec)))
+            vec = [sum(matrix[i][j] * vec[j] for j in range(r)) for i in range(r)]
+        poly = [
+            sum(column[i - j] * poly[j] for j in range(len(poly)) if 0 <= i - j < len(column))
+            for i in range(r + 2)
+        ]
+    return poly
+
+
+def run_length_automaton(k) -> list:
+    """Adjacency matrix of the 2k states (bit, run length capped at k), state
+    index bit * k + run - 1: (b, r) steps to (b, min(r + 1, k)), and (b, k)
+    also steps to (1 - b, 1)."""
+    size = 2 * k
+    matrix = [[0] * size for _ in range(size)]
+    for bit in (0, 1):
+        for run in range(1, k + 1):
+            state = bit * k + run - 1
+            matrix[state][bit * k + min(run + 1, k) - 1] = 1
+            if run == k:
+                matrix[state][(1 - bit) * k] = 1
+    return matrix
+
+
+def walk_traces(matrix, n_max) -> list:
+    """trace(A^n) for n = 0..n_max, by repeated multiplication."""
+    size = len(matrix)
+    power = [[int(i == j) for j in range(size)] for i in range(size)]
+    traces = []
+    for _ in range(n_max + 1):
+        traces.append(sum(power[i][i] for i in range(size)))
+        power = [[sum(row[t] * matrix[t][j] for t in range(size) if row[t]) for j in range(size)]
+                 for row in power]
+    return traces
+
+
+def cycle_count_by_lucas(n, modulus=None):
+    """Convex sets of C_n, i.e. strings with every cyclic block >= 2, from
+    Q_2 = (1 - x - x^2)(1 - x + x^2): the Lucas number L_n plus the power sum
+    of the sixth roots of unity e^(+-i pi/3); reduced mod modulus if given."""
+    def pair(m):
+        # (L_m, L_m+1) by halving: L_2j = L_j^2 - 2(-1)^j, L_2j+1 = L_j L_j+1 - (-1)^j
+        if m == 0:
+            return 2, 1
+        a, b = pair(m // 2)
+        sign = -1 if m // 2 % 2 else 1
+        even, odd = a * a - 2 * sign, a * b - sign
+        if modulus:
+            even, odd = even % modulus, odd % modulus
+        return (odd, even + odd) if m % 2 else (even, odd)
+
+    value = pair(n)[0] + (2, 1, -1, -2, -1, 1)[n % 6]
+    return value % modulus if modulus else value

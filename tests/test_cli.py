@@ -11,6 +11,7 @@ import pytest
 import digicon._kernels as kernels
 from digicon import PowerSeries, cli, count_cycle_power, count_grid_via_arrays, generate_grid_p2
 from digicon.cli import FAMILIES, main
+from oracles import cycle_count_by_lucas
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +115,13 @@ def test_counts_past_the_int_string_digit_limit_print_exactly(capsys):
     assert code == 0
     assert len(out.strip()) > 4300
     assert Decimal(out) == count_cycle_power(1, 30000)
+
+
+def test_million_vertex_cycle_counts_by_doubling(capsys):
+    code, out, _ = run_cli(capsys, "count", "--family", "cycle", "--n", "1000000")
+    assert code == 0
+    assert len(out.strip()) == 208988
+    assert int(out[-41:]) == cycle_count_by_lucas(10**6, 10**40)
 
 
 LAST_COEFFICIENT = {
@@ -253,13 +261,16 @@ def test_enumerate_bijection_method_yields_the_same_family(capsys):
     ],
 )
 def test_bijection_checks_parameters_like_the_recurrence(capsys, params, message):
-    # the bijection count used to sweep strings for n < 3 and print 2
-    runs = [
-        run_cli(capsys, command, *params, "--method", method)
-        for command, method in (("count", "bijection"), ("enumerate", "bijection"),
-                                ("count", "recurrence"))
-    ]
-    assert runs == [(2, "", f"error: {message}\n")] * 3
+    # every count and enumerate route, bruteforce included, checks the
+    # parameters one way before it builds a graph or sweeps
+    runs = {
+        (command, method): run_cli(capsys, command, *params, "--method", method)
+        for method, routes in FAMILIES[params[1]][1].items()
+        for command, route in zip(("count", "enumerate"), routes)
+        if route is not None
+    }
+    assert len(runs) == 5
+    assert runs == dict.fromkeys(runs, (2, "", f"error: {message}\n"))
 
 
 # --- series ---

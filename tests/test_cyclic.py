@@ -25,7 +25,8 @@ from digicon import (
     make_cycle,
     string_from_convex_set,
 )
-from digicon.cyclic import _blocks_ok, _cyclic_runs
+from digicon.cyclic import _a_recurrence, _blocks_ok, _cyclic_runs, _q_poly
+from oracles import berkowitz, is_convex_naive, run_length_automaton, walk_traces
 
 
 def all_strings(n):
@@ -232,6 +233,23 @@ def test_series_prefix_matches_counts():
     assert len(series) == 12
 
 
+@pytest.mark.parametrize("k", range(2, 13))
+def test_recurrence_is_certified_by_the_run_length_automaton(k):
+    """det(I - x A_k) is the paper's denominator, its power sums are the
+    counts, and the recurrence, its initial terms and the series all come
+    from that one polynomial."""
+    automaton = run_length_automaton(k)
+    paper = [1, -2, 1] + [0] * (2 * k - 3) + [-1]
+    assert berkowitz(automaton) == paper == _q_poly(k)
+    traces = walk_traces(automaton, 39)
+    assert [a_count(k, n) for n in range(1, 40)] == traces[1:]
+    rec = _a_recurrence(k)
+    assert rec.first_recurrent_index == 2 * k + 1
+    assert rec.initial_terms == {n: traces[n] for n in range(1, 2 * k + 1)}
+    assert rec.taps == ((1, 2), (2, -1), (2 * k, 1))
+    assert a_series(k, 39).coefficients == (0, *traces[1:])
+
+
 def test_series_validation():
     with pytest.raises(InvalidParameterError):
         a_series(1, 10)
@@ -305,6 +323,17 @@ def test_bijection_commutes_with_rotation():
                 assert string_from_convex_set(k, n, shifted) == rotated(
                     string_from_convex_set(k, n, s), 1
                 )
+
+
+def test_string_side_convexity_test_matches_the_graph():
+    """The string-side test accepts exactly the convex sets, also for
+    n <= 2k+1, where C_n^k is complete and only the empty and full sets are."""
+    for k in (1, 2, 3, 4):
+        for n in range(3, 11):
+            g = graph_power(make_cycle(n), k)
+            for mask in range(1 << n):
+                s = VertexSet(n, mask)
+                assert is_digitally_convex_via_string(k, n, s) == is_convex_naive(g, s.indices())
 
 
 def is_digitally_convex_via_string(k, n, s):

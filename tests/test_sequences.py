@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
+import digicon.sequences as sequences
 from digicon import (
     BfileParseError,
     EmptyOverlapError,
@@ -19,6 +20,9 @@ from digicon import (
     expand_rational,
     parse_bfile,
 )
+from digicon.cyclic import _a_recurrence
+from digicon.products import _GRID_P2_RECURRENCE
+from oracles import cycle_count_by_lucas, recurrence_terms_naive
 
 
 # --- recurrence evaluation ---
@@ -83,6 +87,68 @@ def test_recurrence_memory_does_not_grow_with_n():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+FIBONACCI = LinearRecurrence(taps=((1, 1), (2, 1)), initial_terms={0: 0, 1: 1},
+                             first_recurrent_index=2)
+IDENTITY = LinearRecurrence(taps=((1, 1),), initial_terms={0: 7}, first_recurrent_index=1)
+TAP_SETS = {
+    **{f"blocks>={k}": _a_recurrence(k) for k in range(2, 13)},
+    "ladder": _GRID_P2_RECURRENCE,
+    "fibonacci": FIBONACCI,
+    "identity": IDENTITY,
+}
+
+
+@pytest.mark.parametrize("name", list(TAP_SETS))
+def test_doubling_matches_forward_oracle(name):
+    rec = TAP_SETS[name]
+    terms = recurrence_terms_naive(rec, 2000)
+    first = rec.first_recurrent_index
+    span = max(off for off, _ in rec.taps)
+    window = [terms[first + i] for i in range(span)]
+    for n in range(first, 2001):
+        coefficients = sequences._x_power_mod(rec.taps, span, n - first)
+        assert sum(c * t for c, t in zip(coefficients, window)) == terms[n], n
+    # the library's own choice of path, past the initial band and the warm-up
+    for n in [*range(min(terms), first + 2 * span), *range(first + 2 * span, 2001, 37)]:
+        assert eval_recurrence(rec, n) == terms[n], n
+
+
+@given(st.data())
+def test_doubling_matches_forward_oracle_on_random_recurrences(data):
+    """Repeated offsets, zero coefficients and gaps in the taps, and initial
+    terms at and past the first recurrent index."""
+    taps = tuple(data.draw(st.lists(st.tuples(st.integers(1, 6), st.integers(-3, 3)),
+                                    min_size=1, max_size=5)))
+    span = max(off for off, _ in taps)
+    first = data.draw(st.integers(span, span + 3))
+    initial = {i: data.draw(st.integers(-9, 9)) for i in range(first - span, first + 2)}
+    rec = LinearRecurrence(taps=taps, initial_terms=initial, first_recurrent_index=first)
+    terms = recurrence_terms_naive(rec, 600)
+    window = [terms[first + i] for i in range(span)]
+    e = data.draw(st.integers(0, 600 - first))
+    coefficients = sequences._x_power_mod(rec.taps, span, e)
+    assert sum(c * t for c, t in zip(coefficients, window)) == terms[first + e]
+    assert eval_recurrence(rec, first + e) == terms[first + e]
+
+
+def test_cost_rule_doubles_a_short_recurrence_at_large_n(monkeypatch):
+    calls = []
+    jump = sequences._x_power_mod
+    monkeypatch.setattr(sequences, "_x_power_mod", lambda *a: calls.append(a) or jump(*a))
+    n = 10**5
+    assert eval_recurrence(_a_recurrence(2), n) == cycle_count_by_lucas(n)
+    assert calls == [(_a_recurrence(2).taps, 4, n - 5)]
+
+
+def test_cost_rule_steps_a_wide_recurrence_forward(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a span-120 recurrence at n = 5000 should step forward")
+
+    monkeypatch.setattr(sequences, "_x_power_mod", refuse)
+    rec = _a_recurrence(60)
+    assert eval_recurrence(rec, 5000) == recurrence_terms_naive(rec, 5000)[5000]
 
 
 def test_recurrence_validation():
