@@ -16,16 +16,18 @@ import os
 import sys
 from decimal import Decimal
 from importlib import resources
+from operator import getitem
 from pathlib import Path
 
 from .convexity import (
     DEFAULT_MAX_SUBSETS,
     EnumerationBudget,
+    _convex_codes,
     count_digitally_convex,
     enumerate_digitally_convex,
 )
 from .cyclic import (
-    _check_power,
+    _convex_set_codes,
     a_count,
     a_series,
     convex_set_from_string,
@@ -42,16 +44,11 @@ from .errors import (
     NotImageError,
     NotMemberError,
 )
-from .graphs import (
-    VertexSet,
-    cartesian_product,
-    graph_power,
-    make_complete,
-    make_cycle,
-    make_path,
-    set_to_json,
-)
+from .graphs import cartesian_product, graph_power, make_complete, make_cycle, make_path
 from .products import (
+    _antidiagonal_index,
+    _grid_cells,
+    _grid_p2_codes,
     _image_codes,
     count_complete_product,
     count_grid_p2,
@@ -63,31 +60,20 @@ from .sequences import ComparisonReport, compare_with_bfile
 
 def _sweep(graph):
     """Count and enumerate routes over every subset of graph(**params)."""
-    return (lambda budget, **p: count_digitally_convex(graph(**p), budget),
-            lambda budget, **p: enumerate_digitally_convex(graph(**p), budget))
+    def enumerate_route(budget, **p):
+        g = graph(**p)
+        return g.order, _convex_codes(g, budget)
+
+    return (lambda budget, **p: count_digitally_convex(graph(**p), budget), enumerate_route)
 
 
-def _strings(power: int, n: int, budget):
-    # the block-string bijection: strings with blocks >= power+1 <-> convex
-    # sets of C_n^power, so the parameters are checked as for the cycle power
-    _check_power(power, n)
-    return enumerate_B(power + 1, n, budget)
-
-
-def _string_sets(power: int, n: int, budget):
-    return (convex_set_from_string(power, n, s) for s in _strings(power, n, budget))
+def _streamed(enumerate_route):
+    """Count and enumerate routes where the count is the length of the stream."""
+    return (lambda budget, **p: sum(1 for _ in enumerate_route(budget, **p)[1]), enumerate_route)
 
 
 def _cycle_graph(n: int, k: int | None = None):
-    # C_n (k None) or C_n^k, checked as on the recurrence and bijection
-    # routes, so that a bad parameter gets one message whatever the method
-    _check_power(1 if k is None else k, n)
     return make_cycle(n) if k is None else graph_power(make_cycle(n), k)
-
-
-def _image_sets(n: int, m: int, budget):
-    # with the row-major cell order, an image code is its convex set's bitmask
-    return (VertexSet(n * m, code) for code in _image_codes(n, m, budget))
 
 
 def _ladder_length(n: int, m: int) -> int:
@@ -96,49 +82,45 @@ def _ladder_length(n: int, m: int) -> int:
     return n
 
 
-def _count_complete(n: int) -> int:
-    # N[S] is every vertex for nonempty S, so only the empty and full sets are convex
-    if n < 1:
-        raise InvalidParameterError(f"--n must be >= 1, got {n}")
-    return 2
-
-
-# family -> (required parameters, {method: (count route, enumerate route or None)}).
-# The first method is the count default; enumerate defaults to bruteforce.
-# Routes look library functions up when called, never at import, so a
-# function rebound on its module (by a profiler, say) is the one that runs.
+# family -> ({parameter: least value}, {method: (count route, enumerate route or None)}).
+# The least values are checked before any route runs.  The first method is
+# the count default; enumerate defaults to bruteforce.  An enumerate route
+# returns the universe and a stream of set bitmasks.  Routes look library
+# functions up when called, never at import, so a function rebound on its
+# module (by a profiler, say) is the one that runs.
 FAMILIES = {
-    "path": (("n",), {
+    "path": ({"n": 1}, {
         "bruteforce": _sweep(lambda n: make_path(n)),
+        # with the row-major cell order, an image code is its convex set's bitmask
         "arrays": (lambda budget, n: count_grid_via_arrays(n, 1, budget),
-                   lambda budget, n: _image_sets(n, 1, budget)),
+                   lambda budget, n: (n, _image_codes(n, 1, budget))),
     }),
-    "cycle": (("n",), {
+    "cycle": ({"n": 3}, {
         "recurrence": (lambda budget, n: count_cycle_power(1, n), None),
         "bruteforce": _sweep(_cycle_graph),
-        "bijection": (lambda budget, n: sum(1 for _ in _strings(1, n, budget)),
-                      lambda budget, n: _string_sets(1, n, budget)),
+        # the block-string bijection: strings with blocks >= 2 <-> convex sets of C_n
+        "bijection": _streamed(lambda budget, n: (n, _convex_set_codes(1, n, budget))),
     }),
-    "complete": (("n",), {
-        "formula": (lambda budget, n: _count_complete(n), None),
+    "complete": ({"n": 1}, {
+        # N[S] is every vertex for nonempty S, so only the empty and full sets are convex
+        "formula": (lambda budget, n: 2, None),
         "bruteforce": _sweep(lambda n: make_complete(n)),
     }),
-    "cycle-power": (("n", "k"), {
+    "cycle-power": ({"n": 3, "k": 1}, {
         "recurrence": (lambda budget, n, k: count_cycle_power(k, n), None),
         "bruteforce": _sweep(_cycle_graph),
-        "bijection": (lambda budget, n, k: sum(1 for _ in _strings(k, n, budget)),
-                      lambda budget, n, k: _string_sets(k, n, budget)),
+        "bijection": _streamed(lambda budget, n, k: (n, _convex_set_codes(k, n, budget))),
     }),
-    "complete-product": (("n", "m"), {
+    "complete-product": ({"n": 1, "m": 1}, {
         "formula": (lambda budget, n, m: count_complete_product(n, m), None),
         "bruteforce": _sweep(lambda n, m: cartesian_product(make_complete(n), make_complete(m))),
     }),
-    "path-grid": (("n", "m"), {
+    "path-grid": ({"n": 1, "m": 1}, {
         "arrays": (lambda budget, n, m: count_grid_via_arrays(n, m, budget),
-                   lambda budget, n, m: _image_sets(n, m, budget)),
+                   lambda budget, n, m: (n * m, _image_codes(n, m, budget))),
         "bruteforce": _sweep(lambda n, m: cartesian_product(make_path(n), make_path(m))),
         "recurrence": (lambda budget, n, m: count_grid_p2(_ladder_length(n, m)),
-                       lambda budget, n, m: generate_grid_p2(_ladder_length(n, m))),
+                       lambda budget, n, m: (2 * n, _grid_p2_codes(_ladder_length(n, m)))),
     }),
 }
 
@@ -146,19 +128,23 @@ FAMILIES = {
 def _route(args, command: str):
     """Check parameters and method; return them and the route for "count" or "enumerate"."""
     family = args.family
-    needed, methods = FAMILIES[family]
-    for name in needed:
+    least, methods = FAMILIES[family]
+    for name in least:
         if getattr(args, name) is None:
             raise InvalidParameterError(f"family {family} needs --{name}")
     for name in ("n", "m", "k"):
-        if name not in needed and getattr(args, name) is not None:
+        if name not in least and getattr(args, name) is not None:
             raise InvalidParameterError(f"family {family} does not take --{name}")
     method = args.method or (next(iter(methods)) if command == "count" else "bruteforce")
     routes = methods.get(method, (None, None))
     route = routes[0] if command == "count" else routes[1]
     if route is None:
         raise InvalidParameterError(f"family {family} cannot {command} by method {method}")
-    return {name: getattr(args, name) for name in needed}, method, route
+    params = {name: getattr(args, name) for name in least}
+    for name, value in params.items():
+        if value < least[name]:
+            raise InvalidParameterError(f"{name} must be >= {least[name]}, got {value}")
+    return params, method, route
 
 
 def _budget_from(args) -> EnumerationBudget:
@@ -189,15 +175,35 @@ def _cmd_count(args) -> int:
     return 0
 
 
+# lines per print: about what fills the 8 KiB stdout buffer, so that a
+# stream's first line goes out no later than with one print per line
+_BATCH_LINES = 256
+
+
+def _line_format(universe: int, fmt: str):
+    """mask -> its line, as set_to_json (jsonl) or the 1-based plain form
+    prints VertexSet(universe, mask): frag[j][byte] holds the joined labels
+    of the set bits of byte j, and a line joins one per byte of the mask."""
+    first, sep, left, right = (1, " ", "", "") if fmt == "plain" else (0, ", ", "[", "]")
+    width = (universe + 7) // 8
+    frag = [[sep.join(str(8 * j + bit + first) for bit in range(8) if byte >> bit & 1)
+             for byte in range(256)] for j in range(width)]
+    join = sep.join
+
+    def line(mask: int) -> str:
+        return f"{left}{join(filter(None, map(getitem, frag, mask.to_bytes(width, 'little'))))}{right}"
+
+    return line
+
+
 def _cmd_enumerate(args) -> int:
-    params, _, enumerate_sets = _route(args, "enumerate")
+    params, _, enumerate_masks = _route(args, "enumerate")
     if args.format == "csv":
         raise InvalidParameterError("enumerate emits jsonl or plain, not csv")
-    for s in enumerate_sets(_budget_from(args), **params):
-        if args.format == "plain":
-            print(" ".join(str(v + 1) for v in s.indices()))
-        else:
-            print(set_to_json(s))
+    universe, masks = enumerate_masks(_budget_from(args), **params)
+    lines = map(_line_format(universe, args.format), masks)
+    while batch := list(itertools.islice(lines, _BATCH_LINES)):
+        print("\n".join(batch))
     return 0
 
 
@@ -213,17 +219,6 @@ def _cmd_series(args) -> int:
     else:
         print(json.dumps(coefficients))
     return 0
-
-
-def _grid_cells(max_cells: int):
-    for n in range(1, max_cells + 1):
-        for m in range(1, max_cells // n + 1):
-            yield n, m
-
-
-def _antidiagonal_index(n: int, m: int) -> int:
-    d = n + m
-    return (d - 1) * (d - 2) // 2 + n
 
 
 def _suite_cyclic_strings(max_k: int, max_n: int, budget) -> list:

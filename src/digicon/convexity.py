@@ -117,10 +117,18 @@ def enumerate_digitally_convex(g: Graph, budget: EnumerationBudget | None = None
     so the stream is identical for any worker count.  Raises a budget error
     (never truncates) when 2^order exceeds the cap.
     """
+    for code in _convex_codes(g, budget):
+        yield VertexSet(g.order, code)
+
+
+def _convex_codes(g: Graph, budget: EnumerationBudget | None = None) -> Iterator[int]:
+    """The bitmasks of the digitally convex subsets of g, ascending.
+
+    The budget is checked on the call, before the first code is asked for.
+    """
     budget = _checked_budget(g.order, g.order, budget, "subsets")
     flags = partial(_kernels.convex_flags, g.closed_masks)
-    for code in _kernels.iter_flagged(1 << g.order, flags, budget.workers):
-        yield VertexSet(g.order, code)
+    return _kernels.iter_flagged(1 << g.order, flags, budget.workers)
 
 
 def count_digitally_convex(g: Graph, budget: EnumerationBudget | None = None) -> int:

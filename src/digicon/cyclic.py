@@ -14,6 +14,7 @@ contributing ones at positions x..x+k (mod n).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -153,11 +154,23 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
         raise InvalidParameterError(f"k must be >= 2, got {k}")
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    budget = _checked_budget(n, n, budget, "strings")
-    codes = _kernels.iter_flagged(
-        1 << n, lambda lo, hi: _blocks_ok(n, k, np.arange(lo, hi, dtype=np.int64)), budget.workers)
-    for code in codes:
+    for code in _member_images(k, n, budget, lambda codes: codes):
         yield CyclicBinaryString.from_code(n, code)
+
+
+def _member_images(k: int, n: int, budget: EnumerationBudget | None, image) -> Iterator[int]:
+    """image(codes) of the length-n members, in increasing code order.
+
+    image maps the int64 array of one block's member codes to an int64
+    array.  The budget is checked on the call, not on the first code.
+    """
+    budget = _checked_budget(n, n, budget, "strings")
+
+    def block(lo, hi):
+        codes = np.arange(lo, hi, dtype=np.int64)
+        return image(codes[_blocks_ok(n, k, codes)]).tolist()
+
+    return itertools.chain.from_iterable(_kernels.scan_blocks(1 << n, block, budget.workers))
 
 
 def _q_poly(k: int) -> list[int]:
@@ -217,11 +230,22 @@ def _check_power(k: int, n: int) -> None:
         raise InvalidParameterError(f"n must be >= 3, got {n}")
 
 
-def _erode(n: int, k: int, ones: int) -> int:
-    """The vertices x whose positions x..x+k are all ones."""
+def _reverse(n: int, codes):
+    """Reverse n-bit codes, bit i moving to bit n-1-i; in kind, like _rot.
+    A string's code holds position p at bit n-1-p, so this gives the
+    integer whose bit p is position p."""
+    out = codes & 0
+    for i in range(n):
+        out |= (codes >> i & 1) << n - 1 - i
+    return out
+
+
+def _erode(n: int, k: int, ones):
+    """The vertices x whose positions x..x+k are all ones (bit p holding
+    position p); in kind, like _rot."""
     mask = ones
     for j in range(1, k + 1):
-        mask &= _rot(n, ones, -j)
+        mask = mask & _rot(n, ones, -j)  # not &=, which would write into an array ones
     return mask
 
 
@@ -260,7 +284,14 @@ def convex_set_from_string(k: int, n: int, s: CyclicBinaryString) -> VertexSet:
         raise NotMemberError(
             f"string {s} has a cyclic block shorter than {k + 1}; it matches no convex set"
         )
-    return VertexSet(n, _erode(n, k, sum(b << i for i, b in enumerate(s.bits))))
+    return VertexSet(n, _erode(n, k, _reverse(n, s.code)))
+
+
+def _convex_set_codes(k: int, n: int, budget: EnumerationBudget | None = None) -> Iterator[int]:
+    """The bitmasks of the digitally convex sets of the k-th power of C_n,
+    in the order enumerate_B(k + 1, n) yields their strings: the map of
+    convex_set_from_string on int64 blocks, with no string or set built."""
+    return _member_images(k + 1, n, budget, lambda codes: _erode(n, k, _reverse(n, codes)))
 
 
 def count_cycle_power(k: int, n: int) -> int:

@@ -18,11 +18,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import _kernels
-from .convexity import (
-    EnumerationBudget,
-    _checked_budget,
-    enumerate_digitally_convex,
-)
+from .convexity import EnumerationBudget, _checked_budget, _convex_codes
 from .errors import InvalidParameterError, NotConvexError, NotImageError
 from .graphs import VertexSet, cartesian_product, make_path
 from .sequences import LinearRecurrence, eval_recurrence
@@ -153,8 +149,15 @@ def _ubit(i: int) -> int:
     return 1 << 2 * (i - 1) + 1
 
 
-def _grid_p2_families(n: int) -> tuple[list[int], list[int], list[int]]:
-    """The three extension families for the n x 2 ladder, as bitmasks.
+def _column(i: int) -> int:
+    # both cells of 1-based column i
+    return _vbit(i) | _ubit(i)
+
+
+def _grid_p2_families(n: int, a1: list[int], a2: list[int],
+                      a3: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """The three extension families for the n x 2 ladder, as bitmasks, from
+    the convex sets a1, a2, a3 of the (n-1)-, (n-2)- and (n-3)-ladders.
 
     Every convex set of the n-ladder arises exactly once: from the
     (n-1)-ladder unchanged or stretched by the full last column; from the
@@ -162,76 +165,65 @@ def _grid_p2_families(n: int) -> tuple[list[int], list[int], list[int]]:
     last-column cells are present; or from the (n-3)-ladder with two
     extensions.  The caller checks disjointness and sizes.
     """
-    d1 = []
-    for s in generate_grid_p2(n - 1):
-        mask = s.mask
-        if mask & (_vbit(n - 1) | _ubit(n - 1)):
-            d1.append(mask | _vbit(n) | _ubit(n))
+    v, u = _vbit, _ubit
+    last, stretch = _column(n - 1), _column(n)
+    d1 = [mask | stretch if mask & last else mask for mask in a1]
+    # the (n-2)-ladder extensions, indexed by the cells of columns n-3 and
+    # n-2 (bits v, u, v, u of mask >> 2(n-4)); an empty column n-2 takes
+    # its third extension from column n-3, and none when column n-3 is
+    # full, which no convex set is, so the family size check catches it
+    extensions = []
+    for cells in range(16):
+        v3, u3, v2, u2 = (cells >> bit & 1 for bit in range(4))
+        if v2 or u2:
+            extensions.append((v(n - 1), u(n - 1),
+                               0 if v2 and u2 else v(n) if v2 else u(n)))
+        elif v3 and u3:
+            extensions.append(())
         else:
-            d1.append(mask)
-    d2 = []
-    for s in generate_grid_p2(n - 2):
-        mask = s.mask
-        has_v = bool(mask & _vbit(n - 2))
-        has_u = bool(mask & _ubit(n - 2))
-        if has_v and has_u:
-            d2 += [mask, mask | _vbit(n - 1), mask | _ubit(n - 1)]
-        elif has_v:
-            d2 += [mask | _vbit(n), mask | _vbit(n - 1), mask | _ubit(n - 1)]
-        elif has_u:
-            d2 += [mask | _vbit(n - 1), mask | _ubit(n - 1), mask | _ubit(n)]
-        else:
-            d2 += [mask | _vbit(n), mask | _ubit(n)]
-            has_v3 = bool(mask & _vbit(n - 3))
-            has_u3 = bool(mask & _ubit(n - 3))
-            if has_v3 and has_u3:
-                # a convex set cannot fill column n-3 while skipping column n-2
-                raise AssertionError(f"impossible ladder case at n={n}, mask={mask:#x}")
-            if has_v3:
-                d2.append(mask | _vbit(n - 1))
-            elif has_u3:
-                d2.append(mask | _ubit(n - 1))
-            else:
-                d2.append(mask | _vbit(n) | _ubit(n))
-    d3 = []
-    for s in generate_grid_p2(n - 3):
-        mask = s.mask
-        if mask & (_vbit(n - 3) | _ubit(n - 3)):
-            d3 += [mask | _vbit(n - 2) | _vbit(n), mask | _ubit(n - 2) | _ubit(n)]
-        else:
-            d3 += [mask | _vbit(n - 1), mask | _ubit(n - 1)]
+            extensions.append((v(n), u(n),
+                               v(n - 1) if v3 else u(n - 1) if u3 else _column(n)))
+    d2 = [mask | e for mask in a2 for e in extensions[mask >> 2 * (n - 4) & 15]]
+    first, filled, empty = _column(n - 3), (v(n - 2) | v(n), u(n - 2) | u(n)), (v(n - 1), u(n - 1))
+    d3 = [mask | e for mask in a3 for e in (filled if mask & first else empty)]
     return d1, d2, d3
+
+
+def _grid_p2_codes(n: int) -> list[int]:
+    """The bitmasks of the digitally convex sets of the n x 2 ladder, ascending.
+
+    Ladders up to n = 3 come from the exhaustive sweep; each longer one is
+    assembled constructively from the three before it.  The family sizes
+    (1x, 3x, 2x the three smaller counts), their pairwise disjointness,
+    and the total against count_grid_p2 are all checked at every length,
+    so a construction bug raises instead of miscounting.
+    """
+    if n < 1:
+        raise InvalidParameterError(f"n must be >= 1, got {n}")
+    ladders = [list(_convex_codes(cartesian_product(make_path(i), make_path(2))))
+               for i in range(1, min(n, 3) + 1)]
+    for k in range(4, n + 1):
+        a3, a2, a1 = ladders
+        d1, d2, d3 = _grid_p2_families(k, a1, a2, a3)
+        for family, size, which in ((d1, count_grid_p2(k - 1), "first"),
+                                    (d2, 3 * count_grid_p2(k - 2), "second"),
+                                    (d3, 2 * count_grid_p2(k - 3), "third")):
+            if len(family) != size or len(set(family)) != size:
+                raise AssertionError(f"{which} family miscounted at n={k}")
+        combined = {*d1, *d2, *d3}
+        if len(combined) != len(d1) + len(d2) + len(d3):
+            raise AssertionError(f"extension families overlap at n={k}")
+        if len(combined) != count_grid_p2(k):
+            raise AssertionError(f"family total disagrees with the recurrence at n={k}")
+        ladders = [a2, a1, sorted(combined)]
+    return ladders[-1]
 
 
 @lru_cache(maxsize=None)
 def generate_grid_p2(n: int) -> tuple[VertexSet, ...]:
-    """All digitally convex sets of the n x 2 ladder, ascending by bitmask.
-
-    Ladders up to n = 3 come from the exhaustive sweep; longer ones are
-    assembled constructively from the three shorter families.  The family
-    sizes (1x, 3x, 2x the three smaller counts), their pairwise
-    disjointness, and the total against count_grid_p2 are all checked at
-    runtime, so a construction bug raises instead of miscounting.
-    """
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if n <= 3:
-        ladder = cartesian_product(make_path(n), make_path(2))
-        return tuple(enumerate_digitally_convex(ladder))
-    d1, d2, d3 = _grid_p2_families(n)
-    sets1, sets2, sets3 = set(d1), set(d2), set(d3)
-    if len(sets1) != len(d1) or len(d1) != count_grid_p2(n - 1):
-        raise AssertionError(f"first family miscounted at n={n}")
-    if len(sets2) != len(d2) or len(d2) != 3 * count_grid_p2(n - 2):
-        raise AssertionError(f"second family miscounted at n={n}")
-    if len(sets3) != len(d3) or len(d3) != 2 * count_grid_p2(n - 3):
-        raise AssertionError(f"third family miscounted at n={n}")
-    combined = sets1 | sets2 | sets3
-    if len(combined) != len(d1) + len(d2) + len(d3):
-        raise AssertionError(f"extension families overlap at n={n}")
-    if len(combined) != count_grid_p2(n):
-        raise AssertionError(f"family total disagrees with the recurrence at n={n}")
-    return tuple(VertexSet(2 * n, mask) for mask in sorted(combined))
+    """All digitally convex sets of the n x 2 ladder, ascending by bitmask:
+    the sets of _grid_p2_codes(n), which checks every ladder it builds."""
+    return tuple(VertexSet(2 * n, mask) for mask in _grid_p2_codes(n))
 
 
 def _closed_codes(n: int, m: int, codes):
@@ -288,6 +280,21 @@ def array_from_set(dims: tuple[int, int], s: VertexSet) -> BinaryArray:
     if _closed_codes(n, m, s.mask) != s.mask:
         raise NotConvexError(f"set {list(s.indices())} is not digitally convex in the {n} x {m} grid")
     return max_transform(BinaryArray.from_code(n, m, s.mask))
+
+
+def _grid_cells(max_cells: int):
+    """Every grid shape (n, m) with n*m <= max_cells, n ascending, then m."""
+    for n in range(1, max_cells + 1):
+        for m in range(1, max_cells // n + 1):
+            yield n, m
+
+
+def _antidiagonal_index(n: int, m: int) -> int:
+    """The 1-based index of the n x m grid in the antidiagonal reading of
+    the table T(n, m) (n + m = 2, then 3, ...; n ascending within each),
+    the order in which the grid-count sequence file lists its terms."""
+    d = n + m
+    return (d - 1) * (d - 2) // 2 + n
 
 
 def count_mis_grid3(n: int, m: int, budget: EnumerationBudget | None = None) -> int:

@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, exit codes, budgets, determinism."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -7,9 +8,26 @@ import sys
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, strategies as st
 
 import digicon._kernels as kernels
-from digicon import PowerSeries, cli, count_cycle_power, count_grid_via_arrays, generate_grid_p2
+from digicon import (
+    PowerSeries,
+    VertexSet,
+    cartesian_product,
+    cli,
+    convex_set_from_string,
+    count_cycle_power,
+    count_grid_via_arrays,
+    enumerate_B,
+    enumerate_digitally_convex,
+    generate_grid_p2,
+    graph_power,
+    make_complete,
+    make_cycle,
+    make_path,
+    set_to_json,
+)
 from digicon.cli import FAMILIES, main
 from oracles import cycle_count_by_lucas
 
@@ -250,26 +268,122 @@ def test_enumerate_bijection_method_yields_the_same_family(capsys):
     assert sorted(streams[0]) == sorted(streams[1])
 
 
-@pytest.mark.parametrize(
-    "params, message",
-    [
+def plain(s: VertexSet) -> str:
+    return " ".join(str(v + 1) for v in s.indices())
+
+
+@st.composite
+def universes_and_masks(draw):
+    # universes past one byte boundary and past 62 bits, empty and full sets included
+    universe = draw(st.integers(0, 70))
+    full = (1 << universe) - 1
+    return universe, draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+
+
+@given(universes_and_masks())
+def test_line_format_matches_the_set_serialisers(case):
+    universe, mask = case
+    s = VertexSet(universe, mask)
+    assert cli._line_format(universe, "jsonl")(mask) == json.dumps(list(s.indices()))
+    assert cli._line_format(universe, "plain")(mask) == plain(s)
+
+
+# the library's objects for each enumerate route, in the route's order: the
+# sweeps and the array images ascend by mask, the bijection by string code
+LIBRARY_SETS = {
+    ("path", "bruteforce"): lambda n: enumerate_digitally_convex(make_path(n)),
+    ("path", "arrays"): lambda n: enumerate_digitally_convex(make_path(n)),
+    ("cycle", "bruteforce"): lambda n: enumerate_digitally_convex(make_cycle(n)),
+    ("cycle", "bijection"): lambda n: (convex_set_from_string(1, n, s) for s in enumerate_B(2, n)),
+    ("complete", "bruteforce"): lambda n: enumerate_digitally_convex(make_complete(n)),
+    ("cycle-power", "bruteforce"):
+        lambda n, k: enumerate_digitally_convex(graph_power(make_cycle(n), k)),
+    ("cycle-power", "bijection"):
+        lambda n, k: (convex_set_from_string(k, n, s) for s in enumerate_B(k + 1, n)),
+    ("complete-product", "bruteforce"):
+        lambda n, m: enumerate_digitally_convex(cartesian_product(make_complete(n), make_complete(m))),
+    ("path-grid", "arrays"):
+        lambda n, m: enumerate_digitally_convex(cartesian_product(make_path(n), make_path(m))),
+    ("path-grid", "bruteforce"):
+        lambda n, m: enumerate_digitally_convex(cartesian_product(make_path(n), make_path(m))),
+    ("path-grid", "recurrence"): lambda n, m: generate_grid_p2(n),
+}
+# streams of more than one batch of lines
+LONG = {"cycle": {"n": 16}, "cycle-power": {"n": 16, "k": 2}, "path-grid": {"n": 8, "m": 2}}
+
+
+def enumerate_cases():
+    routes = [(family, method) for family, (_, methods) in FAMILIES.items()
+              for method, (_, route) in methods.items() if route is not None]
+    assert sorted(routes) == sorted(LIBRARY_SETS)
+    cases = []
+    for family, method in routes:
+        flags = SMALL[family]
+        small = {flag.lstrip("-"): int(value) for flag, value in zip(flags[::2], flags[1::2])}
+        cases += [(family, method, params) for params in (small, LONG.get(family)) if params]
+    return cases
+
+
+@pytest.mark.parametrize("family, method, params", enumerate_cases())
+def test_enumerate_prints_the_library_sets(capsys, family, method, params):
+    sets = list(LIBRARY_SETS[family, method](**params))
+    expected = {"jsonl": "".join(f"{set_to_json(s)}\n" for s in sets),
+                "plain": "".join(f"{plain(s)}\n" for s in sets)}
+    argv = ["enumerate", "--family", family, "--method", method]
+    for name, value in params.items():
+        argv += [f"--{name}", str(value)]
+    for fmt, workers in itertools.product(expected, ("1", "2")):
+        assert run_cli(capsys, *argv, "--format", fmt, "--workers", workers) == (0, expected[fmt], "")
+
+
+# the least value of each parameter of each family's graph
+LEAST = {
+    "path": {"n": 1},
+    "cycle": {"n": 3},
+    "complete": {"n": 1},
+    "cycle-power": {"n": 3, "k": 1},
+    "complete-product": {"n": 1, "m": 1},
+    "path-grid": {"n": 1, "m": 1},
+}
+GOOD = {"n": 4, "m": 2, "k": 1}
+
+
+def bad_parameters():
+    """Each family with each of its parameters one below its least value
+    (the others at a good value), after the first cases kept from when
+    only the cycle families were checked this way."""
+    assert list(LEAST) == list(FAMILIES)
+    cases = [
         (("--family", "cycle", "--n", "1"), "n must be >= 3, got 1"),
         (("--family", "cycle", "--n", "2"), "n must be >= 3, got 2"),
         (("--family", "cycle-power", "--n", "1", "--k", "2"), "n must be >= 3, got 1"),
         (("--family", "cycle-power", "--n", "2", "--k", "3"), "n must be >= 3, got 2"),
         (("--family", "cycle-power", "--n", "5", "--k", "0"), "k must be >= 1, got 0"),
-    ],
-)
+    ]
+    for family, least in LEAST.items():
+        for bad in least:
+            values = {name: least[name] - 1 if name == bad else max(GOOD[name], least[name])
+                      for name in least}
+            argv = ["--family", family]
+            for name, value in values.items():
+                argv += [f"--{name}", str(value)]
+            cases.append((tuple(argv), f"{bad} must be >= {least[bad]}, got {least[bad] - 1}"))
+    return cases
+
+
+@pytest.mark.parametrize("params, message", bad_parameters())
 def test_bijection_checks_parameters_like_the_recurrence(capsys, params, message):
-    # every count and enumerate route, bruteforce included, checks the
-    # parameters one way before it builds a graph or sweeps
-    runs = {
-        (command, method): run_cli(capsys, command, *params, "--method", method)
-        for method, routes in FAMILIES[params[1]][1].items()
-        for command, route in zip(("count", "enumerate"), routes)
+    # every count and enumerate route of the family, by every method,
+    # checks the parameters one way before it builds a graph or sweeps
+    routes = [
+        (command, method)
+        for method, pair in FAMILIES[params[1]][1].items()
+        for command, route in zip(("count", "enumerate"), pair)
         if route is not None
-    }
-    assert len(runs) == 5
+    ]
+    runs = {(command, method): run_cli(capsys, command, *params, "--method", method)
+            for command, method in routes}
+    assert len(runs) == len(routes) >= 3
     assert runs == dict.fromkeys(runs, (2, "", f"error: {message}\n"))
 
 

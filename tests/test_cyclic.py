@@ -25,7 +25,15 @@ from digicon import (
     make_cycle,
     string_from_convex_set,
 )
-from digicon.cyclic import _a_recurrence, _blocks_ok, _cyclic_runs, _q_poly
+from digicon.cyclic import (
+    _a_recurrence,
+    _blocks_ok,
+    _convex_set_codes,
+    _cyclic_runs,
+    _erode,
+    _q_poly,
+    _reverse,
+)
 from oracles import berkowitz, is_convex_naive, run_length_automaton, walk_traces
 
 
@@ -310,6 +318,25 @@ def test_bijection_round_trips_and_image():
             for w in enumerate_B(k + 1, n):
                 back = convex_set_from_string(k, n, w)
                 assert string_from_convex_set(k, n, back) == w
+
+
+def test_string_maps_on_arrays_agree_with_ints_and_keep_their_input():
+    n, k = 11, 2
+    codes = np.arange(1 << n, dtype=np.int64)
+    before = codes.copy()
+    assert _reverse(n, codes).tolist() == [int(f"{c:0{n}b}"[::-1], 2) for c in range(1 << n)]
+    assert _erode(n, k, codes).tolist() == [_erode(n, k, c) for c in range(1 << n)]
+    assert (codes == before).all()
+
+
+def test_set_codes_are_the_bijection_over_several_blocks(monkeypatch):
+    real_iter = kernels.iter_blocks
+    monkeypatch.setattr(kernels, "iter_blocks", lambda total, block_size=0: real_iter(total, 1 << 5))
+    for k in (1, 2, 3):
+        for n in range(3, 13):
+            expected = [convex_set_from_string(k, n, w).mask for w in enumerate_B(k + 1, n)]
+            for workers in (1, 3):
+                assert list(_convex_set_codes(k, n, EnumerationBudget(workers=workers))) == expected
 
 
 def test_bijection_commutes_with_rotation():

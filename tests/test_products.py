@@ -30,7 +30,8 @@ from digicon import (
     set_from_array,
     array_from_set,
 )
-from digicon.products import _image_codes
+from digicon import products
+from digicon.products import _antidiagonal_index, _grid_cells, _grid_p2_codes, _image_codes
 from oracles import (
     all_convex_masks_naive,
     is_convex_naive,
@@ -207,6 +208,18 @@ def test_ladder_generation_internal_assertions_hold_deep():
     assert len(generate_grid_p2(12)) == count_grid_p2(12)
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d1, d2, d3: (d1[:-1], d2, d3), "first family miscounted"),
+    (lambda d1, d2, d3: (d1, d2[:1] + d2[:-1], d3), "second family miscounted"),
+    (lambda d1, d2, d3: (d1, d2, d3[:-1] + d1[:1]), "extension families overlap"),
+])
+def test_ladder_construction_checks_catch_a_broken_family(monkeypatch, corrupt, message):
+    real = products._grid_p2_families
+    monkeypatch.setattr(products, "_grid_p2_families", lambda n, *ladders: corrupt(*real(n, *ladders)))
+    with pytest.raises(AssertionError, match=message):
+        _grid_p2_codes(6)
+
+
 def test_ladder_validation():
     with pytest.raises(InvalidParameterError):
         count_grid_p2(0)
@@ -365,3 +378,17 @@ def test_mis_count_width_is_checked_before_the_budget(monkeypatch):
 def test_mis_count_validation():
     with pytest.raises(InvalidParameterError):
         count_mis_grid3(0, 3)
+
+
+# --- grid shapes for the sequence file ---
+
+
+def test_grid_cells_are_the_shapes_up_to_a_size():
+    assert list(_grid_cells(12)) == [(n, m) for n in range(1, 13) for m in range(1, 13) if n * m <= 12]
+    assert list(_grid_cells(0)) == []
+
+
+def test_antidiagonal_index_numbers_the_table_by_antidiagonals():
+    # n + m = 2, then 3, ...; n ascending within each antidiagonal
+    table = [(n, d - n) for d in range(2, 12) for n in range(1, d)]
+    assert [_antidiagonal_index(n, m) for n, m in table] == list(range(1, len(table) + 1))
