@@ -6,12 +6,22 @@ lists the flagged codes in block order.  Workers only change which thread
 evaluates a block, never the order results are merged, so output is
 identical for any worker count.
 
+Codes and masks are held in the narrowest dtype that fits their width
+(code_dtype: uint32 up to 32 bits, int64 up to 62), and a block of 2^16
+codes keeps its few working arrays in the L2 cache.  The subset and arrays
+kernels allocate a block's working arrays as the rows of one array and
+update them with out= operations, not a temporary per pass.  One
+allocation matters: once malloc has freed a chunk that large, its trim
+threshold lies above a block's working set, so each block reuses the
+pages of the one before instead of faulting in fresh ones (separate
+row-sized arrays fault on every block).
+
 The subset kernels split a code into its low part (members below
 b = min(n, TABLE_BITS)) and its high part.  A span lies inside one aligned
 window of 2^b codes, so its codes share the high part: N[S], |S| and the
 independence of S are a per-sweep table over the low parts combined with
-one Python-int constant for the high part.  Every member v of S has N[v]
-inside N[S], so S is convex iff exactly |S| vertices are swallowed that way.
+one constant for the high part.  Every member v of S has N[v] inside N[S],
+so S is convex iff exactly |S| vertices are swallowed that way.
 """
 
 from __future__ import annotations
@@ -24,7 +34,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 TABLE_BITS = 18
-BLOCK_SIZE = 1 << TABLE_BITS
+# 2^16 codes: a block's few working arrays (256 KiB each as uint32) stay in
+# the L2 cache.  Blocks are aligned and divide a table window of
+# 2^TABLE_BITS codes, so no block crosses one.
+BLOCK_SIZE = 1 << 16
+
+
+def code_dtype(width: int):
+    """The numpy scalar type for codes and masks of width bits: uint32 up to
+    32 bits, int64 beyond (every sweep is capped at 62)."""
+    return np.uint32 if width <= 32 else np.int64
 
 
 def iter_blocks(total: int, block_size: int = BLOCK_SIZE):
@@ -70,34 +89,37 @@ def iter_flagged(total: int, flags, workers: int = 1):
 
 @functools.lru_cache(maxsize=1)
 def _tables(closed_masks: tuple):
-    """(ns_low, size_low, indep_low) indexed by the code of the members
-    among the first b = min(n, TABLE_BITS) vertices: their N[S] bitmask,
-    their number, and whether no two of them are adjacent."""
+    """The closed masks cast to the code dtype once per sweep, and
+    (ns_low, size_low, indep_low) indexed by the code of the members among
+    the first b = min(n, TABLE_BITS) vertices: their N[S] bitmask, their
+    number, and whether no two of them are adjacent."""
+    dtype = code_dtype(len(closed_masks))
+    masks = tuple(map(dtype, closed_masks))
     size = 1 << min(len(closed_masks), TABLE_BITS)
-    ns_low = np.zeros(size, dtype=np.int64)
+    ns_low = np.zeros(size, dtype=dtype)
     size_low = np.zeros(size, dtype=np.uint8)
     indep_low = np.ones(size, dtype=bool)
-    for v, mask in enumerate(closed_masks[:size.bit_length() - 1]):
+    for v, mask in enumerate(masks[:size.bit_length() - 1]):
         # codes h..2h-1 are the codes below h with vertex v added; their
         # ns_low rows first hold whether v is adjacent to a lower member
         h = 1 << v
         top = slice(h, 2 * h)
-        np.bitwise_and(ns_low[:h], h, out=ns_low[top])
+        np.bitwise_and(ns_low[:h], dtype(h), out=ns_low[top])
         np.equal(ns_low[top], 0, out=indep_low[top])
         indep_low[top] &= indep_low[:h]
         np.bitwise_or(ns_low[:h], mask, out=ns_low[top])
         np.add(size_low[:h], 1, out=size_low[top])
-    return ns_low, size_low, indep_low
+    return masks, (ns_low, size_low, indep_low)
 
 
 def _window(closed_masks, lo: int, hi: int):
-    """The high part shared by the codes in [lo, hi), and the rows of the
-    three tables for their low parts."""
-    tables = _tables(closed_masks)
+    """The high part shared by the codes in [lo, hi), the closed masks in
+    the code dtype, and the rows of the three tables for their low parts."""
+    masks, tables = _tables(closed_masks)
     off = lo & (len(tables[0]) - 1)
     if off + hi - lo > len(tables[0]):
         raise ValueError(f"span [{lo}, {hi}) crosses a window of {len(tables[0])} codes")
-    return lo - off, [t[off:off + hi - lo] for t in tables]
+    return lo - off, masks, [t[off:off + hi - lo] for t in tables]
 
 
 def _union(masks, high: int) -> int:
@@ -118,12 +140,16 @@ def neighborhood_codes(closed_masks, lo: int, hi: int):
 
     Returns
     -------
-    (ids, ns) : pair of int64 arrays
+    (ids, ns) : pair of arrays of dtype code_dtype(n)
         ids[i] is the subset code, ns[i] the bitmask of its closed
         neighbourhood union.
     """
-    high, (ns_low, _, _) = _window(closed_masks, lo, hi)
-    return np.arange(lo, hi, dtype=np.int64), ns_low | _union(closed_masks, high)
+    high, _, (ns_low, _, _) = _window(closed_masks, lo, hi)
+    dtype = ns_low.dtype.type
+    ids, ns = np.empty((2, hi - lo), dtype)  # one allocation (module docstring)
+    ids[:] = np.arange(lo, hi, dtype=dtype)
+    np.bitwise_or(ns_low, dtype(_union(closed_masks, high)), out=ns)
+    return ids, ns
 
 
 def convex_flags(closed_masks, lo: int, hi: int):
@@ -133,18 +159,17 @@ def convex_flags(closed_masks, lo: int, hi: int):
     members always are, so the test is: exactly |S| vertices are swallowed.
     The span's high members are skipped, and so left out of both sides.
     """
-    high, (_, size_low, _) = _window(closed_masks, lo, hi)
-    _, missed = neighborhood_codes(closed_masks, lo, hi)
+    high, masks, (_, size_low, _) = _window(closed_masks, lo, hi)
+    tmp, missed = neighborhood_codes(closed_masks, lo, hi)  # the ids become scratch
     np.invert(missed, out=missed)
-    tmp = np.empty_like(missed)
     hit = np.empty(hi - lo, dtype=bool)
     swallowed = np.zeros(hi - lo, dtype=np.uint8)
-    for v, mask in enumerate(closed_masks):
+    for v, mask in enumerate(masks):
         if not high >> v & 1:
             np.bitwise_and(missed, mask, out=tmp)
             np.equal(tmp, 0, out=hit)
             swallowed += hit
-    return swallowed == size_low
+    return np.equal(swallowed, size_low, out=hit)
 
 
 def mis_flags(closed_masks, lo: int, hi: int):
@@ -154,9 +179,14 @@ def mis_flags(closed_masks, lo: int, hi: int):
     test is: no member is adjacent to another member, and N[S] covers V.
     A span whose high part is not independent holds no such set.
     """
-    high, (_, _, indep_low) = _window(closed_masks, lo, hi)
+    high, _, (_, _, indep_low) = _window(closed_masks, lo, hi)
     adj_high = _union([m ^ 1 << v for v, m in enumerate(closed_masks)], high)
     if adj_high & high:
         return np.zeros(hi - lo, dtype=bool)
     ids, ns = neighborhood_codes(closed_masks, lo, hi)
-    return (ns == (1 << len(closed_masks)) - 1) & indep_low & ((ids & adj_high) == 0)
+    dtype = ns.dtype.type
+    flags = np.equal(ns, dtype((1 << len(closed_masks)) - 1))
+    flags &= indep_low
+    np.bitwise_and(ids, dtype(adj_high), out=ids)
+    flags &= ids == 0
+    return flags

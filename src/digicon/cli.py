@@ -10,6 +10,8 @@ deterministic for a fixed request, regardless of --workers.
 from __future__ import annotations
 
 import argparse
+import decimal
+import functools
 import itertools
 import json
 import os
@@ -159,10 +161,40 @@ def _budget_from(args) -> EnumerationBudget:
     return EnumerationBudget(DEFAULT_MAX_SUBSETS if cap is None else cap, args.workers)
 
 
+# decimal arithmetic that raises on any rounding instead of passing it silently
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
+# ints up to this many bits convert directly; Decimal(int) is quadratic past it
+_PLAIN_BITS = 4096
+
+
+@functools.lru_cache(maxsize=None)
+def _two_power(bits: int) -> Decimal:
+    """2^bits as a Decimal, for bits = _PLAIN_BITS * 2^i."""
+    if bits <= _PLAIN_BITS:
+        return Decimal(1 << bits)
+    half = _two_power(bits // 2)
+    return _EXACT.multiply(half, half)
+
+
+def _to_decimal(value: int) -> Decimal:
+    """value as an exact Decimal, whose str prints an int of any size: where
+    str(int) stops at 4300 digits by default, and it and Decimal(int) are
+    quadratic (the 208,988 digits of the cycle count at n = 10^6).  Splits
+    on 2^bits, bits = _PLAIN_BITS * 2^i about half the length, and
+    recombines the halves in decimal."""
+    if value.bit_length() <= _PLAIN_BITS:
+        return Decimal(value)
+    bits = _PLAIN_BITS
+    while 2 * bits < value.bit_length():
+        bits *= 2
+    low = value & (1 << bits) - 1
+    return _EXACT.fma(_to_decimal(value >> bits), _two_power(bits), _to_decimal(low))
+
+
 def _cmd_count(args) -> int:
     params, method, count = _route(args, "count")
-    # exact at any size, where str(int) stops at 4300 digits by default
-    value = str(Decimal(count(_budget_from(args), **params)))
+    value = str(_to_decimal(count(_budget_from(args), **params)))
     if args.format == "csv":
         print("family,params,method,count")
         joined = ";".join(f"{k}={v}" for k, v in params.items())
@@ -208,7 +240,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    coefficients = [str(Decimal(c)) for c in a_series(args.k, args.terms).coefficients]
+    coefficients = [str(_to_decimal(c)) for c in a_series(args.k, args.terms).coefficients]
     if args.format == "csv":
         print("n,coefficient")
         for i, c in enumerate(coefficients):

@@ -20,7 +20,8 @@ from .graphs import Graph, VertexSet
 
 DEFAULT_MAX_SUBSETS = 1 << 26
 
-# the int64 block kernels need every code they shift or mask to stay < 2^62
+# the block kernels hold codes of up to 32 bits in uint32 and wider ones in
+# int64, where every code they shift or mask must stay below 2^62
 _MAX_SWEEP_BITS = 62
 
 
@@ -91,8 +92,8 @@ def digital_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
 
 def _checked_budget(exponent: int, width: int, budget: EnumerationBudget | None,
                     what: str) -> EnumerationBudget:
-    """The budget for a sweep of 2^exponent candidates whose int64 kernel
-    needs width-bit codes.
+    """The budget for a sweep of 2^exponent candidates whose kernel needs
+    width-bit codes in int64.
 
     The width is checked first, so a sweep that cannot run at any budget is
     a parameter error, never a budget error asking for a rerun.

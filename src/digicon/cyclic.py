@@ -116,10 +116,13 @@ def cyclic_blocks(s: CyclicBinaryString) -> BlockProfile:
 
 def _rot(n: int, codes, d: int):
     """Rotate n-bit codes cyclically, bit i moving to bit i + d (mod n): one
-    Python int of any size, or an int64 array of codes below 2^n."""
+    Python int of any size, or an array of code_dtype(n) codes below 2^n
+    (two arrays allocated, the rest in place)."""
     d %= n
-    low = (1 << n - d) - 1  # the bits that stay below 2^n after the shift
-    return (codes & low) << d | codes >> n - d
+    out = codes & (1 << n - d) - 1  # the bits that stay below 2^n after the shift
+    out <<= d
+    out |= codes >> n - d
+    return out
 
 
 def _blocks_ok(n: int, k: int, codes):
@@ -129,10 +132,13 @@ def _blocks_ok(n: int, k: int, codes):
     them less than k apart.  For n < k the shift d = n is among those
     tested, so only a constant string (t = 0) passes.  Answers in kind.
     """
-    t = codes ^ _rot(n, codes, 1)
+    t = _rot(n, codes, 1)
+    t ^= codes
     clash = 0
     for d in range(1, k):
-        clash |= t & _rot(n, t, d)
+        near = _rot(n, t, d)
+        near &= t
+        clash |= near
     return clash == 0
 
 
@@ -148,7 +154,8 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
 
     Position 0 is the most significant bit of the code, and rotations are
     distinct members (no necklace quotienting).  The codes are swept in
-    int64 blocks, so the stream is identical for any worker count.
+    blocks of code_dtype(n) arrays, so the stream is identical for any
+    worker count.
     """
     if k < 2:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
@@ -161,13 +168,15 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
 def _member_images(k: int, n: int, budget: EnumerationBudget | None, image) -> Iterator[int]:
     """image(codes) of the length-n members, in increasing code order.
 
-    image maps the int64 array of one block's member codes to an int64
-    array.  The budget is checked on the call, not on the first code.
+    image maps the array of one block's member codes, of dtype
+    code_dtype(n), to an array of the same dtype.  The budget is checked on
+    the call, not on the first code.
     """
     budget = _checked_budget(n, n, budget, "strings")
+    dtype = _kernels.code_dtype(n)
 
     def block(lo, hi):
-        codes = np.arange(lo, hi, dtype=np.int64)
+        codes = np.arange(lo, hi, dtype=dtype)
         return image(codes[_blocks_ok(n, k, codes)]).tolist()
 
     return itertools.chain.from_iterable(_kernels.scan_blocks(1 << n, block, budget.workers))
@@ -290,7 +299,7 @@ def convex_set_from_string(k: int, n: int, s: CyclicBinaryString) -> VertexSet:
 def _convex_set_codes(k: int, n: int, budget: EnumerationBudget | None = None) -> Iterator[int]:
     """The bitmasks of the digitally convex sets of the k-th power of C_n,
     in the order enumerate_B(k + 1, n) yields their strings: the map of
-    convex_set_from_string on int64 blocks, with no string or set built."""
+    convex_set_from_string on array blocks, with no string or set built."""
     return _member_images(k + 1, n, budget, lambda codes: _erode(n, k, _reverse(n, codes)))
 
 

@@ -76,7 +76,7 @@ class BinaryArray:
 def min_transform(a: BinaryArray) -> BinaryArray:
     """Each output cell is the minimum over the cell and its existing
     horizontal and vertical neighbours (boundary cells just have fewer)."""
-    return BinaryArray.from_code(a.rows, a.cols, _min_codes(a.rows, a.cols, a.code))
+    return BinaryArray.from_code(a.rows, a.cols, _min_codes(a.rows, a.cols, _exact(a.code))[0])
 
 
 def max_transform(a: BinaryArray) -> BinaryArray:
@@ -84,33 +84,51 @@ def max_transform(a: BinaryArray) -> BinaryArray:
     horizontal and vertical neighbours: the complement of the minimum
     transform of the complement."""
     full = (1 << a.rows * a.cols) - 1
-    return BinaryArray.from_code(a.rows, a.cols, full ^ _min_codes(a.rows, a.cols, full ^ a.code))
+    eroded = _min_codes(a.rows, a.cols, _exact(full ^ a.code))[0]
+    return BinaryArray.from_code(a.rows, a.cols, full ^ eroded)
 
 
-def _grid_field_masks(n: int, m: int) -> tuple[int, int, int, int, int]:
-    """Bitmasks of the full grid and its four boundary lines."""
+def _exact(code: int):
+    """One Python int as a one-element object array, whose ufuncs do exact
+    Python-int arithmetic: the form the array code paths take an int in."""
+    return np.array([code], dtype=object)
+
+
+@lru_cache(maxsize=8)
+def _grid_field_masks(n: int, m: int, kind=int) -> tuple:
+    """Bitmasks of the full grid and its four boundary lines, as kind: the
+    scalar type of a sweep's codes, so they are cast once per sweep."""
     full = (1 << n * m) - 1
     row_first = (1 << m) - 1
     row_last = row_first << (n - 1) * m
     col_first = sum(1 << i * m for i in range(n))
     col_last = col_first << m - 1
-    return full, row_first, row_last, col_first, col_last
+    return tuple(map(kind, (full, row_first, row_last, col_first, col_last)))
 
 
-def _min_codes(n: int, m: int, codes):
-    """Minimum transform on row-major bit codes: an int64 array (each code
-    below 2^(n*m) and n*m + m <= 62) or one Python int of any size.
+def _min_codes(n: int, m: int, codes, out=None, tmp=None):
+    """Minimum transform of an array of row-major bit codes below 2^(n*m),
+    written to out with tmp as scratch (new arrays if not given).
 
+    The arrays share one dtype: code_dtype(n*m) in a sweep (n*m + m <= 62
+    for int64), or object for Python ints of any size (see _exact).
     Neighbour fields come from bit shifts; positions whose neighbour falls
     off the grid are forced to 1 (the identity for min), which also voids
-    the bits that shifting drags across row boundaries.
+    the bits that shifting drags across row boundaries.  Every field is
+    ANDed with codes, so the result stays below 2^(n*m).
     """
-    full, row_first, row_last, col_first, col_last = _grid_field_masks(n, m)
-    up = (codes << m) | row_first
-    down = (codes >> m) | row_last
-    left = (codes << 1) | col_first
-    right = (codes >> 1) | col_last
-    return codes & up & down & left & right & full
+    out = np.empty_like(codes) if out is None else out
+    tmp = np.empty_like(codes) if tmp is None else tmp
+    _, row_first, row_last, col_first, col_last = _grid_field_masks(n, m, codes.dtype.type)
+    np.left_shift(codes, m, out=out)
+    out |= row_first
+    out &= codes
+    for shift, by, edge in ((np.right_shift, m, row_last), (np.left_shift, 1, col_first),
+                            (np.right_shift, 1, col_last)):
+        shift(codes, by, out=tmp)
+        tmp |= edge
+        out &= tmp
+    return out
 
 
 def count_complete_product(n: int, m: int) -> int:
@@ -227,10 +245,16 @@ def generate_grid_p2(n: int) -> tuple[VertexSet, ...]:
 
 
 def _closed_codes(n: int, m: int, codes):
-    """min(max(codes)), in either form _min_codes takes.  Min and max are an
-    erosion/dilation adjunction, so the min images are its fixed points."""
-    full = (1 << n * m) - 1
-    return _min_codes(n, m, full ^ _min_codes(n, m, full ^ codes))
+    """min(max(codes)) for an array that _min_codes takes, as a new array.
+    Min and max are an erosion/dilation adjunction, so the min images are
+    its fixed points.  The three work arrays are one allocation, which
+    keeps a sweep's blocks on the same pages (see the _kernels docstring)."""
+    full = _grid_field_masks(n, m, codes.dtype.type)[0]
+    closed, dilated, tmp = np.empty((3, len(codes)), codes.dtype)
+    np.bitwise_xor(codes, full, out=closed)
+    _min_codes(n, m, closed, dilated, tmp)
+    dilated ^= full
+    return _min_codes(n, m, dilated, closed, tmp)
 
 
 def _image_codes(n: int, m: int, budget: EnumerationBudget | None = None) -> list[int]:
@@ -238,11 +262,13 @@ def _image_codes(n: int, m: int, budget: EnumerationBudget | None = None) -> lis
     the codes equal to their closure, so no image is met twice."""
     if n < 1 or m < 1:
         raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
-    # shifting a code up by one row needs n*m + m bits
+    # shifting a code up by one row needs n*m + m bits in int64; a uint32
+    # shift just drops the bits past the grid
     budget = _checked_budget(n * m, n * m + m, budget, "arrays")
+    dtype = _kernels.code_dtype(n * m)
 
     def closed(lo, hi):
-        codes = np.arange(lo, hi, dtype=np.int64)
+        codes = np.arange(lo, hi, dtype=dtype)
         return _closed_codes(n, m, codes) == codes
 
     return list(_kernels.iter_flagged(1 << n * m, closed, budget.workers))
@@ -261,7 +287,7 @@ def set_from_array(astar: BinaryArray) -> VertexSet:
     Valid inputs are exactly the images of the minimum transform: the
     arrays equal to their closure (maximum transform, then minimum).
     """
-    if _closed_codes(astar.rows, astar.cols, astar.code) != astar.code:
+    if _closed_codes(astar.rows, astar.cols, _exact(astar.code))[0] != astar.code:
         raise NotImageError(
             "array is not a minimum-transform image, so its cells are not a digitally convex set"
         )
@@ -277,7 +303,7 @@ def array_from_set(dims: tuple[int, int], s: VertexSet) -> BinaryArray:
         raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
     if s.universe != n * m:
         raise InvalidParameterError(f"set universe {s.universe} != {n}*{m}")
-    if _closed_codes(n, m, s.mask) != s.mask:
+    if _closed_codes(n, m, _exact(s.mask))[0] != s.mask:
         raise NotConvexError(f"set {list(s.indices())} is not digitally convex in the {n} x {m} grid")
     return max_transform(BinaryArray.from_code(n, m, s.mask))
 

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 import digicon._kernels as kernels
 from digicon import (
+    EnumerationBudget,
     PowerSeries,
     VertexSet,
     cartesian_product,
@@ -140,6 +141,18 @@ def test_million_vertex_cycle_counts_by_doubling(capsys):
     assert code == 0
     assert len(out.strip()) == 208988
     assert int(out[-41:]) == cycle_count_by_lucas(10**6, 10**40)
+
+
+@st.composite
+def wide_ints(draw):
+    bits = draw(st.sampled_from([0, 1, 4095, 4096, 4097, 8193, 20000, 70000]))
+    value = draw(st.integers(0, (1 << bits) - 1)) | draw(st.sampled_from([0, 1 << bits]))
+    return value * draw(st.sampled_from([1, -1]))
+
+
+@given(wide_ints())
+def test_split_decimal_conversion_is_exact(value):
+    assert str(cli._to_decimal(value)) == str(Decimal(value))
 
 
 LAST_COEFFICIENT = {
@@ -334,6 +347,14 @@ def test_enumerate_prints_the_library_sets(capsys, family, method, params):
         argv += [f"--{name}", str(value)]
     for fmt, workers in itertools.product(expected, ("1", "2")):
         assert run_cli(capsys, *argv, "--format", fmt, "--workers", workers) == (0, expected[fmt], "")
+
+
+@pytest.mark.parametrize("family, method, params", enumerate_cases())
+def test_enumerate_routes_hand_the_cli_python_ints(family, method, params):
+    universe, masks = FAMILIES[family][1][method][1](EnumerationBudget(), **params)
+    masks = list(masks)
+    assert type(universe) is int and masks
+    assert all(type(mask) is int for mask in masks)
 
 
 # the least value of each parameter of each family's graph

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import digicon._kernels as kernels
 from digicon import (
@@ -327,6 +328,22 @@ def test_string_maps_on_arrays_agree_with_ints_and_keep_their_input():
     assert _reverse(n, codes).tolist() == [int(f"{c:0{n}b}"[::-1], 2) for c in range(1 << n)]
     assert _erode(n, k, codes).tolist() == [_erode(n, k, c) for c in range(1 << n)]
     assert (codes == before).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([31, 32, 33]), k=st.integers(1, 6), back=st.integers(1, 1 << 24))
+def test_string_maps_at_the_dtype_boundary_agree_with_ints(n, k, back):
+    # 31 and 32 positions run on uint32 codes, 33 on int64; the span sits near the top
+    lo = (1 << n) - 64 * back
+    span = range(lo, lo + 64)
+    codes = np.arange(lo, lo + 64, dtype=kernels.code_dtype(n))
+    assert codes.dtype == (np.uint32 if n <= 32 else np.int64)
+    runs = [_cyclic_runs(CyclicBinaryString.from_code(n, c).bits) for c in span]
+    members = [all(length >= k + 1 for _, _, length in r) for r in runs]
+    assert _blocks_ok(n, k + 1, codes).tolist() == members == [_blocks_ok(n, k + 1, c) for c in span]
+    assert _reverse(n, codes).tolist() == [int(f"{c:0{n}b}"[::-1], 2) for c in span]
+    assert _erode(n, k, codes).tolist() == [_erode(n, k, c) for c in span]
+    assert codes.tolist() == list(span)
 
 
 def test_set_codes_are_the_bijection_over_several_blocks(monkeypatch):

@@ -1,26 +1,32 @@
-"""The table-driven subset kernels against the definitions, and the bounded
-block scheduler."""
+"""The table-driven subset kernels against the definitions, at both code
+dtypes, and the bounded block scheduler."""
 
 import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import digicon._kernels as kernels
 from digicon import (
     EnumerationBudget,
+    VertexSet,
     a_count,
     cartesian_product,
+    cli,
     count_digitally_convex,
     count_grid_via_arrays,
     count_mis_grid3,
+    digital_convex_hull,
     enumerate_B,
     graph_power,
     make_complete,
     make_cycle,
     make_path,
 )
+from digicon.convexity import _closure, _neighborhood_mask
 from oracles import is_convex_naive, is_mis_naive, random_graph
 
 
@@ -106,3 +112,64 @@ def test_scan_runs_a_bounded_window_ahead(monkeypatch):
     assert list(itertools.islice(stream, 3)) == [0, 1, 2]
     stream.close()
     assert len(calls) <= 3 + 2 * 2
+
+
+def _greedy_mis(g, first: int) -> int:
+    """The bitmask of a maximal independent set holding vertex first."""
+    mask = blocked = 0
+    for v in [first, *range(g.order)]:
+        if not blocked >> v & 1:
+            mask |= 1 << v
+            blocked |= g.closed_masks[v]
+    return mask
+
+
+@settings(max_examples=30, deadline=None)
+@given(width=st.sampled_from([31, 32, 33]), seed=st.integers(0, 2 ** 16),
+       p=st.sampled_from([0.05, 0.15, 0.4]))
+def test_flags_at_the_dtype_boundary_match_python_ints(width, seed, p):
+    # widths 31 and 32 run on uint32 codes, 33 on int64; every span holds
+    # the top vertex, so its codes sit in the top half of the code space
+    rng = random.Random(seed)
+    g = random_graph(rng, width, p)
+    top = 1 << width - 1
+    seed_set = VertexSet(width, top | rng.getrandbits(width) & rng.getrandbits(width))
+    # each span holds a set the flags must mark: an MIS, a hull, the full set
+    targets = ((_greedy_mis(g, width - 1), "mis"), (digital_convex_hull(g, seed_set).mask, "convex"),
+               ((1 << width) - 1, "convex"))
+    for target, kind in targets:
+        lo = target & ~63
+        span = range(lo, lo + 64)
+        ids, ns = kernels.neighborhood_codes(g.closed_masks, lo, lo + 64)
+        assert ids.dtype == ns.dtype == kernels.code_dtype(width)
+        assert ids.dtype == (np.uint32 if width <= 32 else np.int64)
+        assert ids.tolist() == list(span)
+        assert ns.tolist() == [_neighborhood_mask(g, c) for c in span]
+        convex = kernels.convex_flags(g.closed_masks, lo, lo + 64).tolist()
+        assert convex == [_closure(g, c) == c for c in span]
+        mis = kernels.mis_flags(g.closed_masks, lo, lo + 64).tolist()
+        assert mis == [is_mis_naive(g, [v for v in range(width) if c >> v & 1]) for c in span]
+        assert {"mis": mis, "convex": convex}[kind][target - lo]
+
+
+def test_blocks_lie_inside_one_table_window():
+    assert kernels.BLOCK_SIZE < 1 << kernels.TABLE_BITS
+    spans = list(kernels.iter_blocks(1 << 24))
+    assert len(spans) == (1 << 24) // kernels.BLOCK_SIZE
+    assert all(lo >> kernels.TABLE_BITS == hi - 1 >> kernels.TABLE_BITS for lo, hi in spans)
+
+
+def test_counts_and_streams_over_blocks_smaller_than_a_window(capsys):
+    # 2^20 codes: sixteen blocks over four table windows
+    ring = graph_power(make_cycle(20), 2)
+    argv = ["enumerate", "--family", "cycle-power", "--n", "20", "--k", "1",
+            "--method", "bijection", "--format", "plain"]
+    runs = []
+    for workers in (1, 2, 8):
+        budget = EnumerationBudget(workers=workers)
+        assert cli.main([*argv, "--workers", str(workers)]) == 0
+        runs.append((count_grid_via_arrays(4, 5, budget), count_digitally_convex(ring, budget),
+                     capsys.readouterr().out))
+    assert runs[0][:2] == (8706, a_count(3, 20))
+    assert runs[0][2].count("\n") == a_count(2, 20)
+    assert runs[1] == runs[0] and runs[2] == runs[0]

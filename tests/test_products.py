@@ -3,8 +3,9 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import digicon._kernels as kernels
 from digicon import (
@@ -247,6 +248,33 @@ def test_grid_count_equals_distinct_pure_python_images():
         }
         assert count_grid_via_arrays(n, m) == len(images)
         assert _image_codes(n, m) == sorted(images)
+
+
+def _closure_via_graph(n: int, m: int, code: int) -> int:
+    full = (1 << n * m) - 1
+    dilated = full ^ min_transform_via_graph(BinaryArray.from_code(n, m, full ^ code)).code
+    return min_transform_via_graph(BinaryArray.from_code(n, m, dilated)).code
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from([(4, 8), (8, 4), (3, 11), (11, 3)]), back=st.integers(1, 1 << 24))
+def test_arrays_closure_at_the_dtype_boundary_matches_python_ints(shape, back):
+    # 32 cells run on uint32 codes, 33 on int64; the span sits near the top
+    n, m = shape
+    lo = (1 << n * m) - 16 * back
+    span = range(lo, lo + 16)
+    codes = np.arange(lo, lo + 16, dtype=kernels.code_dtype(n * m))
+    closed = products._closed_codes(n, m, codes)
+    eroded = products._min_codes(n, m, codes)
+    assert closed.dtype == eroded.dtype == (np.uint32 if n * m <= 32 else np.int64)
+    assert codes.tolist() == list(span)
+    expected = [products._closed_codes(n, m, products._exact(c))[0] for c in span]
+    assert all(type(c) is int for c in expected)
+    assert closed.tolist() == expected
+    assert expected[::5] == [_closure_via_graph(n, m, c) for c in span[::5]]
+    assert eroded.tolist() == [min_transform(BinaryArray.from_code(n, m, c)).code for c in span]
+    assert eroded.tolist()[::5] == [min_transform_via_graph(BinaryArray.from_code(n, m, c)).code
+                                    for c in span[::5]]
 
 
 def test_image_codes_are_the_convex_masks():

@@ -46,7 +46,7 @@ METHODS = {
 }
 
 # small sizes (streams of several batches of lines and sweeps of several
-# 2^18-code blocks among them), then each parameter one below its least value
+# sweep blocks among them), then each parameter one below its least value
 SIZES = {
     "path": ((5,), (16,), (0,)),
     "cycle": ((7,), (19,), (2,)),
