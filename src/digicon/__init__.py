@@ -9,9 +9,8 @@ via a recurrence and a constructive generation, grids via binary-array
 transforms), and tools to cross-validate all of them.
 """
 
+from ._kernels import DEFAULT_MAX_SUBSETS, EnumerationBudget
 from .convexity import (
-    DEFAULT_MAX_SUBSETS,
-    EnumerationBudget,
     count_digitally_convex,
     digital_convex_hull,
     enumerate_digitally_convex,

@@ -1,20 +1,24 @@
-"""Vectorized block kernels for exhaustive bitmask sweeps.
+"""The sweep layer: the budget, the code width and the vectorized block
+kernels behind every exhaustive bitmask sweep.
 
-Every exhaustive sweep walks the integers 0..2^n - 1 in contiguous blocks,
-flags the codes of each block with one vectorized predicate, and counts or
-lists the flagged codes in block order.  Workers only change which thread
-evaluates a block, never the order results are merged, so output is
-identical for any worker count.
+Every exhaustive sweep walks the integers 0..2^bits - 1 in contiguous
+blocks, flags the codes of each block with one vectorized predicate, and
+counts or lists the flagged codes in block order: one flags function on
+count_flagged or iter_flagged, which check the code width and then the
+budget before any block runs.  Workers only change which thread evaluates
+a block, never the order results are merged, so output is identical for
+any worker count.
 
 Codes and masks are held in the narrowest dtype that fits their width
 (code_dtype: uint32 up to 32 bits, int64 up to 62), and a block of 2^16
 codes keeps its few working arrays in the L2 cache.  The subset and arrays
 kernels allocate a block's working arrays as the rows of one array and
-update them with out= operations, not a temporary per pass.  One
-allocation matters: once malloc has freed a chunk that large, its trim
-threshold lies above a block's working set, so each block reuses the
-pages of the one before instead of faulting in fresh ones (separate
-row-sized arrays fault on every block).
+update them with out= operations, not a temporary per pass; the string
+sweep takes its codes as the first row of one array as large as its
+working set.  One allocation matters: once malloc has freed a chunk that
+large, its trim threshold lies above a block's working set, so each block
+reuses the pages of the one before instead of faulting in fresh ones
+(separate row-sized arrays fault on every block).
 
 The subset kernels split a code into its low part (members below
 b = min(n, TABLE_BITS)) and its high part.  A span lies inside one aligned
@@ -30,14 +34,53 @@ import functools
 import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import BudgetExceededError, InvalidParameterError
+from .graphs import union_of_masks
 
 TABLE_BITS = 18
 # 2^16 codes: a block's few working arrays (256 KiB each as uint32) stay in
 # the L2 cache.  Blocks are aligned and divide a table window of
 # 2^TABLE_BITS codes, so no block crosses one.
 BLOCK_SIZE = 1 << 16
+
+DEFAULT_MAX_SUBSETS = 1 << 26
+
+# codes of up to 32 bits are held in uint32 and wider ones in int64, where
+# every code a kernel shifts or masks must stay below 2^62
+_MAX_SWEEP_BITS = 62
+
+
+@dataclass(frozen=True)
+class EnumerationBudget:
+    """Cap on exhaustive sweep size, plus the worker count for block evaluation."""
+
+    max_subsets: int = DEFAULT_MAX_SUBSETS
+    workers: int = 1
+
+    def __post_init__(self):
+        if self.max_subsets < 1:
+            raise InvalidParameterError(f"max_subsets must be >= 1, got {self.max_subsets}")
+        if self.workers < 1:
+            raise InvalidParameterError(f"workers must be >= 1, got {self.workers}")
+
+
+def _workers(bits: int, width: int, budget: EnumerationBudget | None, what: str) -> int:
+    """The budget's workers for a sweep of 2^bits codes (what) whose kernel
+    needs max(bits, width)-bit codes.  The width is checked first: a sweep
+    that no budget can run is a parameter error, not a budget error."""
+    budget = EnumerationBudget() if budget is None else budget
+    width = max(bits, width)
+    if width > _MAX_SWEEP_BITS:
+        raise InvalidParameterError(
+            f"exhaustive sweep supports at most {_MAX_SWEEP_BITS}-bit codes, got {width}"
+        )
+    if 1 << bits > budget.max_subsets:
+        raise BudgetExceededError(1 << bits, budget.max_subsets, what=what)
+    return budget.workers
 
 
 def code_dtype(width: int):
@@ -76,15 +119,27 @@ def scan_blocks(total: int, block_fn, workers: int = 1, block_size: int = BLOCK_
         pool.shutdown(cancel_futures=True)
 
 
-def count_flagged(total: int, flags, workers: int = 1) -> int:
-    """How many codes in range(total) the bool vectors flags(lo, hi) mark."""
-    return sum(scan_blocks(total, lambda lo, hi: int(np.count_nonzero(flags(lo, hi))), workers))
+def count_flagged(bits: int, flags, budget: EnumerationBudget | None, what: str,
+                  width: int = 0) -> int:
+    """How many codes below 2^bits the bool vectors flags(lo, hi) mark;
+    _workers checks the sweep before any block runs."""
+    workers = _workers(bits, width, budget, what)
+    return sum(scan_blocks(1 << bits, lambda lo, hi: int(np.count_nonzero(flags(lo, hi))),
+                           workers))
 
 
-def iter_flagged(total: int, flags, workers: int = 1):
-    """Yield the codes in range(total) that flags(lo, hi) marks, ascending."""
-    for codes in scan_blocks(total, lambda lo, hi: lo + np.flatnonzero(flags(lo, hi)), workers):
-        yield from codes.tolist()
+def iter_flagged(bits: int, flags, budget: EnumerationBudget | None, what: str,
+                 width: int = 0, image=None):
+    """The codes below 2^bits that flags(lo, hi) marks, ascending, or
+    image(codes) of each block's int64 array of them, as Python ints;
+    checked like count_flagged on the call, not on the first code."""
+    workers = _workers(bits, width, budget, what)
+
+    def block(lo, hi):
+        codes = lo + np.flatnonzero(flags(lo, hi))
+        return (codes if image is None else image(codes)).tolist()
+
+    return itertools.chain.from_iterable(scan_blocks(1 << bits, block, workers))
 
 
 @functools.lru_cache(maxsize=1)
@@ -122,11 +177,6 @@ def _window(closed_masks, lo: int, hi: int):
     return lo - off, masks, [t[off:off + hi - lo] for t in tables]
 
 
-def _union(masks, high: int) -> int:
-    """OR of masks[v] over the members v of the high part."""
-    return functools.reduce(int.__or__, (m for v, m in enumerate(masks) if high >> v & 1), 0)
-
-
 def neighborhood_codes(closed_masks, lo: int, hi: int):
     """Subset codes and their N[S] bitmasks for every code in [lo, hi).
 
@@ -148,7 +198,7 @@ def neighborhood_codes(closed_masks, lo: int, hi: int):
     dtype = ns_low.dtype.type
     ids, ns = np.empty((2, hi - lo), dtype)  # one allocation (module docstring)
     ids[:] = np.arange(lo, hi, dtype=dtype)
-    np.bitwise_or(ns_low, dtype(_union(closed_masks, high)), out=ns)
+    np.bitwise_or(ns_low, dtype(union_of_masks(closed_masks, high)), out=ns)
     return ids, ns
 
 
@@ -180,7 +230,7 @@ def mis_flags(closed_masks, lo: int, hi: int):
     A span whose high part is not independent holds no such set.
     """
     high, _, (_, _, indep_low) = _window(closed_masks, lo, hi)
-    adj_high = _union([m ^ 1 << v for v, m in enumerate(closed_masks)], high)
+    adj_high = union_of_masks([m ^ 1 << v for v, m in enumerate(closed_masks)], high)
     if adj_high & high:
         return np.zeros(hi - lo, dtype=bool)
     ids, ns = neighborhood_codes(closed_masks, lo, hi)

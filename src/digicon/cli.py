@@ -21,13 +21,8 @@ from importlib import resources
 from operator import getitem
 from pathlib import Path
 
-from .convexity import (
-    DEFAULT_MAX_SUBSETS,
-    EnumerationBudget,
-    _convex_codes,
-    count_digitally_convex,
-    enumerate_digitally_convex,
-)
+from ._kernels import DEFAULT_MAX_SUBSETS, EnumerationBudget
+from .convexity import _convex_codes, count_digitally_convex, enumerate_digitally_convex
 from .cyclic import (
     _convex_set_codes,
     a_count,
@@ -273,7 +268,7 @@ def _suite_cycle_power(max_k: int, max_n: int, budget) -> list:
             graph = graph_power(make_cycle(n), k)
             brute = list(enumerate_digitally_convex(graph, budget))
             recurrence = count_cycle_power(k, n)
-            via_strings = a_count(k + 1, n)
+            via_strings = len(list(_convex_set_codes(k, n, budget)))
             ok = len(brute) == recurrence == via_strings
             detail = f"bruteforce {len(brute)}, recurrence {recurrence}, strings {via_strings}"
             if any(convex_set_from_string(k, n, string_from_convex_set(k, n, s)) != s

@@ -5,38 +5,19 @@ A set S is digitally convex when every vertex v outside S has a private
 neighbour with respect to S, some vertex of N[v] that N[S] misses: S is a
 fixed point of the closure S -> {v : N[v] inside N[S]}.  The enumeration
 here is the brute-force oracle the family-specific counters are validated
-against.
+against: the subset sweep, convex_flags on the _kernels drivers, which own
+its budget and width check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
 
 from . import _kernels
-from .errors import BudgetExceededError, InvalidParameterError
-from .graphs import Graph, VertexSet
-
-DEFAULT_MAX_SUBSETS = 1 << 26
-
-# the block kernels hold codes of up to 32 bits in uint32 and wider ones in
-# int64, where every code they shift or mask must stay below 2^62
-_MAX_SWEEP_BITS = 62
-
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Cap on exhaustive sweep size, plus the worker count for block evaluation."""
-
-    max_subsets: int = DEFAULT_MAX_SUBSETS
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.max_subsets < 1:
-            raise InvalidParameterError(f"max_subsets must be >= 1, got {self.max_subsets}")
-        if self.workers < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {self.workers}")
+from ._kernels import EnumerationBudget
+from .errors import InvalidParameterError
+from .graphs import Graph, VertexSet, union_of_masks
 
 
 def _member_mask(g: Graph, s: VertexSet) -> int:
@@ -46,11 +27,7 @@ def _member_mask(g: Graph, s: VertexSet) -> int:
 
 
 def _neighborhood_mask(g: Graph, member_mask: int) -> int:
-    ns = 0
-    for v in range(g.order):
-        if member_mask >> v & 1:
-            ns |= g.closed_masks[v]
-    return ns
+    return union_of_masks(g.closed_masks, member_mask)
 
 
 def has_private_neighbor(g: Graph, v: int, s: VertexSet) -> bool:
@@ -90,26 +67,6 @@ def digital_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
     return VertexSet(g.order, mask)
 
 
-def _checked_budget(exponent: int, width: int, budget: EnumerationBudget | None,
-                    what: str) -> EnumerationBudget:
-    """The budget for a sweep of 2^exponent candidates whose kernel needs
-    width-bit codes in int64.
-
-    The width is checked first, so a sweep that cannot run at any budget is
-    a parameter error, never a budget error asking for a rerun.
-    """
-    if budget is None:
-        budget = EnumerationBudget()
-    if width > _MAX_SWEEP_BITS:
-        raise InvalidParameterError(
-            f"exhaustive sweep supports at most {_MAX_SWEEP_BITS}-bit codes, got {width}"
-        )
-    required = 1 << exponent
-    if required > budget.max_subsets:
-        raise BudgetExceededError(required, budget.max_subsets, what=what)
-    return budget
-
-
 def enumerate_digitally_convex(g: Graph, budget: EnumerationBudget | None = None) -> Iterator[VertexSet]:
     """Yield every digitally convex subset of g in increasing bitmask order.
 
@@ -127,13 +84,11 @@ def _convex_codes(g: Graph, budget: EnumerationBudget | None = None) -> Iterator
 
     The budget is checked on the call, before the first code is asked for.
     """
-    budget = _checked_budget(g.order, g.order, budget, "subsets")
-    flags = partial(_kernels.convex_flags, g.closed_masks)
-    return _kernels.iter_flagged(1 << g.order, flags, budget.workers)
+    return _kernels.iter_flagged(g.order, partial(_kernels.convex_flags, g.closed_masks),
+                                 budget, "subsets")
 
 
 def count_digitally_convex(g: Graph, budget: EnumerationBudget | None = None) -> int:
     """Exact number of digitally convex subsets of g, by exhaustive sweep."""
-    budget = _checked_budget(g.order, g.order, budget, "subsets")
-    flags = partial(_kernels.convex_flags, g.closed_masks)
-    return _kernels.count_flagged(1 << g.order, flags, budget.workers)
+    return _kernels.count_flagged(g.order, partial(_kernels.convex_flags, g.closed_masks),
+                                  budget, "subsets")

@@ -14,14 +14,14 @@ contributing ones at positions x..x+k (mod n).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
 
 from . import _kernels
-from .convexity import EnumerationBudget, _checked_budget
+from ._kernels import EnumerationBudget
 from .errors import InvalidParameterError, NotConvexError, NotMemberError
 from .graphs import VertexSet
 from .sequences import LinearRecurrence, PowerSeries, eval_recurrence, expand_rational
@@ -161,25 +161,19 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
         raise InvalidParameterError(f"k must be >= 2, got {k}")
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    for code in _member_images(k, n, budget, lambda codes: codes):
+    for code in _kernels.iter_flagged(n, partial(_member_flags, n, k), budget, "strings"):
         yield CyclicBinaryString.from_code(n, code)
 
 
-def _member_images(k: int, n: int, budget: EnumerationBudget | None, image) -> Iterator[int]:
-    """image(codes) of the length-n members, in increasing code order.
-
-    image maps the array of one block's member codes, of dtype
-    code_dtype(n), to an array of the same dtype.  The budget is checked on
-    the call, not on the first code.
-    """
-    budget = _checked_budget(n, n, budget, "strings")
-    dtype = _kernels.code_dtype(n)
-
-    def block(lo, hi):
-        codes = np.arange(lo, hi, dtype=dtype)
-        return image(codes[_blocks_ok(n, k, codes)]).tolist()
-
-    return itertools.chain.from_iterable(_kernels.scan_blocks(1 << n, block, budget.workers))
+def _member_flags(n: int, k: int, lo: int, hi: int):
+    """_blocks_ok(n, k) on the codes in [lo, hi), of code_dtype(n)."""
+    # the codes are the first row of a chunk as large as _blocks_ok's working
+    # set (the codes, t, clash, the previous near and _rot's two arrays): once
+    # freed, it lifts malloc's trim threshold above that working set, so each
+    # block reuses the pages of the one before (see the _kernels docstring)
+    codes = np.empty((6, hi - lo), _kernels.code_dtype(n))[0]
+    codes[:] = np.arange(lo, hi, dtype=codes.dtype)
+    return _blocks_ok(n, k, codes)
 
 
 def _q_poly(k: int) -> list[int]:
@@ -300,7 +294,8 @@ def _convex_set_codes(k: int, n: int, budget: EnumerationBudget | None = None) -
     """The bitmasks of the digitally convex sets of the k-th power of C_n,
     in the order enumerate_B(k + 1, n) yields their strings: the map of
     convex_set_from_string on array blocks, with no string or set built."""
-    return _member_images(k + 1, n, budget, lambda codes: _erode(n, k, _reverse(n, codes)))
+    return _kernels.iter_flagged(n, partial(_member_flags, n, k + 1), budget, "strings",
+                                 image=lambda codes: _erode(n, k, _reverse(n, codes)))
 
 
 def count_cycle_power(k: int, n: int) -> int:

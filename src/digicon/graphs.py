@@ -228,10 +228,18 @@ def closed_neighborhood_of_set(g: Graph, s: VertexSet) -> VertexSet:
     """N[S]: union of the closed neighbourhoods of the members of s."""
     if s.universe != g.order:
         raise InvalidParameterError(f"set universe {s.universe} != graph order {g.order}")
-    mask = 0
-    for v in s:
-        mask |= g.closed_masks[v]
-    return VertexSet(g.order, mask)
+    return VertexSet(g.order, union_of_masks(g.closed_masks, s.mask))
+
+
+def union_of_masks(masks, members: int) -> int:
+    """OR of masks[v] over the set bits v of members: N[S] for the closed
+    neighbourhood masks of a graph and the bitmask of S."""
+    union = 0
+    while members:
+        low = members & -members
+        union |= masks[low.bit_length() - 1]
+        members ^= low
+    return union
 
 
 def graph_to_json(g: Graph) -> str:

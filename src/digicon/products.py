@@ -18,7 +18,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import _kernels
-from .convexity import EnumerationBudget, _checked_budget, _convex_codes
+from ._kernels import EnumerationBudget
+from .convexity import _convex_codes
 from .errors import InvalidParameterError, NotConvexError, NotImageError
 from .graphs import VertexSet, cartesian_product, make_path
 from .sequences import LinearRecurrence, eval_recurrence
@@ -237,7 +238,9 @@ def _grid_p2_codes(n: int) -> list[int]:
     return ladders[-1]
 
 
-@lru_cache(maxsize=None)
+# maxsize=0 keeps no ladder alive once the caller drops it; the wrapper only
+# keeps cache_clear, which perfbench/tracer.py calls before each op
+@lru_cache(maxsize=0)
 def generate_grid_p2(n: int) -> tuple[VertexSet, ...]:
     """All digitally convex sets of the n x 2 ladder, ascending by bitmask:
     the sets of _grid_p2_codes(n), which checks every ladder it builds."""
@@ -262,16 +265,13 @@ def _image_codes(n: int, m: int, budget: EnumerationBudget | None = None) -> lis
     the codes equal to their closure, so no image is met twice."""
     if n < 1 or m < 1:
         raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
-    # shifting a code up by one row needs n*m + m bits in int64; a uint32
-    # shift just drops the bits past the grid
-    budget = _checked_budget(n * m, n * m + m, budget, "arrays")
-    dtype = _kernels.code_dtype(n * m)
-
     def closed(lo, hi):
-        codes = np.arange(lo, hi, dtype=dtype)
+        codes = np.arange(lo, hi, dtype=_kernels.code_dtype(n * m))
         return _closed_codes(n, m, codes) == codes
 
-    return list(_kernels.iter_flagged(1 << n * m, closed, budget.workers))
+    # shifting a code up by one row needs n*m + m bits in int64; a uint32
+    # shift just drops the bits past the grid
+    return list(_kernels.iter_flagged(n * m, closed, budget, "arrays", width=n * m + m))
 
 
 def count_grid_via_arrays(n: int, m: int, budget: EnumerationBudget | None = None) -> int:
@@ -334,6 +334,5 @@ def count_mis_grid3(n: int, m: int, budget: EnumerationBudget | None = None) -> 
     if n < 1 or m < 1:
         raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
     box = cartesian_product(cartesian_product(make_path(n), make_path(m)), make_path(2))
-    budget = _checked_budget(box.order, box.order, budget, "subsets")
-    flags = partial(_kernels.mis_flags, box.closed_masks)
-    return _kernels.count_flagged(1 << box.order, flags, budget.workers)
+    return _kernels.count_flagged(box.order, partial(_kernels.mis_flags, box.closed_masks),
+                                  budget, "subsets")

@@ -458,6 +458,19 @@ def test_verify_all_runs_every_suite_trimmed(capsys):
         assert f"[{suite}]" in out
 
 
+def test_verify_cycle_power_suite_catches_a_lost_bijection_set(monkeypatch, capsys):
+    # the strings column is the bijection route, not the recurrence again
+    real = cli._convex_set_codes
+    monkeypatch.setattr(cli, "_convex_set_codes",
+                        lambda k, n, budget=None: itertools.islice(real(k, n, budget), 1, None))
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "cycle-power-bijection", "--max-k", "1", "--max-n", "5"
+    )
+    assert code == 1
+    assert "FAIL [cycle-power-bijection] cycle-power k=1 n=3: " \
+           "bruteforce 2, recurrence 2, strings 1" in out
+
+
 def test_verify_oeis_suite_catches_perturbation(tmp_path, capsys):
     bad = tmp_path / "b.txt"
     bad.write_text("1 2\n2 2\n3 2\n4 4\n5 7\n")  # true (2,2) value is 6

@@ -190,15 +190,6 @@ def test_enumeration_budget():
     assert len(list(enumerate_B(2, 5, EnumerationBudget(max_subsets=32)))) == 12
 
 
-def test_string_sweep_wider_than_62_bits_is_a_parameter_error(monkeypatch):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the sweep must not start")
-
-    monkeypatch.setattr(kernels, "scan_blocks", no_sweep)
-    with pytest.raises(InvalidParameterError):
-        next(enumerate_B(2, 63, EnumerationBudget(max_subsets=1 << 63)))
-
-
 # --- the counting sequence ---
 
 

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import digicon._kernels as kernels
 from digicon import (
+    BudgetExceededError,
     EnumerationBudget,
+    InvalidParameterError,
     VertexSet,
     a_count,
     cartesian_product,
@@ -26,7 +28,10 @@ from digicon import (
     make_cycle,
     make_path,
 )
-from digicon.convexity import _closure, _neighborhood_mask
+from digicon.cli import main
+from digicon.convexity import _closure, _convex_codes, _neighborhood_mask
+from digicon.cyclic import _convex_set_codes
+from digicon.products import _image_codes
 from oracles import is_convex_naive, is_mis_naive, random_graph
 
 
@@ -112,6 +117,62 @@ def test_scan_runs_a_bounded_window_ahead(monkeypatch):
     assert list(itertools.islice(stream, 3)) == [0, 1, 2]
     stream.close()
     assert len(calls) <= 3 + 2 * 2
+
+
+# entry -> (run(wide, budget), its label, CLI arguments reaching it or None).
+# A wide run needs codes of more than 62 bits; a narrow one sweeps 2^6 codes.
+# The public generator enumerate_B is run to its first item.
+SWEEPS = {
+    "_convex_codes": (
+        lambda wide, budget: _convex_codes(make_path(63 if wide else 6), budget), "subsets",
+        lambda wide: ["enumerate", "--family", "path", "--n", "63" if wide else "6"]),
+    "count_digitally_convex": (
+        lambda wide, budget: count_digitally_convex(make_path(63 if wide else 6), budget),
+        "subsets",
+        lambda wide: ["count", "--family", "path", "--n", "63" if wide else "6",
+                      "--method", "bruteforce"]),
+    # 6 x 9 arrays are 54-bit codes, but shifting one by a row needs 63 bits
+    "_image_codes": (
+        lambda wide, budget: _image_codes(*((6, 9) if wide else (2, 3)), budget), "arrays",
+        lambda wide: ["count", "--family", "path-grid", *(("--n", "6", "--m", "9") if wide
+                                                           else ("--n", "2", "--m", "3"))]),
+    "count_mis_grid3": (
+        lambda wide, budget: count_mis_grid3(*((8, 4) if wide else (1, 3)), budget), "subsets",
+        None),
+    "enumerate_B": (
+        lambda wide, budget: next(enumerate_B(2, 63 if wide else 6, budget)), "strings", None),
+    "_convex_set_codes": (
+        lambda wide, budget: _convex_set_codes(1, 63 if wide else 6, budget), "strings",
+        lambda wide: ["count", "--family", "cycle", "--n", "63" if wide else "6",
+                      "--method", "bijection"]),
+}
+
+
+@pytest.mark.parametrize("entry", SWEEPS)
+def test_every_sweep_checks_the_width_then_the_budget_before_any_block(
+        monkeypatch, capsys, entry):
+    run, what, argv = SWEEPS[entry]
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(kernels, "scan_blocks", no_sweep)
+    for budget in (None, EnumerationBudget(max_subsets=1 << 64)):
+        with pytest.raises(InvalidParameterError, match="at most 62-bit codes"):
+            run(True, budget)
+    with pytest.raises(BudgetExceededError, match=f"needs 64 {what} ") as exc:
+        run(False, EnumerationBudget(max_subsets=63))
+    assert (exc.value.required, exc.value.limit) == (64, 63)
+    if argv is None:
+        return
+    # through the CLI: no budget makes the wide sweep run, so it is a usage
+    # error that asks for no rerun
+    for extra in ((), ("--max-subsets", str(1 << 64))):
+        assert main([*argv(True), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "62" in err and "rerun" not in err
+    assert main([*argv(False), "--max-subsets", "63"]) == 3
+    assert "rerun with max_subsets >= 64" in capsys.readouterr().err
 
 
 def _greedy_mis(g, first: int) -> int:
