@@ -9,6 +9,13 @@ budget before any block runs.  Workers only change which thread evaluates
 a block, never the order results are merged, so output is identical for
 any worker count.
 
+numpy is imported inside the functions that build arrays, and the thread
+pool only when a sweep has more than one worker, so the routes that never
+sweep (recurrences, formulas, the ladder, series) load neither.  A
+function-level import of a loaded module is a lookup in sys.modules, safe
+from the pool's threads; a lazy module proxy is not (on Python 3.11 two
+threads touching one at once can see it half loaded).
+
 Codes and masks are held in the narrowest dtype that fits their width
 (code_dtype: uint32 up to 32 bits, int64 up to 62), and a block of 2^16
 codes keeps its few working arrays in the L2 cache.  The subset and arrays
@@ -33,10 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import union_of_masks
@@ -86,6 +90,8 @@ def _workers(bits: int, width: int, budget: EnumerationBudget | None, what: str)
 def code_dtype(width: int):
     """The numpy scalar type for codes and masks of width bits: uint32 up to
     32 bits, int64 beyond (every sweep is capped at 62)."""
+    import numpy as np
+
     return np.uint32 if width <= 32 else np.int64
 
 
@@ -107,6 +113,8 @@ def scan_blocks(total: int, block_fn, workers: int = 1, block_size: int = BLOCK_
     if workers <= 1:
         yield from itertools.starmap(block_fn, spans)
         return
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: only for a pool
+
     pool, pending = ThreadPoolExecutor(max_workers=workers), deque()
     try:
         for lo, hi in spans:
@@ -123,6 +131,8 @@ def count_flagged(bits: int, flags, budget: EnumerationBudget | None, what: str,
                   width: int = 0) -> int:
     """How many codes below 2^bits the bool vectors flags(lo, hi) mark;
     _workers checks the sweep before any block runs."""
+    import numpy as np
+
     workers = _workers(bits, width, budget, what)
     return sum(scan_blocks(1 << bits, lambda lo, hi: int(np.count_nonzero(flags(lo, hi))),
                            workers))
@@ -133,6 +143,8 @@ def iter_flagged(bits: int, flags, budget: EnumerationBudget | None, what: str,
     """The codes below 2^bits that flags(lo, hi) marks, ascending, or
     image(codes) of each block's int64 array of them, as Python ints;
     checked like count_flagged on the call, not on the first code."""
+    import numpy as np
+
     workers = _workers(bits, width, budget, what)
 
     def block(lo, hi):
@@ -148,6 +160,8 @@ def _tables(closed_masks: tuple):
     (ns_low, size_low, indep_low) indexed by the code of the members among
     the first b = min(n, TABLE_BITS) vertices: their N[S] bitmask, their
     number, and whether no two of them are adjacent."""
+    import numpy as np
+
     dtype = code_dtype(len(closed_masks))
     masks = tuple(map(dtype, closed_masks))
     size = 1 << min(len(closed_masks), TABLE_BITS)
@@ -194,6 +208,8 @@ def neighborhood_codes(closed_masks, lo: int, hi: int):
         ids[i] is the subset code, ns[i] the bitmask of its closed
         neighbourhood union.
     """
+    import numpy as np
+
     high, _, (ns_low, _, _) = _window(closed_masks, lo, hi)
     dtype = ns_low.dtype.type
     ids, ns = np.empty((2, hi - lo), dtype)  # one allocation (module docstring)
@@ -209,6 +225,8 @@ def convex_flags(closed_masks, lo: int, hi: int):
     members always are, so the test is: exactly |S| vertices are swallowed.
     The span's high members are skipped, and so left out of both sides.
     """
+    import numpy as np
+
     high, masks, (_, size_low, _) = _window(closed_masks, lo, hi)
     tmp, missed = neighborhood_codes(closed_masks, lo, hi)  # the ids become scratch
     np.invert(missed, out=missed)
@@ -229,6 +247,8 @@ def mis_flags(closed_masks, lo: int, hi: int):
     test is: no member is adjacent to another member, and N[S] covers V.
     A span whose high part is not independent holds no such set.
     """
+    import numpy as np
+
     high, _, (_, _, indep_low) = _window(closed_masks, lo, hi)
     adj_high = union_of_masks([m ^ 1 << v for v, m in enumerate(closed_masks)], high)
     if adj_high & high:

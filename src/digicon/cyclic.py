@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
 
-import numpy as np
-
 from . import _kernels
 from ._kernels import EnumerationBudget
 from .errors import InvalidParameterError, NotConvexError, NotMemberError
@@ -167,6 +165,8 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
 
 def _member_flags(n: int, k: int, lo: int, hi: int):
     """_blocks_ok(n, k) on the codes in [lo, hi), of code_dtype(n)."""
+    import numpy as np
+
     # the codes are the first row of a chunk as large as _blocks_ok's working
     # set (the codes, t, clash, the previous near and _rot's two arrays): once
     # freed, it lifts malloc's trim threshold above that working set, so each

@@ -15,14 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-import numpy as np
-
 from . import _kernels
 from ._kernels import EnumerationBudget
-from .convexity import _convex_codes
+from .convexity import _closure
 from .errors import InvalidParameterError, NotConvexError, NotImageError
 from .graphs import VertexSet, cartesian_product, make_path
 from .sequences import LinearRecurrence, eval_recurrence
+
+
+def __getattr__(name):
+    # numpy is imported only by the sweeps; products.np still resolves for
+    # perfbench/tracer.py, which reads and rebinds it
+    if name == "np":
+        import numpy
+        return numpy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,8 @@ def max_transform(a: BinaryArray) -> BinaryArray:
 def _exact(code: int):
     """One Python int as a one-element object array, whose ufuncs do exact
     Python-int arithmetic: the form the array code paths take an int in."""
+    import numpy as np
+
     return np.array([code], dtype=object)
 
 
@@ -118,6 +127,8 @@ def _min_codes(n: int, m: int, codes, out=None, tmp=None):
     the bits that shifting drags across row boundaries.  Every field is
     ANDed with codes, so the result stays below 2^(n*m).
     """
+    import numpy as np
+
     out = np.empty_like(codes) if out is None else out
     tmp = np.empty_like(codes) if tmp is None else tmp
     _, row_first, row_last, col_first, col_last = _grid_field_masks(n, m, codes.dtype.type)
@@ -211,16 +222,19 @@ def _grid_p2_families(n: int, a1: list[int], a2: list[int],
 def _grid_p2_codes(n: int) -> list[int]:
     """The bitmasks of the digitally convex sets of the n x 2 ladder, ascending.
 
-    Ladders up to n = 3 come from the exhaustive sweep; each longer one is
-    assembled constructively from the three before it.  The family sizes
+    Ladders up to n = 3 are the codes (at most 64) equal to their closure,
+    tested one at a time with no sweep; each longer one is assembled
+    constructively from the three before it.  The family sizes
     (1x, 3x, 2x the three smaller counts), their pairwise disjointness,
     and the total against count_grid_p2 are all checked at every length,
     so a construction bug raises instead of miscounting.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    ladders = [list(_convex_codes(cartesian_product(make_path(i), make_path(2))))
-               for i in range(1, min(n, 3) + 1)]
+    ladders = []
+    for i in range(1, min(n, 3) + 1):
+        g = cartesian_product(make_path(i), make_path(2))
+        ladders.append([c for c in range(1 << 2 * i) if _closure(g, c) == c])
     for k in range(4, n + 1):
         a3, a2, a1 = ladders
         d1, d2, d3 = _grid_p2_families(k, a1, a2, a3)
@@ -252,6 +266,8 @@ def _closed_codes(n: int, m: int, codes):
     Min and max are an erosion/dilation adjunction, so the min images are
     its fixed points.  The three work arrays are one allocation, which
     keeps a sweep's blocks on the same pages (see the _kernels docstring)."""
+    import numpy as np
+
     full = _grid_field_masks(n, m, codes.dtype.type)[0]
     closed, dilated, tmp = np.empty((3, len(codes)), codes.dtype)
     np.bitwise_xor(codes, full, out=closed)
@@ -265,6 +281,8 @@ def _image_codes(n: int, m: int, budget: EnumerationBudget | None = None) -> lis
     the codes equal to their closure, so no image is met twice."""
     if n < 1 or m < 1:
         raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
+    import numpy as np
+
     def closed(lo, hi):
         codes = np.arange(lo, hi, dtype=_kernels.code_dtype(n * m))
         return _closed_codes(n, m, codes) == codes
