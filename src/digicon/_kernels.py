@@ -11,21 +11,20 @@ any worker count.
 
 numpy is imported inside the functions that build arrays, and the thread
 pool only when a sweep has more than one worker, so the routes that never
-sweep (recurrences, formulas, the ladder, series) load neither.  A
-function-level import of a loaded module is a lookup in sys.modules, safe
-from the pool's threads; a lazy module proxy is not (on Python 3.11 two
-threads touching one at once can see it half loaded).
+sweep (recurrences, formulas, the ladder, the bijection, series) load
+neither.  A function-level import of a loaded module is a lookup in
+sys.modules, safe from the pool's threads; a lazy module proxy is not (on
+Python 3.11 two threads touching one at once can see it half loaded).
 
 Codes and masks are held in the narrowest dtype that fits their width
 (code_dtype: uint32 up to 32 bits, int64 up to 62), and a block of 2^16
-codes keeps its few working arrays in the L2 cache.  The subset and arrays
-kernels allocate a block's working arrays as the rows of one array and
-update them with out= operations, not a temporary per pass; the string
-sweep takes its codes as the first row of one array as large as its
-working set.  One allocation matters: once malloc has freed a chunk that
-large, its trim threshold lies above a block's working set, so each block
-reuses the pages of the one before instead of faulting in fresh ones
-(separate row-sized arrays fault on every block).
+codes keeps its few working arrays in the L2 cache.  The kernels allocate
+a block's working arrays as the rows of one array and update them with
+out= operations, not a temporary per pass.  One allocation matters: once
+malloc has freed a chunk that large, its trim threshold lies above a
+block's working set, so each block reuses the pages of the one before
+instead of faulting in fresh ones (separate row-sized arrays fault on
+every block).
 
 The subset kernels split a code into its low part (members below
 b = min(n, TABLE_BITS)) and its high part.  A span lies inside one aligned
@@ -60,7 +59,8 @@ _MAX_SWEEP_BITS = 62
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Cap on exhaustive sweep size, plus the worker count for block evaluation."""
+    """Cap on exhaustive sweep size (on the exact count for the string walk),
+    plus the worker count for block evaluation."""
 
     max_subsets: int = DEFAULT_MAX_SUBSETS
     workers: int = 1
@@ -138,20 +138,15 @@ def count_flagged(bits: int, flags, budget: EnumerationBudget | None, what: str,
                            workers))
 
 
-def iter_flagged(bits: int, flags, budget: EnumerationBudget | None, what: str,
-                 width: int = 0, image=None):
-    """The codes below 2^bits that flags(lo, hi) marks, ascending, or
-    image(codes) of each block's int64 array of them, as Python ints;
-    checked like count_flagged on the call, not on the first code."""
+def iter_flagged(bits: int, flags, budget: EnumerationBudget | None, what: str, width: int = 0):
+    """The codes below 2^bits that flags(lo, hi) marks, ascending, as Python
+    ints; checked like count_flagged on the call, not on the first code."""
     import numpy as np
 
     workers = _workers(bits, width, budget, what)
-
-    def block(lo, hi):
-        codes = lo + np.flatnonzero(flags(lo, hi))
-        return (codes if image is None else image(codes)).tolist()
-
-    return itertools.chain.from_iterable(scan_blocks(1 << bits, block, workers))
+    return itertools.chain.from_iterable(
+        scan_blocks(1 << bits, lambda lo, hi: (lo + np.flatnonzero(flags(lo, hi))).tolist(),
+                    workers))
 
 
 @functools.lru_cache(maxsize=1)

@@ -42,10 +42,12 @@ def has_private_neighbor(g: Graph, v: int, s: VertexSet) -> bool:
 def _closure(g: Graph, mask: int) -> int:
     """The vertices v whose N[v] lies inside N[S], for S given by mask.
 
-    Every member qualifies, so S is convex iff this is S itself.
+    Every member qualifies, so S is convex iff this is S itself.  N[v] lies
+    inside N[S] iff no vertex of N[v] is free (outside N[S]), that is, iff v
+    is in no N[u] of a free u, so the closure is V & ~N[V & ~N[S]].
     """
-    ns = _neighborhood_mask(g, mask)
-    return sum(1 << v for v, closed in enumerate(g.closed_masks) if closed & ~ns == 0)
+    full = (1 << g.order) - 1
+    return full & ~_neighborhood_mask(g, full & ~_neighborhood_mask(g, mask))
 
 
 def is_digitally_convex(g: Graph, s: VertexSet) -> bool:

@@ -15,12 +15,10 @@ contributing ones at positions x..x+k (mod n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator
 
-from . import _kernels
 from ._kernels import EnumerationBudget
-from .errors import InvalidParameterError, NotConvexError, NotMemberError
+from .errors import BudgetExceededError, InvalidParameterError, NotConvexError, NotMemberError
 from .graphs import VertexSet
 from .sequences import LinearRecurrence, PowerSeries, eval_recurrence, expand_rational
 
@@ -87,24 +85,11 @@ def _cyclic_runs(bits) -> list[tuple[int, int, int]]:
     starts at its true cyclic start near the end of the string.
     """
     n = len(bits)
-    first = bits[0]
-    if all(b == first for b in bits):
-        return [(0, first, n)]
-    start = n
-    while bits[start - 1] == first:
-        start -= 1
-    start %= n
-    runs = []
-    i, consumed = start, 0
-    while consumed < n:
-        b = bits[i]
-        length = 1
-        while length < n - consumed and bits[(i + length) % n] == b:
-            length += 1
-        runs.append((i, b, length))
-        i = (i + length) % n
-        consumed += length
-    return runs
+    starts = [i for i in range(n) if bits[i] != bits[i - 1]] or [0]
+    if starts[0]:  # position 0 lies in the run that wraps around from the last start
+        starts.insert(0, starts.pop())
+    ends = starts[1:] + starts[:1]
+    return [(start, bits[start], (end - start) % n or n) for start, end in zip(starts, ends)]
 
 
 def cyclic_blocks(s: CyclicBinaryString) -> BlockProfile:
@@ -113,9 +98,7 @@ def cyclic_blocks(s: CyclicBinaryString) -> BlockProfile:
 
 
 def _rot(n: int, codes, d: int):
-    """Rotate n-bit codes cyclically, bit i moving to bit i + d (mod n): one
-    Python int of any size, or an array of code_dtype(n) codes below 2^n
-    (two arrays allocated, the rest in place)."""
+    """Rotate an n-bit code cyclically, bit i moving to bit i + d (mod n)."""
     d %= n
     out = codes & (1 << n - d) - 1  # the bits that stay below 2^n after the shift
     out <<= d
@@ -128,7 +111,7 @@ def _blocks_ok(n: int, k: int, codes):
 
     t marks the block boundaries, and a block shorter than k puts two of
     them less than k apart.  For n < k the shift d = n is among those
-    tested, so only a constant string (t = 0) passes.  Answers in kind.
+    tested, so only a constant string (t = 0) passes.
     """
     t = _rot(n, codes, 1)
     t ^= codes
@@ -151,29 +134,50 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
     """Yield all members of length n in increasing code order.
 
     Position 0 is the most significant bit of the code, and rotations are
-    distinct members (no necklace quotienting).  The codes are swept in
-    blocks of code_dtype(n) arrays, so the stream is identical for any
-    worker count.
+    distinct members (no necklace quotienting).  The budget caps the exact
+    number of members, a_count(k, n); it is checked on the first item.
     """
-    if k < 2:
-        raise InvalidParameterError(f"k must be >= 2, got {k}")
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    for code in _kernels.iter_flagged(n, partial(_member_flags, n, k), budget, "strings"):
+    _check_budget(k, n, budget)
+    for code, _ in _block_strings(k, n):
         yield CyclicBinaryString.from_code(n, code)
 
 
-def _member_flags(n: int, k: int, lo: int, hi: int):
-    """_blocks_ok(n, k) on the codes in [lo, hi), of code_dtype(n)."""
-    import numpy as np
+def _check_budget(k: int, n: int, budget: EnumerationBudget | None) -> None:
+    """Raise BudgetExceededError if the a_count(k, n) strings exceed the budget."""
+    required = a_count(k, n)
+    limit = (budget or EnumerationBudget()).max_subsets
+    if required > limit:
+        raise BudgetExceededError(required, limit, what="strings")
 
-    # the codes are the first row of a chunk as large as _blocks_ok's working
-    # set (the codes, t, clash, the previous near and _rot's two arrays): once
-    # freed, it lifts malloc's trim threshold above that working set, so each
-    # block reuses the pages of the one before (see the _kernels docstring)
-    codes = np.empty((6, hi - lo), _kernels.code_dtype(n))[0]
-    codes[:] = np.arange(lo, hi, dtype=codes.dtype)
-    return _blocks_ok(n, k, codes)
+
+def _block_strings(k: int, n: int) -> Iterator[tuple[int, int]]:
+    """(code, reversed code) of each length-n string whose cyclic blocks are
+    all >= k, in increasing code order: the members of enumerate_B(k, n).
+
+    A depth-first walk over the positions, most significant first and 0
+    before 1, on an explicit stack.  A prefix is its first bit f, the length
+    h of its first run (0 while that run is open), and its current bit c and
+    run length r, with h and r capped at k.  The walk enters only prefixes
+    that can be completed.  An open first run can stay open to the end.
+    Otherwise at least k - r - h more positions are needed if c = f (the
+    last run wraps into the first), and 2k - r - h if not (the current run
+    reaches k, then a run of f makes the first one up to k).
+    """
+    # (position, code, reversed code, f, h, c, r) of the prefixes still to walk
+    stack = [(1, 1, 1, 1, 0, 1, 1), (1, 0, 0, 0, 0, 0, 1)]
+    while stack:
+        pos, code, rev, f, h, c, r = stack.pop()
+        if pos == n:
+            yield code, rev
+        elif h and r < k:  # a run after the first goes on to length k or to the end
+            m = min(k - r, n - pos)
+            ones = -c & (1 << m) - 1
+            stack.append((pos + m, code << m | ones, rev | ones << pos, f, h, c, r + m))
+        else:
+            for b in (1, 0):  # 1 is pushed first, so 0 is walked first
+                hb, rb = (h, min(r + 1, k)) if b == c else (h or r, 1)
+                if not hb or n - pos - 1 >= (1 if b == f else 2) * k - rb - hb:
+                    stack.append((pos + 1, code << 1 | b, rev | b << pos, f, hb, b, rb))
 
 
 def _q_poly(k: int) -> list[int]:
@@ -234,9 +238,9 @@ def _check_power(k: int, n: int) -> None:
 
 
 def _reverse(n: int, codes):
-    """Reverse n-bit codes, bit i moving to bit n-1-i; in kind, like _rot.
-    A string's code holds position p at bit n-1-p, so this gives the
-    integer whose bit p is position p."""
+    """Reverse an n-bit code, bit i moving to bit n-1-i.  A string's code
+    holds position p at bit n-1-p, so this gives the integer whose bit p is
+    position p."""
     out = codes & 0
     for i in range(n):
         out |= (codes >> i & 1) << n - 1 - i
@@ -245,10 +249,10 @@ def _reverse(n: int, codes):
 
 def _erode(n: int, k: int, ones):
     """The vertices x whose positions x..x+k are all ones (bit p holding
-    position p); in kind, like _rot."""
+    position p)."""
     mask = ones
     for j in range(1, k + 1):
-        mask = mask & _rot(n, ones, -j)  # not &=, which would write into an array ones
+        mask = mask & _rot(n, ones, -j)
     return mask
 
 
@@ -293,9 +297,10 @@ def convex_set_from_string(k: int, n: int, s: CyclicBinaryString) -> VertexSet:
 def _convex_set_codes(k: int, n: int, budget: EnumerationBudget | None = None) -> Iterator[int]:
     """The bitmasks of the digitally convex sets of the k-th power of C_n,
     in the order enumerate_B(k + 1, n) yields their strings: the map of
-    convex_set_from_string on array blocks, with no string or set built."""
-    return _kernels.iter_flagged(n, partial(_member_flags, n, k + 1), budget, "strings",
-                                 image=lambda codes: _erode(n, k, _reverse(n, codes)))
+    convex_set_from_string, with no string or set built.  The budget is
+    checked on the call, before the first code is asked for."""
+    _check_budget(k + 1, n, budget)
+    return (_erode(n, k, rev) for _, rev in _block_strings(k + 1, n))
 
 
 def count_cycle_power(k: int, n: int) -> int:

@@ -18,7 +18,7 @@ class NotImageError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A subset sweep would exceed the enumeration budget.
+    """An enumeration would exceed its budget.
 
     Carries the cap that would be required so callers can rerun with a
     larger budget.
@@ -28,7 +28,7 @@ class BudgetExceededError(RuntimeError):
         self.required = required
         self.limit = limit
         super().__init__(
-            f"sweep needs {required} {what} but the budget allows {limit}; "
+            f"needs {required} {what} but the budget allows {limit}; "
             f"rerun with max_subsets >= {required}"
         )
 

@@ -576,6 +576,21 @@ def test_max_subsets_flag_sets_the_ceiling(capsys):
     assert (code, out) == (0, "110\n")
 
 
+def test_bijection_is_budgeted_by_its_count(capsys):
+    # the count of strings, not 2^n codes: 20 sets of C_6 need a budget of
+    # 20, and the 100-cycle's 22 digits are refused before any walk
+    argv = ("count", "--family", "cycle", "--n", "6", "--method", "bijection")
+    code, _, err = run_cli(capsys, *argv, "--max-subsets", "19")
+    assert code == 3
+    assert "needs 20 strings " in err and "rerun with max_subsets >= 20" in err
+    assert run_cli(capsys, *argv, "--max-subsets", "20") == (0, "20\n", "")
+    code, out, err = run_cli(capsys, "count", "--family", "cycle", "--n", "100",
+                             "--method", "bijection")
+    assert (code, out) == (3, "")
+    assert count_cycle_power(1, 100) == 792070839848372253126
+    assert "rerun with max_subsets >= 792070839848372253126" in err
+
+
 @pytest.mark.parametrize("extra", [(), ("--max-subsets", str(1 << 64))])
 def test_grid_too_wide_for_the_kernels_exits_2_at_any_budget(capsys, extra):
     # an 8 x 8 array sweep shifts 72-bit codes: no budget can make it run

@@ -28,6 +28,7 @@ from digicon import (
 )
 from digicon.cyclic import (
     _a_recurrence,
+    _block_strings,
     _blocks_ok,
     _convex_set_codes,
     _cyclic_runs,
@@ -167,13 +168,29 @@ def test_members_are_closed_under_rotation():
 # --- enumeration ---
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", range(2, 9))
 @pytest.mark.parametrize("n", range(1, 11))
 def test_enumeration_is_the_membership_filter(k, n):
     got = [s.code for s in enumerate_B(k, n)]
     expected = [s.code for s in all_strings(n) if is_member_B(k, s)]
     assert got == expected
     assert got == sorted(set(got))
+
+
+def test_walk_is_the_block_filter_on_ints():
+    # the pruned walk against _blocks_ok over all 2^n codes (its array form,
+    # which test_block_test_matches_the_run_definition ties to the int form)
+    for n in range(1, 17):
+        codes = np.arange(1 << n, dtype=np.int64)
+        for k in range(2, 9):
+            walked = list(_block_strings(k, n))
+            assert [code for code, _ in walked] == np.flatnonzero(_blocks_ok(n, k, codes)).tolist()
+            assert all(rev == _reverse(n, code) for code, rev in walked)
+    # past 62 bits, where no filter runs: a_count(k, n) members, ascending
+    walked = [code for code, _ in _block_strings(34, 100)]
+    assert walked == sorted(set(walked))
+    assert len(walked) == a_count(34, 100)
+    assert all(_blocks_ok(100, 34, code) for code in walked)
 
 
 def test_enumeration_counts_match_recurrence_small():
@@ -183,11 +200,37 @@ def test_enumeration_counts_match_recurrence_small():
 
 
 def test_enumeration_budget():
+    # the budget caps the a_count(2, 5) = 12 members, not the 2^5 codes;
+    # enumerate_B checks it on the first item, _convex_set_codes on the call
+    members = enumerate_B(2, 5, EnumerationBudget(max_subsets=11))
     with pytest.raises(BudgetExceededError) as exc:
-        list(enumerate_B(2, 5, EnumerationBudget(max_subsets=16)))
-    assert exc.value.required == 32
-    assert "strings" in str(exc.value)
-    assert len(list(enumerate_B(2, 5, EnumerationBudget(max_subsets=32)))) == 12
+        next(members)
+    assert (exc.value.required, exc.value.limit) == (12, 11)
+    assert "needs 12 strings " in str(exc.value)
+    with pytest.raises(BudgetExceededError, match="needs 12 strings "):
+        _convex_set_codes(1, 5, EnumerationBudget(max_subsets=11))
+    assert len(list(enumerate_B(2, 5, EnumerationBudget(max_subsets=12)))) == 12
+    assert len(list(_convex_set_codes(1, 5, EnumerationBudget(max_subsets=12)))) == 12
+
+
+# route -> all its items for the strings of length n with blocks >= k
+STRING_ROUTES = {
+    "enumerate_B": lambda k, n, budget: [s.code for s in enumerate_B(k, n, budget)],
+    "_convex_set_codes": lambda k, n, budget: list(_convex_set_codes(k - 1, n, budget)),
+}
+
+
+@pytest.mark.parametrize("route", STRING_ROUTES)
+def test_string_routes_are_budgeted_by_their_exact_count(route):
+    # the budget is checked against a_count(k, n), and no code width caps
+    # the walk: 63 and 100 positions run like 6
+    run = STRING_ROUTES[route]
+    for k, n in ((2, 6), (21, 63), (34, 100)):
+        count = a_count(k, n)
+        with pytest.raises(BudgetExceededError) as exc:
+            run(k, n, EnumerationBudget(max_subsets=count - 1))
+        assert (exc.value.required, exc.value.limit) == (count, count - 1)
+        assert len(run(k, n, EnumerationBudget(max_subsets=count))) == count
 
 
 # --- the counting sequence ---

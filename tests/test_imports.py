@@ -17,7 +17,8 @@ import pytest
 import digicon
 from digicon.cli import main
 
-# every route that needs no sweep: recurrences, formulas, the ladder and series
+# every route that needs no sweep: recurrences, formulas, the ladder, the
+# bijection and series
 NO_SWEEP_ROUTES = [
     ["count", "--family", "cycle", "--n", "300", "--method", "recurrence"],
     ["count", "--family", "cycle-power", "--n", "200", "--k", "3", "--method", "recurrence"],
@@ -26,6 +27,10 @@ NO_SWEEP_ROUTES = [
     ["count", "--family", "path-grid", "--n", "60", "--m", "2", "--method", "recurrence"],
     ["enumerate", "--family", "path-grid", "--n", "7", "--m", "2", "--method", "recurrence"],
     ["enumerate", "--family", "path-grid", "--n", "5", "--m", "2", "--method", "recurrence",
+     "--format", "plain"],
+    ["count", "--family", "cycle", "--n", "20", "--method", "bijection"],
+    ["count", "--family", "cycle-power", "--n", "100", "--k", "33", "--method", "bijection"],
+    ["enumerate", "--family", "cycle-power", "--n", "20", "--k", "1", "--method", "bijection",
      "--format", "plain"],
     ["series", "--k", "3", "--terms", "50"],
     ["series", "--k", "2", "--terms", "30", "--format", "csv"],

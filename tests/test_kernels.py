@@ -30,7 +30,6 @@ from digicon import (
 )
 from digicon.cli import main
 from digicon.convexity import _closure, _convex_codes, _neighborhood_mask
-from digicon.cyclic import _convex_set_codes
 from digicon.products import _image_codes
 from oracles import is_convex_naive, is_mis_naive, random_graph
 
@@ -121,7 +120,7 @@ def test_scan_runs_a_bounded_window_ahead(monkeypatch):
 
 # entry -> (run(wide, budget), its label, CLI arguments reaching it or None).
 # A wide run needs codes of more than 62 bits; a narrow one sweeps 2^6 codes.
-# The public generator enumerate_B is run to its first item.
+# The bijection routes sweep nothing (tests/test_cyclic.py has their budget).
 SWEEPS = {
     "_convex_codes": (
         lambda wide, budget: _convex_codes(make_path(63 if wide else 6), budget), "subsets",
@@ -139,12 +138,6 @@ SWEEPS = {
     "count_mis_grid3": (
         lambda wide, budget: count_mis_grid3(*((8, 4) if wide else (1, 3)), budget), "subsets",
         None),
-    "enumerate_B": (
-        lambda wide, budget: next(enumerate_B(2, 63 if wide else 6, budget)), "strings", None),
-    "_convex_set_codes": (
-        lambda wide, budget: _convex_set_codes(1, 63 if wide else 6, budget), "strings",
-        lambda wide: ["count", "--family", "cycle", "--n", "63" if wide else "6",
-                      "--method", "bijection"]),
 }
 
 
