@@ -381,7 +381,8 @@ def _cmd_oeis(args) -> int:
 def _add_budget(sub):
     sub.add_argument("--workers", type=int, default=1, help="worker threads for sweeps")
     sub.add_argument("--max-subsets", type=int, default=None,
-                     help=f"sweep size cap (default {DEFAULT_MAX_SUBSETS}, env DIGICON_MAX_SUBSETS)")
+                     help="cap on the subsets a sweep visits, or on the exact count for --method "
+                          f"bijection (default {DEFAULT_MAX_SUBSETS}, env DIGICON_MAX_SUBSETS)")
 
 
 def _add_family_command(commands, name: str, handler, text: str):

@@ -5,7 +5,7 @@ A set S is digitally convex when every vertex v outside S has a private
 neighbour with respect to S, some vertex of N[v] that N[S] misses: S is a
 fixed point of the closure S -> {v : N[v] inside N[S]}.  The enumeration
 here is the brute-force oracle the family-specific counters are validated
-against: the subset sweep, convex_flags on the _kernels drivers, which own
+against: the subset sweep, convex_bits on the _kernels drivers, which own
 its budget and width check.
 """
 
@@ -72,10 +72,10 @@ def digital_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
 def enumerate_digitally_convex(g: Graph, budget: EnumerationBudget | None = None) -> Iterator[VertexSet]:
     """Yield every digitally convex subset of g in increasing bitmask order.
 
-    The sweep covers all 2^order subset codes in contiguous blocks, testing
-    each block as one numpy vector; survivors are emitted in numeric order,
-    so the stream is identical for any worker count.  Raises a budget error
-    (never truncates) when 2^order exceeds the cap.
+    The sweep tests all 2^order subset codes a block at a time, one bit per
+    code; survivors are emitted in numeric order, so the stream is identical
+    for any worker count.  Raises a budget error (never truncates) when
+    2^order exceeds the cap.
     """
     for code in _convex_codes(g, budget):
         yield VertexSet(g.order, code)
@@ -86,11 +86,11 @@ def _convex_codes(g: Graph, budget: EnumerationBudget | None = None) -> Iterator
 
     The budget is checked on the call, before the first code is asked for.
     """
-    return _kernels.iter_flagged(g.order, partial(_kernels.convex_flags, g.closed_masks),
+    return _kernels.iter_flagged(g.order, partial(_kernels.convex_bits, g.closed_masks),
                                  budget, "subsets")
 
 
 def count_digitally_convex(g: Graph, budget: EnumerationBudget | None = None) -> int:
     """Exact number of digitally convex subsets of g, by exhaustive sweep."""
-    return _kernels.count_flagged(g.order, partial(_kernels.convex_flags, g.closed_masks),
+    return _kernels.count_flagged(g.order, partial(_kernels.convex_bits, g.closed_masks),
                                   budget, "subsets")

@@ -19,12 +19,12 @@ from . import _kernels
 from ._kernels import EnumerationBudget
 from .convexity import _closure
 from .errors import InvalidParameterError, NotConvexError, NotImageError
-from .graphs import VertexSet, cartesian_product, make_path
+from .graphs import VertexSet, cartesian_product, make_path, union_of_masks
 from .sequences import LinearRecurrence, eval_recurrence
 
 
 def __getattr__(name):
-    # numpy is imported only by the sweeps; products.np still resolves for
+    # no route imports numpy; products.np still resolves for
     # perfbench/tracer.py, which reads and rebinds it
     if name == "np":
         import numpy
@@ -84,7 +84,7 @@ class BinaryArray:
 def min_transform(a: BinaryArray) -> BinaryArray:
     """Each output cell is the minimum over the cell and its existing
     horizontal and vertical neighbours (boundary cells just have fewer)."""
-    return BinaryArray.from_code(a.rows, a.cols, _min_codes(a.rows, a.cols, _exact(a.code))[0])
+    return BinaryArray.from_code(a.rows, a.cols, _min_codes(a.rows, a.cols, a.code))
 
 
 def max_transform(a: BinaryArray) -> BinaryArray:
@@ -92,55 +92,32 @@ def max_transform(a: BinaryArray) -> BinaryArray:
     horizontal and vertical neighbours: the complement of the minimum
     transform of the complement."""
     full = (1 << a.rows * a.cols) - 1
-    eroded = _min_codes(a.rows, a.cols, _exact(full ^ a.code))[0]
+    eroded = _min_codes(a.rows, a.cols, full ^ a.code)
     return BinaryArray.from_code(a.rows, a.cols, full ^ eroded)
 
 
-def _exact(code: int):
-    """One Python int as a one-element object array, whose ufuncs do exact
-    Python-int arithmetic: the form the array code paths take an int in."""
-    import numpy as np
-
-    return np.array([code], dtype=object)
-
-
 @lru_cache(maxsize=8)
-def _grid_field_masks(n: int, m: int, kind=int) -> tuple:
-    """Bitmasks of the full grid and its four boundary lines, as kind: the
-    scalar type of a sweep's codes, so they are cast once per sweep."""
+def _grid_field_masks(n: int, m: int) -> tuple[int, ...]:
+    """Bitmasks of the full grid and its four boundary lines."""
     full = (1 << n * m) - 1
     row_first = (1 << m) - 1
     row_last = row_first << (n - 1) * m
     col_first = sum(1 << i * m for i in range(n))
     col_last = col_first << m - 1
-    return tuple(map(kind, (full, row_first, row_last, col_first, col_last)))
+    return full, row_first, row_last, col_first, col_last
 
 
-def _min_codes(n: int, m: int, codes, out=None, tmp=None):
-    """Minimum transform of an array of row-major bit codes below 2^(n*m),
-    written to out with tmp as scratch (new arrays if not given).
+def _min_codes(n: int, m: int, code: int) -> int:
+    """Minimum transform of one row-major bit code below 2^(n*m).
 
-    The arrays share one dtype: code_dtype(n*m) in a sweep (n*m + m <= 62
-    for int64), or object for Python ints of any size (see _exact).
     Neighbour fields come from bit shifts; positions whose neighbour falls
     off the grid are forced to 1 (the identity for min), which also voids
     the bits that shifting drags across row boundaries.  Every field is
-    ANDed with codes, so the result stays below 2^(n*m).
+    ANDed with code, so the result stays below 2^(n*m).
     """
-    import numpy as np
-
-    out = np.empty_like(codes) if out is None else out
-    tmp = np.empty_like(codes) if tmp is None else tmp
-    _, row_first, row_last, col_first, col_last = _grid_field_masks(n, m, codes.dtype.type)
-    np.left_shift(codes, m, out=out)
-    out |= row_first
-    out &= codes
-    for shift, by, edge in ((np.right_shift, m, row_last), (np.left_shift, 1, col_first),
-                            (np.right_shift, 1, col_last)):
-        shift(codes, by, out=tmp)
-        tmp |= edge
-        out &= tmp
-    return out
+    _, row_first, row_last, col_first, col_last = _grid_field_masks(n, m)
+    return (code & (code << m | row_first) & (code >> m | row_last)
+            & (code << 1 | col_first) & (code >> 1 | col_last))
 
 
 def count_complete_product(n: int, m: int) -> int:
@@ -261,42 +238,72 @@ def generate_grid_p2(n: int) -> tuple[VertexSet, ...]:
     return tuple(VertexSet(2 * n, mask) for mask in _grid_p2_codes(n))
 
 
-def _closed_codes(n: int, m: int, codes):
-    """min(max(codes)) for an array that _min_codes takes, as a new array.
-    Min and max are an erosion/dilation adjunction, so the min images are
-    its fixed points.  The three work arrays are one allocation, which
-    keeps a sweep's blocks on the same pages (see the _kernels docstring)."""
-    import numpy as np
+def _closed_codes(n: int, m: int, code: int) -> int:
+    """min(max(code)), the closure of one row-major bit code.  Min and max
+    are an erosion/dilation adjunction, so the min images are its fixed
+    points."""
+    full = _grid_field_masks(n, m)[0]
+    return _min_codes(n, m, full ^ _min_codes(n, m, full ^ code))
 
-    full = _grid_field_masks(n, m, codes.dtype.type)[0]
-    closed, dilated, tmp = np.empty((3, len(codes)), codes.dtype)
-    np.bitwise_xor(codes, full, out=closed)
-    _min_codes(n, m, closed, dilated, tmp)
-    dilated ^= full
-    return _min_codes(n, m, dilated, closed, tmp)
+
+@lru_cache(maxsize=1)
+def _cross_terms(n: int, m: int, b: int) -> tuple:
+    """For each cell c = i*m + j: the cells of its cross (itself and its
+    grid neighbours), the mask of those at or past b, the OR of the planes
+    of those below b, and c's own plane (0 for a high cell)."""
+    terms = []
+    for c in range(n * m):
+        i, j = divmod(c, m)
+        cross = [y * m + x for y, x in ((i, j), (i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+                 if 0 <= y < n and 0 <= x < m]
+        mask, planes = sum(1 << d for d in cross), _kernels.planes(b)
+        terms.append((cross, mask >> b << b, union_of_masks(planes, mask & (1 << b) - 1),
+                      planes[c] if c < b else 0))
+    return tuple(terms)
+
+
+def _image_bits(n: int, m: int, lo: int, hi: int) -> int:
+    """The int of the codes x in the aligned block [lo, hi) (see
+    _kernels.block) with x == min(max(x)), tested cell by cell.  A cell's
+    max is all ones when a high 1 lies in its cross, else its low part; a
+    high 1 is its own min, so it is skipped."""
+    b, full = _kernels.block(lo, hi)
+    terms = _cross_terms(n, m, b)
+    dilated = [full if high & lo else low for _, high, low, _ in terms]
+    differ = 0
+    for c, (cross, _, _, cell) in enumerate(terms):
+        if lo >> c & 1:
+            continue
+        eroded = full
+        for d in cross:
+            if dilated[d] is not full:
+                eroded = dilated[d] if eroded is full else eroded & dilated[d]
+        if eroded is full and c >= b:
+            return 0  # a high 0 whose min is 1 in every code of the block
+        differ |= eroded ^ cell
+    return full ^ differ
+
+
+def _image_sweep(driver, n: int, m: int, budget: EnumerationBudget | None):
+    """_kernels.count_flagged or iter_flagged over the n x m array codes,
+    flagging the codes equal to their closure."""
+    if n < 1 or m < 1:
+        raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
+    # n*m + m bits: the width the arrays sweep has always been capped at
+    return driver(n * m, partial(_image_bits, n, m), budget, "arrays", width=n * m + m)
 
 
 def _image_codes(n: int, m: int, budget: EnumerationBudget | None = None) -> list[int]:
     """The images of the minimum transform over all n x m arrays, ascending:
     the codes equal to their closure, so no image is met twice."""
-    if n < 1 or m < 1:
-        raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
-    import numpy as np
-
-    def closed(lo, hi):
-        codes = np.arange(lo, hi, dtype=_kernels.code_dtype(n * m))
-        return _closed_codes(n, m, codes) == codes
-
-    # shifting a code up by one row needs n*m + m bits in int64; a uint32
-    # shift just drops the bits past the grid
-    return list(_kernels.iter_flagged(n * m, closed, budget, "arrays", width=n * m + m))
+    return list(_image_sweep(_kernels.iter_flagged, n, m, budget))
 
 
 def count_grid_via_arrays(n: int, m: int, budget: EnumerationBudget | None = None) -> int:
     """Number of minimum-transform images of n x m binary arrays (the codes
     equal to their closure), which equals the number of digitally convex
     sets of P_n x P_m."""
-    return len(_image_codes(n, m, budget))
+    return _image_sweep(_kernels.count_flagged, n, m, budget)
 
 
 def set_from_array(astar: BinaryArray) -> VertexSet:
@@ -305,7 +312,7 @@ def set_from_array(astar: BinaryArray) -> VertexSet:
     Valid inputs are exactly the images of the minimum transform: the
     arrays equal to their closure (maximum transform, then minimum).
     """
-    if _closed_codes(astar.rows, astar.cols, _exact(astar.code))[0] != astar.code:
+    if _closed_codes(astar.rows, astar.cols, astar.code) != astar.code:
         raise NotImageError(
             "array is not a minimum-transform image, so its cells are not a digitally convex set"
         )
@@ -321,7 +328,7 @@ def array_from_set(dims: tuple[int, int], s: VertexSet) -> BinaryArray:
         raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
     if s.universe != n * m:
         raise InvalidParameterError(f"set universe {s.universe} != {n}*{m}")
-    if _closed_codes(n, m, _exact(s.mask))[0] != s.mask:
+    if _closed_codes(n, m, s.mask) != s.mask:
         raise NotConvexError(f"set {list(s.indices())} is not digitally convex in the {n} x {m} grid")
     return max_transform(BinaryArray.from_code(n, m, s.mask))
 
@@ -352,5 +359,5 @@ def count_mis_grid3(n: int, m: int, budget: EnumerationBudget | None = None) -> 
     if n < 1 or m < 1:
         raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
     box = cartesian_product(cartesian_product(make_path(n), make_path(m)), make_path(2))
-    return _kernels.count_flagged(box.order, partial(_kernels.mis_flags, box.closed_masks),
+    return _kernels.count_flagged(box.order, partial(_kernels.mis_bits, box.closed_masks),
                                   budget, "subsets")

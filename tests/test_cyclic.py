@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import digicon._kernels as kernels
 from digicon import (
     BudgetExceededError,
     CyclicBinaryString,
@@ -36,6 +35,7 @@ from digicon.cyclic import (
     _q_poly,
     _reverse,
 )
+from digicon.cli import main
 from oracles import berkowitz, is_convex_naive, run_length_automaton, walk_traces
 
 
@@ -367,11 +367,10 @@ def test_string_maps_on_arrays_agree_with_ints_and_keep_their_input():
 @settings(max_examples=25, deadline=None)
 @given(n=st.sampled_from([31, 32, 33]), k=st.integers(1, 6), back=st.integers(1, 1 << 24))
 def test_string_maps_at_the_dtype_boundary_agree_with_ints(n, k, back):
-    # 31 and 32 positions run on uint32 codes, 33 on int64; the span sits near the top
+    # 31 and 32 positions on uint32 codes, 33 on int64; the span sits near the top
     lo = (1 << n) - 64 * back
     span = range(lo, lo + 64)
-    codes = np.arange(lo, lo + 64, dtype=kernels.code_dtype(n))
-    assert codes.dtype == (np.uint32 if n <= 32 else np.int64)
+    codes = np.arange(lo, lo + 64, dtype=np.uint32 if n <= 32 else np.int64)
     runs = [_cyclic_runs(CyclicBinaryString.from_code(n, c).bits) for c in span]
     members = [all(length >= k + 1 for _, _, length in r) for r in runs]
     assert _blocks_ok(n, k + 1, codes).tolist() == members == [_blocks_ok(n, k + 1, c) for c in span]
@@ -380,14 +379,27 @@ def test_string_maps_at_the_dtype_boundary_agree_with_ints(n, k, back):
     assert codes.tolist() == list(span)
 
 
-def test_set_codes_are_the_bijection_over_several_blocks(monkeypatch):
-    real_iter = kernels.iter_blocks
-    monkeypatch.setattr(kernels, "iter_blocks", lambda total, block_size=0: real_iter(total, 1 << 5))
+def test_set_codes_are_the_bijection_for_any_workers():
     for k in (1, 2, 3):
         for n in range(3, 13):
             expected = [convex_set_from_string(k, n, w).mask for w in enumerate_B(k + 1, n)]
             for workers in (1, 3):
                 assert list(_convex_set_codes(k, n, EnumerationBudget(workers=workers))) == expected
+
+
+def test_bijection_streams_are_the_same_for_any_workers(capsys):
+    # the walk runs no blocks, so --workers changes nothing
+    argv = ["enumerate", "--family", "cycle-power", "--n", "20", "--k", "1",
+            "--method", "bijection", "--format", "plain"]
+    outs = []
+    for workers in (1, 2, 8):
+        assert main([*argv, "--workers", str(workers)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0].count("\n") == a_count(2, 20)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    for workers in (1, 4):
+        strings = [s.code for s in enumerate_B(3, 12, EnumerationBudget(workers=workers))]
+        assert strings == sorted(strings) and len(strings) == a_count(3, 12) == 92
 
 
 def test_bijection_commutes_with_rotation():

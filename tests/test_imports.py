@@ -1,4 +1,5 @@
-"""numpy and the thread pool are imported only by the routes that sweep.
+"""No route imports numpy, and only a sweep with more than one worker
+imports the thread pool.
 
 Each check runs in a fresh interpreter, since this one has loaded numpy
 already.  A first line of sys.modules["numpy"] = None makes any later
@@ -36,6 +37,30 @@ NO_SWEEP_ROUTES = [
     ["series", "--k", "2", "--terms", "30", "--format", "csv"],
 ]
 
+# every sweep route: count and enumerate by brute force for each family,
+# the arrays route, the verify suites and the b-file check, and a stream on
+# two workers
+FAMILY_PARAMS = {
+    "path": ["--n", "7"],
+    "cycle": ["--n", "8"],
+    "complete": ["--n", "5"],
+    "cycle-power": ["--n", "9", "--k", "2"],
+    "complete-product": ["--n", "3", "--m", "3"],
+    "path-grid": ["--n", "3", "--m", "3"],
+}
+SWEEP_ROUTES = [
+    *([command, "--family", family, *params, "--method", "bruteforce"]
+      for family, params in FAMILY_PARAMS.items() for command in ("count", "enumerate")),
+    *([command, "--family", family, *params, "--method", "arrays"]
+      for family, params in (("path", ["--n", "9"]), ("path-grid", ["--n", "3", "--m", "4"]))
+      for command in ("count", "enumerate")),
+    ["enumerate", "--family", "path-grid", "--n", "2", "--m", "3", "--method", "arrays",
+     "--format", "plain"],
+    ["verify", "--suite", "all"],
+    ["oeis"],
+    ["enumerate", "--family", "cycle-power", "--n", "18", "--k", "2", "--workers", "2"],
+]
+
 BLOCK_NUMPY = 'import sys\nsys.modules["numpy"] = None\n'
 
 RUN_ROUTES = """\
@@ -48,10 +73,11 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(out):
         code = digicon.cli.main(argv)
     runs.append([code, out.getvalue()])
-library = [digicon.count_cycle_power(2, 500), digicon.count_grid_p2(200),
-           [s.mask for s in digicon.generate_grid_p2(8)]]
-print(json.dumps({"loaded": loaded, "runs": runs, "library": library}))
+library = {library}
+print(json.dumps({{"loaded": loaded, "runs": runs, "library": library}}))
 """
+NO_SWEEP_LIBRARY = """[digicon.count_cycle_power(2, 500), digicon.count_grid_p2(200),
+           [s.mask for s in digicon.generate_grid_p2(8)]]"""
 
 
 def _python(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -66,7 +92,8 @@ def _in_process(argv) -> list:
 
 
 def test_non_sweep_routes_run_without_numpy():
-    proc = _python(BLOCK_NUMPY + RUN_ROUTES, json.dumps(NO_SWEEP_ROUTES))
+    proc = _python(BLOCK_NUMPY + RUN_ROUTES.format(library=NO_SWEEP_LIBRARY),
+                   json.dumps(NO_SWEEP_ROUTES))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     # importing digicon and its CLI loads neither numpy nor the thread pool
@@ -84,26 +111,26 @@ def test_import_leaves_numpy_and_the_pool_unloaded_until_a_sweep_runs():
         "import digicon, digicon.cli\n"
         "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))\n"
         "digicon.cli.main(['count', '--family', 'path', '--n', '5', '--method', 'bruteforce'])\n"
+        "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))\n"
         "import numpy\n"
         "print(digicon.products.np is numpy)\n"
     )
     proc = _python(script)
     assert proc.returncode == 0, proc.stderr
     count = digicon.count_digitally_convex(digicon.make_path(5))
-    assert proc.stdout.splitlines() == ["[]", str(count), "True"]
+    assert proc.stdout.splitlines() == ["[]", str(count), "[]", "True"]
 
 
-def test_a_sweep_without_numpy_fails_with_an_import_error():
-    script = BLOCK_NUMPY + (
-        "import digicon\n"
-        "try:\n"
-        "    digicon.count_digitally_convex(digicon.make_path(5))\n"
-        "except ImportError:\n"
-        "    print('ImportError')\n"
-    )
-    proc = _python(script)
+def test_sweep_routes_run_without_numpy():
+    library = "[digicon.count_mis_grid3(3, 3), digicon.count_mis_grid3(2, 4)]"
+    proc = _python(BLOCK_NUMPY + RUN_ROUTES.format(library=library), json.dumps(SWEEP_ROUTES))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ImportError\n"
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == []
+    for argv, run in zip(SWEEP_ROUTES, result["runs"], strict=True):
+        assert run == _in_process(argv), argv
+        assert run[0] == 0 and run[1], argv
+    assert result["library"] == [digicon.count_mis_grid3(3, 3), digicon.count_mis_grid3(2, 4)]
 
 
 def test_products_np_is_numpy():
@@ -114,8 +141,8 @@ def test_products_np_is_numpy():
 
 
 def test_first_numpy_use_on_a_pool_streams_like_one_worker():
-    # each run is a fresh interpreter whose first numpy use is a 16-block
-    # sweep of 2^20 subsets on two workers
+    # each run is a fresh interpreter whose first sweep is a 16-block sweep
+    # of 2^20 subsets on two workers, which imports the thread pool
     argv = [sys.executable, "-m", "digicon", "enumerate", "--family", "cycle-power",
             "--n", "20", "--k", "2"]
     one = subprocess.run([*argv, "--workers", "1"], capture_output=True)

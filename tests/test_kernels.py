@@ -1,11 +1,11 @@
-"""The table-driven subset kernels against the definitions, at both code
-dtypes, and the bounded block scheduler."""
+"""The bit-sliced block kernels against the per-code definitions, at the
+edges of a 64-bit word, of one block and of two, and on spans that hold
+the top vertex; and the bounded block scheduler."""
 
 import functools
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,12 +17,10 @@ from digicon import (
     VertexSet,
     a_count,
     cartesian_product,
-    cli,
     count_digitally_convex,
     count_grid_via_arrays,
     count_mis_grid3,
     digital_convex_hull,
-    enumerate_B,
     graph_power,
     make_complete,
     make_cycle,
@@ -30,7 +28,7 @@ from digicon import (
 )
 from digicon.cli import main
 from digicon.convexity import _closure, _convex_codes, _neighborhood_mask
-from digicon.products import _image_codes
+from digicon.products import _closed_codes, _image_bits, _image_codes
 from oracles import is_convex_naive, is_mis_naive, random_graph
 
 
@@ -57,33 +55,89 @@ def _expected(name):
             [is_mis_naive(g, s) for s in members])
 
 
-@pytest.fixture
-def fresh_tables():
-    kernels._tables.cache_clear()
-    yield
-    kernels._tables.cache_clear()
+def _bits(flags: int, size: int) -> list[bool]:
+    return [flags >> i & 1 == 1 for i in range(size)]
 
 
-@pytest.mark.parametrize("window_bits", [kernels.TABLE_BITS, 4])
+# 18 is wider than every case, so one span holds all its codes; 4 splits
+# them into 16-code blocks, which runs the high-part constants and the MIS
+# reject of blocks whose high part is dependent
+@pytest.mark.parametrize("span_bits", [18, 4])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_flags_match_the_definitions(monkeypatch, fresh_tables, name, window_bits):
-    # a 4-bit window with 16-code spans runs the high-part constants and
-    # the MIS reject of blocks whose high part is dependent
-    monkeypatch.setattr(kernels, "TABLE_BITS", window_bits)
+def test_flags_match_the_definitions(name, span_bits):
     masks = CASES[name].closed_masks
     convex, mis = [], []
-    for lo, hi in kernels.iter_blocks(1 << len(masks), 1 << window_bits):
+    for lo, hi in kernels.iter_blocks(1 << len(masks), 1 << span_bits):
         convex += kernels.convex_flags(masks, lo, hi).tolist()
         mis += kernels.mis_flags(masks, lo, hi).tolist()
+        assert convex[lo:] == _bits(kernels.convex_bits(masks, lo, hi), hi - lo)
+        assert mis[lo:] == _bits(kernels.mis_bits(masks, lo, hi), hi - lo)
     assert (convex, mis) == _expected(name)
 
 
-def test_span_across_a_window_is_refused(monkeypatch, fresh_tables):
-    monkeypatch.setattr(kernels, "TABLE_BITS", 4)
+def test_span_across_a_window_is_refused():
+    # a kernel's span is one aligned block of 2^b codes: [8, 24) crosses 16
     masks = cartesian_product(make_path(2), make_path(3)).closed_masks
-    for kernel in (kernels.neighborhood_codes, kernels.convex_flags, kernels.mis_flags):
-        with pytest.raises(ValueError, match="crosses a window"):
-            kernel(masks, 8, 24)
+    for kernel in (kernels.neighborhood_codes, kernels.convex_bits, kernels.mis_bits,
+                   kernels.convex_flags, kernels.mis_flags):
+        for lo, hi in ((8, 24), (0, 48), (16, 16)):
+            with pytest.raises(ValueError, match="not an aligned block"):
+                kernel(masks, lo, hi)
+    with pytest.raises(ValueError, match="not an aligned block"):
+        _image_bits(2, 3, 8, 24)
+
+
+def _mis_mask(g, code: int) -> bool:
+    return is_mis_naive(g, [v for v in range(g.order) if code >> v & 1])
+
+
+def _edge_graphs():
+    """Graphs of 1..7 vertices, whose one block is shorter than a 64-bit
+    word, and of 16 and 17, one full block and two."""
+    rng = random.Random(7)
+    for order in range(1, 8):
+        yield f"path-{order}", make_path(order)
+        yield f"random-{order}", random_graph(rng, order, 0.3)
+    for order in (16, 17):
+        yield f"random-{order}", random_graph(rng, order, 0.3)
+
+
+EDGE_GRAPHS = dict(_edge_graphs())
+
+
+@pytest.mark.parametrize("name", EDGE_GRAPHS)
+def test_int_kernels_at_word_and_block_edges(name):
+    g = EDGE_GRAPHS[name]
+    masks = g.closed_masks
+    blocks = list(kernels.iter_blocks(1 << g.order))
+    assert len(blocks) == max(1, (1 << g.order) // kernels.BLOCK_SIZE)
+    for lo, hi in blocks:
+        covered = kernels.neighborhood_codes(masks, lo, hi)
+        convex = kernels.convex_bits(masks, lo, hi)
+        mis = kernels.mis_bits(masks, lo, hi)
+        assert max(convex, mis).bit_length() <= hi - lo
+        # every code of a small block; past one word, the codes by a block
+        # edge and every fifth one
+        for i in (i for i in range(hi - lo) if i < 64 or i >= hi - lo - 64 or i % 5 == 0):
+            code = lo + i
+            assert sum((c >> i & 1) << w for w, c in enumerate(covered)) == \
+                _neighborhood_mask(g, code)
+            assert convex >> i & 1 == (_closure(g, code) == code)
+            assert mis >> i & 1 == _mis_mask(g, code)
+
+
+# grids of 1..7 cells and of 16 and 17, like _edge_graphs
+EDGE_GRIDS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (1, 5), (5, 1), (2, 3), (3, 2), (1, 7),
+              (7, 1), (4, 4), (2, 8), (8, 2), (1, 16), (1, 17), (17, 1)]
+
+
+@pytest.mark.parametrize("n, m", EDGE_GRIDS)
+def test_image_bits_at_word_and_block_edges(n, m):
+    for lo, hi in kernels.iter_blocks(1 << n * m):
+        images = _image_bits(n, m, lo, hi)
+        assert images.bit_length() <= hi - lo
+        assert _bits(images, hi - lo) == [_closed_codes(n, m, c) == c
+                                           for c in range(lo, hi)]
 
 
 def test_small_blocks_and_workers_keep_the_counts(monkeypatch):
@@ -97,8 +151,6 @@ def test_small_blocks_and_workers_keep_the_counts(monkeypatch):
         assert count_mis_grid3(3, 3, budget) == 66
         assert count_digitally_convex(ring, budget) == 92
         assert count_grid_via_arrays(3, 4, budget) == 244
-        strings = [s.code for s in enumerate_B(3, 12, budget)]
-        assert strings == sorted(strings) and len(strings) == a_count(3, 12) == 92
 
 
 def test_scan_runs_a_bounded_window_ahead(monkeypatch):
@@ -179,11 +231,11 @@ def _greedy_mis(g, first: int) -> int:
 
 
 @settings(max_examples=30, deadline=None)
-@given(width=st.sampled_from([31, 32, 33]), seed=st.integers(0, 2 ** 16),
+@given(width=st.integers(31, 40), seed=st.integers(0, 2 ** 16),
        p=st.sampled_from([0.05, 0.15, 0.4]))
-def test_flags_at_the_dtype_boundary_match_python_ints(width, seed, p):
-    # widths 31 and 32 run on uint32 codes, 33 on int64; every span holds
-    # the top vertex, so its codes sit in the top half of the code space
+def test_flags_on_spans_holding_the_top_vertex_match_python_ints(width, seed, p):
+    # every span holds the top vertex, so its codes sit in the top half of
+    # the code space, past 2^30 and 2^32, and its high part is not empty
     rng = random.Random(seed)
     g = random_graph(rng, width, p)
     top = 1 << width - 1
@@ -194,36 +246,36 @@ def test_flags_at_the_dtype_boundary_match_python_ints(width, seed, p):
     for target, kind in targets:
         lo = target & ~63
         span = range(lo, lo + 64)
-        ids, ns = kernels.neighborhood_codes(g.closed_masks, lo, lo + 64)
-        assert ids.dtype == ns.dtype == kernels.code_dtype(width)
-        assert ids.dtype == (np.uint32 if width <= 32 else np.int64)
-        assert ids.tolist() == list(span)
-        assert ns.tolist() == [_neighborhood_mask(g, c) for c in span]
-        convex = kernels.convex_flags(g.closed_masks, lo, lo + 64).tolist()
+        assert lo & top
+        covered = kernels.neighborhood_codes(g.closed_masks, lo, lo + 64)
+        assert [sum((c >> i & 1) << w for w, c in enumerate(covered)) for i in range(64)] == \
+            [_neighborhood_mask(g, c) for c in span]
+        convex = _bits(kernels.convex_bits(g.closed_masks, lo, lo + 64), 64)
         assert convex == [_closure(g, c) == c for c in span]
-        mis = kernels.mis_flags(g.closed_masks, lo, lo + 64).tolist()
+        assert kernels.convex_flags(g.closed_masks, lo, lo + 64).tolist() == convex
+        mis = _bits(kernels.mis_bits(g.closed_masks, lo, lo + 64), 64)
         assert mis == [is_mis_naive(g, [v for v in range(width) if c >> v & 1]) for c in span]
+        assert kernels.mis_flags(g.closed_masks, lo, lo + 64).tolist() == mis
         assert {"mis": mis, "convex": convex}[kind][target - lo]
 
 
 def test_blocks_lie_inside_one_table_window():
-    assert kernels.BLOCK_SIZE < 1 << kernels.TABLE_BITS
+    # the planes are a table of 2^16-bit ints: each block is one aligned
+    # window of 2^16 codes
+    assert kernels.BLOCK_SIZE == 1 << 16
     spans = list(kernels.iter_blocks(1 << 24))
     assert len(spans) == (1 << 24) // kernels.BLOCK_SIZE
-    assert all(lo >> kernels.TABLE_BITS == hi - 1 >> kernels.TABLE_BITS for lo, hi in spans)
+    assert all(lo >> 16 == hi - 1 >> 16 for lo, hi in spans)
+    assert all(kernels.block(lo, hi)[0] == 16 for lo, hi in spans)
+    assert all(p.bit_length() == 1 << 16 for p in kernels.planes(16))
 
 
-def test_counts_and_streams_over_blocks_smaller_than_a_window(capsys):
-    # 2^20 codes: sixteen blocks over four table windows
+def test_counts_over_several_blocks_are_the_same_for_any_workers():
+    # 2^20 codes: sixteen blocks
     ring = graph_power(make_cycle(20), 2)
-    argv = ["enumerate", "--family", "cycle-power", "--n", "20", "--k", "1",
-            "--method", "bijection", "--format", "plain"]
     runs = []
     for workers in (1, 2, 8):
         budget = EnumerationBudget(workers=workers)
-        assert cli.main([*argv, "--workers", str(workers)]) == 0
-        runs.append((count_grid_via_arrays(4, 5, budget), count_digitally_convex(ring, budget),
-                     capsys.readouterr().out))
-    assert runs[0][:2] == (8706, a_count(3, 20))
-    assert runs[0][2].count("\n") == a_count(2, 20)
+        runs.append((count_grid_via_arrays(4, 5, budget), count_digitally_convex(ring, budget)))
+    assert runs[0] == (8706, a_count(3, 20))
     assert runs[1] == runs[0] and runs[2] == runs[0]

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -258,7 +257,7 @@ def test_grid_count_values():
 
 
 def test_grid_count_equals_distinct_pure_python_images():
-    """The numpy sweep must agree with a literal image-set construction."""
+    """The arrays sweep must agree with a literal image-set construction."""
     for n, m in [(2, 2), (3, 4), (4, 3), (2, 5), (1, 7)]:
         images = {
             min_transform(BinaryArray.from_code(n, m, code)).code
@@ -275,24 +274,22 @@ def _closure_via_graph(n: int, m: int, code: int) -> int:
 
 
 @settings(max_examples=25, deadline=None)
-@given(shape=st.sampled_from([(4, 8), (8, 4), (3, 11), (11, 3)]), back=st.integers(1, 1 << 24))
-def test_arrays_closure_at_the_dtype_boundary_matches_python_ints(shape, back):
-    # 32 cells run on uint32 codes, 33 on int64; the span sits near the top
+@given(shape=st.sampled_from([(4, 8), (8, 4), (3, 11), (11, 3), (5, 7), (6, 6), (4, 10)]),
+       back=st.integers(1, 1 << 24))
+def test_arrays_closure_on_spans_at_the_top_matches_python_ints(shape, back):
+    # 31 to 40 cells; the span sits near the top, so its high cells are set
     n, m = shape
     lo = (1 << n * m) - 16 * back
     span = range(lo, lo + 16)
-    codes = np.arange(lo, lo + 16, dtype=kernels.code_dtype(n * m))
-    closed = products._closed_codes(n, m, codes)
-    eroded = products._min_codes(n, m, codes)
-    assert closed.dtype == eroded.dtype == (np.uint32 if n * m <= 32 else np.int64)
-    assert codes.tolist() == list(span)
-    expected = [products._closed_codes(n, m, products._exact(c))[0] for c in span]
+    images = products._image_bits(n, m, lo, lo + 16)
+    expected = [products._closed_codes(n, m, c) for c in span]
     assert all(type(c) is int for c in expected)
-    assert closed.tolist() == expected
+    assert [images >> i & 1 == 1 for i in range(16)] == [e == c for e, c in zip(expected, span)]
     assert expected[::5] == [_closure_via_graph(n, m, c) for c in span[::5]]
-    assert eroded.tolist() == [min_transform(BinaryArray.from_code(n, m, c)).code for c in span]
-    assert eroded.tolist()[::5] == [min_transform_via_graph(BinaryArray.from_code(n, m, c)).code
-                                    for c in span[::5]]
+    eroded = [products._min_codes(n, m, c) for c in span]
+    assert eroded == [min_transform(BinaryArray.from_code(n, m, c)).code for c in span]
+    assert eroded[::5] == [min_transform_via_graph(BinaryArray.from_code(n, m, c)).code
+                           for c in span[::5]]
 
 
 def test_image_codes_are_the_convex_masks():
