@@ -4,22 +4,22 @@ kernels behind every exhaustive bitmask sweep.
 Every sweep walks the codes 0..2^bits - 1 in aligned blocks of 2^b codes,
 flags each block's codes with one predicate, and counts or lists them in
 block order: one flags function on count_flagged or iter_flagged, which
-check the code width and then the budget before any block runs.  Workers
-change which thread runs a block, never the order of the results.
+check the code width and then the budget before any block runs.  Every
+block runs on the calling thread; the budget's workers are checked and
+select nothing, so the output is the same for any worker count.
 
 A flags function returns an int whose bit i stands for the code lo + i,
 so one AND or OR tests all 2^b subsets of a block at once.  The plane of
 a low vertex v < b has bit i set iff i holds v; a high vertex is in every
-code of the block or in none, as lo says.  The ints hold the GIL, so a
-pool keeps the output identical but cannot speed a sweep up.  No sweep
-imports numpy: only the bool-vector views convex_flags and mis_flags do.
+code of the block or in none, as lo says.  The grid arrays sweep is
+convex_bits on the grid's cross masks.  No sweep imports numpy: only the
+bool-vector views convex_flags and mis_flags do.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InvalidParameterError
@@ -30,15 +30,15 @@ BLOCK_SIZE = 1 << 16
 
 DEFAULT_MAX_SUBSETS = 1 << 26
 
-# no sweep of 2^63 codes could end; the arrays sweep asks for n*m + m bits,
-# the room its row shift once needed in int64 codes, so its limit is unchanged
+# no sweep of 2^63 codes could end
 _MAX_SWEEP_BITS = 62
 
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Cap on exhaustive sweep size (on the exact count for the string walk),
-    plus the worker count for block evaluation."""
+    """Cap on exhaustive sweep size (on the exact count for the string walk
+    and the ladder stream), plus a worker count that is checked and kept
+    for compatibility: every sweep runs on the calling thread."""
 
     max_subsets: int = DEFAULT_MAX_SUBSETS
     workers: int = 1
@@ -50,19 +50,21 @@ class EnumerationBudget:
             raise InvalidParameterError(f"workers must be >= 1, got {self.workers}")
 
 
-def _workers(bits: int, width: int, budget: EnumerationBudget | None, what: str) -> int:
-    """The budget's workers for a sweep of 2^bits codes (what) whose kernel
-    asks for max(bits, width)-bit codes.  The width is checked first: a sweep
+def check_budget(required: int, budget: EnumerationBudget | None, what: str) -> None:
+    """Raise BudgetExceededError if required items (what) exceed the budget's cap."""
+    limit = (budget or EnumerationBudget()).max_subsets
+    if required > limit:
+        raise BudgetExceededError(required, limit, what=what)
+
+
+def _check_sweep(bits: int, budget: EnumerationBudget | None, what: str) -> None:
+    """Check a sweep of 2^bits codes (what): the width first, since a sweep
     that no budget can run is a parameter error, not a budget error."""
-    budget = EnumerationBudget() if budget is None else budget
-    width = max(bits, width)
-    if width > _MAX_SWEEP_BITS:
+    if bits > _MAX_SWEEP_BITS:
         raise InvalidParameterError(
-            f"exhaustive sweep supports at most {_MAX_SWEEP_BITS}-bit codes, got {width}"
+            f"exhaustive sweep supports at most {_MAX_SWEEP_BITS}-bit codes, got {bits}"
         )
-    if 1 << bits > budget.max_subsets:
-        raise BudgetExceededError(1 << bits, budget.max_subsets, what=what)
-    return budget.workers
+    check_budget(1 << bits, budget, what)
 
 
 def iter_blocks(total: int, block_size: int = BLOCK_SIZE):
@@ -72,46 +74,26 @@ def iter_blocks(total: int, block_size: int = BLOCK_SIZE):
 
 
 def scan_blocks(total: int, block_fn, workers: int = 1, block_size: int = BLOCK_SIZE):
-    """Yield block_fn(lo, hi) for consecutive blocks, in block order.
-
-    With workers > 1 the blocks run on a thread pool, at most 2 * workers
-    of them ahead of the consumer; results are still yielded in block
-    order, and closing the generator early cancels the blocks not yet
-    started.  The int kernels hold the GIL, so the pool changes which
-    thread runs a block, not how fast the sweep ends.
-    """
-    spans = iter_blocks(total, block_size)
-    if workers <= 1:
-        yield from itertools.starmap(block_fn, spans)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # loads logging: only for a pool
-
-    pool, pending = ThreadPoolExecutor(max_workers=workers), deque()
-    try:
-        for lo, hi in spans:
-            pending.append(pool.submit(block_fn, lo, hi))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    """Yield block_fn(lo, hi) for consecutive blocks, in block order, each
+    run on the calling thread when it is asked for.  workers is accepted
+    and ignored: the int kernels hold the GIL, so threads cannot pay."""
+    for lo, hi in iter_blocks(total, block_size):
+        yield block_fn(lo, hi)
 
 
-def count_flagged(bits: int, flags, budget: EnumerationBudget | None, what: str,
-                  width: int = 0) -> int:
+def count_flagged(bits: int, flags, budget: EnumerationBudget | None, what: str) -> int:
     """How many codes below 2^bits the block ints flags(lo, hi) mark;
-    _workers checks the sweep before any block runs."""
-    workers = _workers(bits, width, budget, what)
-    return sum(scan_blocks(1 << bits, lambda lo, hi: flags(lo, hi).bit_count(), workers))
+    _check_sweep checks the sweep before any block runs."""
+    _check_sweep(bits, budget, what)
+    return sum(scan_blocks(1 << bits, lambda lo, hi: flags(lo, hi).bit_count()))
 
 
-def iter_flagged(bits: int, flags, budget: EnumerationBudget | None, what: str, width: int = 0):
+def iter_flagged(bits: int, flags, budget: EnumerationBudget | None, what: str):
     """The codes below 2^bits that flags(lo, hi) marks, ascending, as Python
     ints; checked like count_flagged on the call, not on the first code."""
-    workers = _workers(bits, width, budget, what)
+    _check_sweep(bits, budget, what)
     return itertools.chain.from_iterable(
-        scan_blocks(1 << bits, lambda lo, hi: _set_bits(lo, flags(lo, hi)), workers))
+        scan_blocks(1 << bits, lambda lo, hi: _set_bits(lo, flags(lo, hi))))
 
 
 @functools.cache

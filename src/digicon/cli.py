@@ -21,7 +21,7 @@ from importlib import resources
 from operator import getitem
 from pathlib import Path
 
-from ._kernels import DEFAULT_MAX_SUBSETS, EnumerationBudget
+from ._kernels import DEFAULT_MAX_SUBSETS, EnumerationBudget, check_budget
 from .convexity import _convex_codes, count_digitally_convex, enumerate_digitally_convex
 from .cyclic import (
     _convex_set_codes,
@@ -79,6 +79,13 @@ def _ladder_length(n: int, m: int) -> int:
     return n
 
 
+def _ladder_codes(budget, n: int, m: int):
+    """The ladder stream, budgeted by its exact count before any ladder is built."""
+    n = _ladder_length(n, m)
+    check_budget(count_grid_p2(n), budget, "sets")
+    return 2 * n, _grid_p2_codes(n)
+
+
 # family -> ({parameter: least value}, {method: (count route, enumerate route or None)}).
 # The least values are checked before any route runs.  The first method is
 # the count default; enumerate defaults to bruteforce.  An enumerate route
@@ -117,7 +124,7 @@ FAMILIES = {
                    lambda budget, n, m: (n * m, _image_codes(n, m, budget))),
         "bruteforce": _sweep(lambda n, m: cartesian_product(make_path(n), make_path(m))),
         "recurrence": (lambda budget, n, m: count_grid_p2(_ladder_length(n, m)),
-                       lambda budget, n, m: (2 * n, _grid_p2_codes(_ladder_length(n, m)))),
+                       _ladder_codes),
     }),
 }
 
@@ -379,10 +386,12 @@ def _cmd_oeis(args) -> int:
 
 
 def _add_budget(sub):
-    sub.add_argument("--workers", type=int, default=1, help="worker threads for sweeps")
+    sub.add_argument("--workers", type=int, default=1,
+                     help="accepted for compatibility (>= 1); every sweep runs on one thread")
     sub.add_argument("--max-subsets", type=int, default=None,
                      help="cap on the subsets a sweep visits, or on the exact count for --method "
-                          f"bijection (default {DEFAULT_MAX_SUBSETS}, env DIGICON_MAX_SUBSETS)")
+                          "bijection and the path-grid recurrence stream "
+                          f"(default {DEFAULT_MAX_SUBSETS}, env DIGICON_MAX_SUBSETS)")
 
 
 def _add_family_command(commands, name: str, handler, text: str):

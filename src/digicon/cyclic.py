@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from ._kernels import EnumerationBudget
-from .errors import BudgetExceededError, InvalidParameterError, NotConvexError, NotMemberError
+from ._kernels import EnumerationBudget, check_budget
+from .errors import InvalidParameterError, NotConvexError, NotMemberError
 from .graphs import VertexSet
 from .sequences import LinearRecurrence, PowerSeries, eval_recurrence, expand_rational
 
@@ -137,17 +137,9 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
     distinct members (no necklace quotienting).  The budget caps the exact
     number of members, a_count(k, n); it is checked on the first item.
     """
-    _check_budget(k, n, budget)
+    check_budget(a_count(k, n), budget, "strings")
     for code, _ in _block_strings(k, n):
         yield CyclicBinaryString.from_code(n, code)
-
-
-def _check_budget(k: int, n: int, budget: EnumerationBudget | None) -> None:
-    """Raise BudgetExceededError if the a_count(k, n) strings exceed the budget."""
-    required = a_count(k, n)
-    limit = (budget or EnumerationBudget()).max_subsets
-    if required > limit:
-        raise BudgetExceededError(required, limit, what="strings")
 
 
 def _block_strings(k: int, n: int) -> Iterator[tuple[int, int]]:
@@ -299,7 +291,7 @@ def _convex_set_codes(k: int, n: int, budget: EnumerationBudget | None = None) -
     in the order enumerate_B(k + 1, n) yields their strings: the map of
     convex_set_from_string, with no string or set built.  The budget is
     checked on the call, before the first code is asked for."""
-    _check_budget(k + 1, n, budget)
+    check_budget(a_count(k + 1, n), budget, "strings")
     return (_erode(n, k, rev) for _, rev in _block_strings(k + 1, n))
 
 

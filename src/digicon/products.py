@@ -7,7 +7,10 @@ arrays under the minimum-over-closed-neighbourhood transform are exactly the
 indicator arrays of the digitally convex sets of P_n x P_m.  With the
 row-major cell order (i, j) -> i*m + j, an image's bit code is literally the
 vertex bitmask of its convex set, and the images are the codes equal to
-their closure min(max(x)), so the sweep flags them without a dedupe.
+their closure min(max(x)).  That closure is the convexity closure
+V & ~N[V & ~N[S]] with each N[c] the cross of cell c, so the sweep is the
+convexity kernel on the cross masks, which come from the max transform of
+one cell; the per-code min(max(x)) == x stays as its test oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from . import _kernels
 from ._kernels import EnumerationBudget
 from .convexity import _closure
 from .errors import InvalidParameterError, NotConvexError, NotImageError
-from .graphs import VertexSet, cartesian_product, make_path, union_of_masks
+from .graphs import VertexSet, cartesian_product, make_path
 from .sequences import LinearRecurrence, eval_recurrence
 
 
@@ -246,64 +249,35 @@ def _closed_codes(n: int, m: int, code: int) -> int:
     return _min_codes(n, m, full ^ _min_codes(n, m, full ^ code))
 
 
-@lru_cache(maxsize=1)
-def _cross_terms(n: int, m: int, b: int) -> tuple:
-    """For each cell c = i*m + j: the cells of its cross (itself and its
-    grid neighbours), the mask of those at or past b, the OR of the planes
-    of those below b, and c's own plane (0 for a high cell)."""
-    terms = []
-    for c in range(n * m):
-        i, j = divmod(c, m)
-        cross = [y * m + x for y, x in ((i, j), (i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
-                 if 0 <= y < n and 0 <= x < m]
-        mask, planes = sum(1 << d for d in cross), _kernels.planes(b)
-        terms.append((cross, mask >> b << b, union_of_masks(planes, mask & (1 << b) - 1),
-                      planes[c] if c < b else 0))
-    return tuple(terms)
+@lru_cache(maxsize=8)
+def _cross_masks(n: int, m: int) -> tuple[int, ...]:
+    """For each cell c = i*m + j, the mask of its cross (itself and its grid
+    neighbours): the max transform of the one-cell array c."""
+    full = _grid_field_masks(n, m)[0]
+    return tuple(full ^ _min_codes(n, m, full ^ 1 << c) for c in range(n * m))
 
 
-def _image_bits(n: int, m: int, lo: int, hi: int) -> int:
-    """The int of the codes x in the aligned block [lo, hi) (see
-    _kernels.block) with x == min(max(x)), tested cell by cell.  A cell's
-    max is all ones when a high 1 lies in its cross, else its low part; a
-    high 1 is its own min, so it is skipped."""
-    b, full = _kernels.block(lo, hi)
-    terms = _cross_terms(n, m, b)
-    dilated = [full if high & lo else low for _, high, low, _ in terms]
-    differ = 0
-    for c, (cross, _, _, cell) in enumerate(terms):
-        if lo >> c & 1:
-            continue
-        eroded = full
-        for d in cross:
-            if dilated[d] is not full:
-                eroded = dilated[d] if eroded is full else eroded & dilated[d]
-        if eroded is full and c >= b:
-            return 0  # a high 0 whose min is 1 in every code of the block
-        differ |= eroded ^ cell
-    return full ^ differ
-
-
-def _image_sweep(driver, n: int, m: int, budget: EnumerationBudget | None):
-    """_kernels.count_flagged or iter_flagged over the n x m array codes,
-    flagging the codes equal to their closure."""
+def _image_flags(n: int, m: int):
+    """The flags function of the n x m arrays sweep: the codes equal to
+    their closure, by the convexity kernel on the cross masks.  The masks
+    are looked up per block, so the drivers check the width and budget
+    before n*m masks of n*m bits are built."""
     if n < 1 or m < 1:
         raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
-    # n*m + m bits: the width the arrays sweep has always been capped at
-    return driver(n * m, partial(_image_bits, n, m), budget, "arrays", width=n * m + m)
+    return lambda lo, hi: _kernels.convex_bits(_cross_masks(n, m), lo, hi)
 
 
 def _image_codes(n: int, m: int, budget: EnumerationBudget | None = None) -> list[int]:
     """The images of the minimum transform over all n x m arrays, ascending:
     the codes equal to their closure, so no image is met twice."""
-    return list(_image_sweep(_kernels.iter_flagged, n, m, budget))
+    return list(_kernels.iter_flagged(n * m, _image_flags(n, m), budget, "arrays"))
 
 
 def count_grid_via_arrays(n: int, m: int, budget: EnumerationBudget | None = None) -> int:
     """Number of minimum-transform images of n x m binary arrays (the codes
     equal to their closure), which equals the number of digitally convex
     sets of P_n x P_m."""
-    return _image_sweep(_kernels.count_flagged, n, m, budget)
+    return _kernels.count_flagged(n * m, _image_flags(n, m), budget, "arrays")
 
 
 def set_from_array(astar: BinaryArray) -> VertexSet:

@@ -19,6 +19,7 @@ from digicon import (
     cli,
     convex_set_from_string,
     count_cycle_power,
+    count_grid_p2,
     count_grid_via_arrays,
     enumerate_B,
     enumerate_digitally_convex,
@@ -591,9 +592,28 @@ def test_bijection_is_budgeted_by_its_count(capsys):
     assert "rerun with max_subsets >= 792070839848372253126" in err
 
 
+def test_ladder_stream_is_budgeted_by_its_count(capsys):
+    # the 16-ladder's 2,440,982 sets are refused before any ladder is built
+    argv = ("enumerate", "--family", "path-grid", "--n", "16", "--m", "2",
+            "--method", "recurrence")
+    for cap in ("10", "2440981"):
+        code, out, err = run_cli(capsys, *argv, "--max-subsets", cap)
+        assert (code, out) == (3, "")
+        assert "needs 2440982 sets " in err and "rerun with max_subsets >= 2440982" in err
+    # a budget of exactly the count streams every set: checked on the
+    # 10-ladder, whose full stream is fast enough for every run
+    argv = ("enumerate", "--family", "path-grid", "--n", "10", "--m", "2",
+            "--method", "recurrence", "--format", "plain")
+    code, full, _ = run_cli(capsys, *argv)
+    assert code == 0 and full.count("\n") == count_grid_p2(10)
+    assert run_cli(capsys, *argv, "--max-subsets", str(count_grid_p2(10))) == (0, full, "")
+    code, out, err = run_cli(capsys, *argv, "--max-subsets", str(count_grid_p2(10) - 1))
+    assert (code, out) == (3, "")
+
+
 @pytest.mark.parametrize("extra", [(), ("--max-subsets", str(1 << 64))])
 def test_grid_too_wide_for_the_kernels_exits_2_at_any_budget(capsys, extra):
-    # an 8 x 8 array sweep shifts 72-bit codes: no budget can make it run
+    # an 8 x 8 array sweep needs 64-bit codes: no budget can make it run
     code, out, err = run_cli(capsys, "count", "--family", "path-grid", "--n", "8", "--m", "8",
                              *extra)
     assert (code, out) == (2, "")

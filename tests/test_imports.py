@@ -74,7 +74,8 @@ for argv in json.loads(sys.argv[1]):
         code = digicon.cli.main(argv)
     runs.append([code, out.getvalue()])
 library = {library}
-print(json.dumps({{"loaded": loaded, "runs": runs, "library": library}}))
+after = sorted(m for m in ("numpy", "concurrent.futures") if sys.modules.get(m) is not None)
+print(json.dumps({{"loaded": loaded, "runs": runs, "library": library, "after": after}}))
 """
 NO_SWEEP_LIBRARY = """[digicon.count_cycle_power(2, 500), digicon.count_grid_p2(200),
            [s.mask for s in digicon.generate_grid_p2(8)]]"""
@@ -131,6 +132,8 @@ def test_sweep_routes_run_without_numpy():
         assert run == _in_process(argv), argv
         assert run[0] == 0 and run[1], argv
     assert result["library"] == [digicon.count_mis_grid3(3, 3), digicon.count_mis_grid3(2, 4)]
+    # the routes ran, --workers 2 included, and loaded no thread pool
+    assert "concurrent.futures" not in result["after"]
 
 
 def test_products_np_is_numpy():
@@ -140,9 +143,9 @@ def test_products_np_is_numpy():
         digicon.products.nonesuch
 
 
-def test_first_numpy_use_on_a_pool_streams_like_one_worker():
+def test_fresh_interpreters_stream_the_same_bytes_for_one_and_two_workers():
     # each run is a fresh interpreter whose first sweep is a 16-block sweep
-    # of 2^20 subsets on two workers, which imports the thread pool
+    # of 2^20 subsets
     argv = [sys.executable, "-m", "digicon", "enumerate", "--family", "cycle-power",
             "--n", "20", "--k", "2"]
     one = subprocess.run([*argv, "--workers", "1"], capture_output=True)

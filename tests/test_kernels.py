@@ -28,7 +28,7 @@ from digicon import (
 )
 from digicon.cli import main
 from digicon.convexity import _closure, _convex_codes, _neighborhood_mask
-from digicon.products import _closed_codes, _image_bits, _image_codes
+from digicon.products import _closed_codes, _cross_masks, _image_codes
 from oracles import is_convex_naive, is_mis_naive, random_graph
 
 
@@ -83,8 +83,6 @@ def test_span_across_a_window_is_refused():
         for lo, hi in ((8, 24), (0, 48), (16, 16)):
             with pytest.raises(ValueError, match="not an aligned block"):
                 kernel(masks, lo, hi)
-    with pytest.raises(ValueError, match="not an aligned block"):
-        _image_bits(2, 3, 8, 24)
 
 
 def _mis_mask(g, code: int) -> bool:
@@ -133,11 +131,18 @@ EDGE_GRIDS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (1, 5), (5, 1), (2, 3), (3
 
 @pytest.mark.parametrize("n, m", EDGE_GRIDS)
 def test_image_bits_at_word_and_block_edges(n, m):
+    # the arrays sweep's flags against the per-code shift transform, the
+    # independent oracle for the array theorem
     for lo, hi in kernels.iter_blocks(1 << n * m):
-        images = _image_bits(n, m, lo, hi)
+        images = kernels.convex_bits(_cross_masks(n, m), lo, hi)
         assert images.bit_length() <= hi - lo
         assert _bits(images, hi - lo) == [_closed_codes(n, m, c) == c
                                            for c in range(lo, hi)]
+
+
+def test_cross_masks_are_the_grid_closed_neighbourhoods():
+    for n, m in itertools.product(range(1, 9), repeat=2):
+        assert _cross_masks(n, m) == cartesian_product(make_path(n), make_path(m)).closed_masks
 
 
 def test_small_blocks_and_workers_keep_the_counts(monkeypatch):
@@ -167,7 +172,8 @@ def test_scan_runs_a_bounded_window_ahead(monkeypatch):
     stream = kernels.scan_blocks(10 ** 6, block_fn, workers=2)
     assert list(itertools.islice(stream, 3)) == [0, 1, 2]
     stream.close()
-    assert len(calls) <= 3 + 2 * 2
+    # every block runs on the calling thread, when it is asked for
+    assert calls == [0, 1, 2]
 
 
 # entry -> (run(wide, budget), its label, CLI arguments reaching it or None).
@@ -182,10 +188,10 @@ SWEEPS = {
         "subsets",
         lambda wide: ["count", "--family", "path", "--n", "63" if wide else "6",
                       "--method", "bruteforce"]),
-    # 6 x 9 arrays are 54-bit codes, but shifting one by a row needs 63 bits
+    # 7 x 9 arrays are 63-bit codes
     "_image_codes": (
-        lambda wide, budget: _image_codes(*((6, 9) if wide else (2, 3)), budget), "arrays",
-        lambda wide: ["count", "--family", "path-grid", *(("--n", "6", "--m", "9") if wide
+        lambda wide, budget: _image_codes(*((7, 9) if wide else (2, 3)), budget), "arrays",
+        lambda wide: ["count", "--family", "path-grid", *(("--n", "7", "--m", "9") if wide
                                                            else ("--n", "2", "--m", "3"))]),
     "count_mis_grid3": (
         lambda wide, budget: count_mis_grid3(*((8, 4) if wide else (1, 3)), budget), "subsets",
@@ -218,6 +224,15 @@ def test_every_sweep_checks_the_width_then_the_budget_before_any_block(
         assert out == "" and "62" in err and "rerun" not in err
     assert main([*argv(False), "--max-subsets", "63"]) == 3
     assert "rerun with max_subsets >= 64" in capsys.readouterr().err
+
+
+def test_arrays_are_capped_at_the_swept_bits_like_bruteforce(capsys):
+    # 6 x 9 arrays are 54-bit codes: within the width cap, past the budget
+    for method in ("arrays", "bruteforce"):
+        assert main(["count", "--family", "path-grid", "--n", "6", "--m", "9",
+                     "--method", method]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"rerun with max_subsets >= {1 << 54}" in err
 
 
 def _greedy_mis(g, first: int) -> int:

@@ -281,7 +281,7 @@ def test_arrays_closure_on_spans_at_the_top_matches_python_ints(shape, back):
     n, m = shape
     lo = (1 << n * m) - 16 * back
     span = range(lo, lo + 16)
-    images = products._image_bits(n, m, lo, lo + 16)
+    images = kernels.convex_bits(products._cross_masks(n, m), lo, lo + 16)
     expected = [products._closed_codes(n, m, c) for c in span]
     assert all(type(c) is int for c in expected)
     assert [images >> i & 1 == 1 for i in range(16)] == [e == c for e, c in zip(expected, span)]
