@@ -21,10 +21,11 @@ from importlib import resources
 from operator import getitem
 from pathlib import Path
 
-from ._kernels import DEFAULT_MAX_SUBSETS, EnumerationBudget, check_budget
+from ._kernels import DEFAULT_MAX_SUBSETS, EnumerationBudget, _check_sweep, check_budget
 from .convexity import _convex_codes, count_digitally_convex, enumerate_digitally_convex
 from .cyclic import (
     _convex_set_codes,
+    _series_fraction,
     a_count,
     a_series,
     convex_set_from_string,
@@ -52,16 +53,25 @@ from .products import (
     count_grid_via_arrays,
     generate_grid_p2,
 )
-from .sequences import ComparisonReport, compare_with_bfile
+from .sequences import ComparisonReport, _long_division, compare_with_bfile
 
 
-def _sweep(graph):
-    """Count and enumerate routes over every subset of graph(**params)."""
+def _sweep(graph, order=lambda n, **_: n):
+    """Count and enumerate routes over every subset of graph(**params).
+
+    The sweep is checked from order(**params), the graph's order, before
+    the graph is built: a graph too large to sweep costs nothing to refuse.
+    """
+    def checked_graph(budget, params):
+        _check_sweep(order(**params), budget, "subsets")
+        return graph(**params)
+
     def enumerate_route(budget, **p):
-        g = graph(**p)
+        g = checked_graph(budget, p)
         return g.order, _convex_codes(g, budget)
 
-    return (lambda budget, **p: count_digitally_convex(graph(**p), budget), enumerate_route)
+    return (lambda budget, **p: count_digitally_convex(checked_graph(budget, p), budget),
+            enumerate_route)
 
 
 def _streamed(enumerate_route):
@@ -117,12 +127,14 @@ FAMILIES = {
     }),
     "complete-product": ({"n": 1, "m": 1}, {
         "formula": (lambda budget, n, m: count_complete_product(n, m), None),
-        "bruteforce": _sweep(lambda n, m: cartesian_product(make_complete(n), make_complete(m))),
+        "bruteforce": _sweep(lambda n, m: cartesian_product(make_complete(n), make_complete(m)),
+                             lambda n, m: n * m),
     }),
     "path-grid": ({"n": 1, "m": 1}, {
         "arrays": (lambda budget, n, m: count_grid_via_arrays(n, m, budget),
                    lambda budget, n, m: (n * m, _image_codes(n, m, budget))),
-        "bruteforce": _sweep(lambda n, m: cartesian_product(make_path(n), make_path(m))),
+        "bruteforce": _sweep(lambda n, m: cartesian_product(make_path(n), make_path(m)),
+                             lambda n, m: n * m),
         "recurrence": (lambda budget, n, m: count_grid_p2(_ladder_length(n, m)),
                        _ladder_codes),
     }),
@@ -209,23 +221,51 @@ def _cmd_count(args) -> int:
     return 0
 
 
-# lines per print: about what fills the 8 KiB stdout buffer, so that a
-# stream's first line goes out no later than with one print per line
+# characters per print: about what fills the 8 KiB stdout buffer, so that a
+# stream's first line goes out no later than with one print per line, and a
+# batch of long lines (big coefficients) holds no more than that
+_BATCH_CHARS = 8192
+# lines in a stream's first batch
 _BATCH_LINES = 256
+
+
+def _print_lines(lines) -> None:
+    """Print a stream of lines in batches of about _BATCH_CHARS characters:
+    the first batch has _BATCH_LINES lines, and each later one as many as
+    the mean length of the one before fits in _BATCH_CHARS."""
+    size = _BATCH_LINES
+    while batch := list(itertools.islice(lines, size)):
+        text = "\n".join(batch)
+        print(text)
+        size = _BATCH_CHARS * len(batch) // (len(text) + 1) + 1
 
 
 def _line_format(universe: int, fmt: str):
     """mask -> its line, as set_to_json (jsonl) or the 1-based plain form
     prints VertexSet(universe, mask): frag[j][byte] holds the joined labels
-    of the set bits of byte j, and a line joins one per byte of the mask."""
+    of the set bits of byte j.  A line is the low byte's fragment before the
+    joined fragments of mask >> 8, which are joined again only when that
+    high part differs from the previous mask's, so an ascending stream
+    joins each high part once."""
     first, sep, left, right = (1, " ", "", "") if fmt == "plain" else (0, ", ", "[", "]")
-    width = (universe + 7) // 8
+    width = max(1, (universe + 7) // 8)
     frag = [[sep.join(str(8 * j + bit + first) for bit in range(8) if byte >> bit & 1)
              for byte in range(256)] for j in range(width)]
+    low_frag, high_frag = frag[0], frag[1:]
     join = sep.join
+    last = None  # the previous mask's high part, and its line pieces
+    tail = bare = ""
 
     def line(mask: int) -> str:
-        return f"{left}{join(filter(None, map(getitem, frag, mask.to_bytes(width, 'little'))))}{right}"
+        nonlocal last, tail, bare
+        high = mask >> 8
+        if high != last:
+            last = high
+            text = join(filter(None, map(getitem, high_frag, high.to_bytes(width - 1, "little"))))
+            tail = f"{sep}{text}{right}" if text else right
+            bare = f"{left}{text}{right}"
+        low = low_frag[mask & 255]
+        return f"{left}{low}{tail}" if low else bare
 
     return line
 
@@ -235,23 +275,27 @@ def _cmd_enumerate(args) -> int:
     if args.format == "csv":
         raise InvalidParameterError("enumerate emits jsonl or plain, not csv")
     universe, masks = enumerate_masks(_budget_from(args), **params)
-    lines = map(_line_format(universe, args.format), masks)
-    while batch := list(itertools.islice(lines, _BATCH_LINES)):
-        print("\n".join(batch))
+    _print_lines(map(_line_format(universe, args.format), masks))
     return 0
 
 
 def _cmd_series(args) -> int:
-    coefficients = [str(_to_decimal(c)) for c in a_series(args.k, args.terms).coefficients]
-    if args.format == "csv":
-        print("n,coefficient")
-        for i, c in enumerate(coefficients):
-            print(f"{i},{c}")
-    elif args.format == "jsonl":
-        for i, c in enumerate(coefficients):
-            print(json.dumps({"n": i, "coefficient": c}))
-    else:
-        print(json.dumps(coefficients))
+    """The series coefficients, each printed as it is computed: the long
+    division runs on Decimals under _EXACT, where str is linear at any size
+    and any rounding raises, and keeps O(k) coefficients."""
+    numerator, denominator = _series_fraction(args.k)
+    coefficients = map(str, _long_division(map(Decimal, numerator), denominator, args.terms))
+    # the context is entered here, around the whole stream: a generator
+    # that entered it would leak it to the caller at every yield
+    with decimal.localcontext(_EXACT):
+        if args.format == "csv":
+            print("n,coefficient")
+            _print_lines(itertools.starmap("{},{}".format, enumerate(coefficients)))
+        elif args.format == "jsonl":
+            _print_lines(itertools.starmap('{{"n": {}, "coefficient": "{}"}}'.format,
+                                           enumerate(coefficients)))
+        else:
+            print(json.dumps(list(coefficients)))
     return 0
 
 

@@ -210,15 +210,20 @@ def a_count(k: int, n: int) -> int:
     return eval_recurrence(_a_recurrence(k), n)
 
 
-def a_series(k: int, terms: int) -> PowerSeries:
-    """Coefficients x^0..x^terms of sum_n a_count(k, n) x^n = -x Q_k'(x) / Q_k(x),
+def _series_fraction(k: int) -> tuple[list[int], list[int]]:
+    """Numerator and denominator of sum_n a_count(k, n) x^n = -x Q_k'(x) / Q_k(x),
     the generating function of Q_k's power sums:
-    (2x - 2x^2 + 2k x^{2k}) / (1 - 2x + x^2 - x^{2k}), by long division
-    in O(terms * k) integer steps."""
+    (2x - 2x^2 + 2k x^{2k}) / (1 - 2x + x^2 - x^{2k})."""
     if k < 2:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
     q = _q_poly(k)
-    return expand_rational([-i * c for i, c in enumerate(q)], q, terms)
+    return [-i * c for i, c in enumerate(q)], q
+
+
+def a_series(k: int, terms: int) -> PowerSeries:
+    """Coefficients x^0..x^terms of _series_fraction(k), by long division
+    in O(terms * k) integer steps."""
+    return expand_rational(*_series_fraction(k), terms)
 
 
 def _check_power(k: int, n: int) -> None:

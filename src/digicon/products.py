@@ -205,9 +205,9 @@ def _grid_p2_codes(n: int) -> list[int]:
     Ladders up to n = 3 are the codes (at most 64) equal to their closure,
     tested one at a time with no sweep; each longer one is assembled
     constructively from the three before it.  The family sizes
-    (1x, 3x, 2x the three smaller counts), their pairwise disjointness,
-    and the total against count_grid_p2 are all checked at every length,
-    so a construction bug raises instead of miscounting.
+    (1x, 3x, 2x the three smaller counts), that their union repeats no
+    set, and the total against count_grid_p2 are all checked at every
+    length, so a construction bug raises instead of miscounting.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
@@ -218,13 +218,18 @@ def _grid_p2_codes(n: int) -> list[int]:
     for k in range(4, n + 1):
         a3, a2, a1 = ladders
         d1, d2, d3 = _grid_p2_families(k, a1, a2, a3)
-        for family, size, which in ((d1, count_grid_p2(k - 1), "first"),
-                                    (d2, 3 * count_grid_p2(k - 2), "second"),
-                                    (d3, 2 * count_grid_p2(k - 3), "third")):
-            if len(family) != size or len(set(family)) != size:
+        families = ((d1, count_grid_p2(k - 1), "first"),
+                    (d2, 3 * count_grid_p2(k - 2), "second"),
+                    (d3, 2 * count_grid_p2(k - 3), "third"))
+        for family, size, which in families:
+            if len(family) != size:
                 raise AssertionError(f"{which} family miscounted at n={k}")
         combined = {*d1, *d2, *d3}
         if len(combined) != len(d1) + len(d2) + len(d3):
+            # a repeat within one family, or a set in two: name which
+            for family, _, which in families:
+                if len(set(family)) != len(family):
+                    raise AssertionError(f"{which} family miscounted at n={k}")
             raise AssertionError(f"extension families overlap at n={k}")
         if len(combined) != count_grid_p2(k):
             raise AssertionError(f"family total disagrees with the recurrence at n={k}")

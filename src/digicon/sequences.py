@@ -1,7 +1,9 @@
 """Exact-integer sequence tools: linear recurrences, rational power series,
 and comparison against external "index value" sequence files.
 
-Everything stays in arbitrary-precision Python ints; nothing here rounds.
+Everything stays in arbitrary-precision Python ints, except that the long
+division also runs on Decimals under a context that traps any rounding;
+nothing here rounds.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BfileParseError, EmptyOverlapError, InvalidParameterError
 
@@ -140,25 +142,50 @@ def _coefficients(series) -> tuple[int, ...]:
     return tuple(int(c) for c in series)
 
 
+def _long_division(numerator, denominator, terms: int) -> Iterator:
+    """Coefficients x^0..x^terms of numerator/denominator, yielded one at a
+    time by long division: c_i = (num_i - sum_{j>=1} den_j * c_{i-j}) / den_0.
+
+    The denominator's constant term must be 1 or -1, so dividing by it is a
+    sign; both checks run on the call, before the first coefficient.  The
+    arithmetic is in whatever number type the numerator holds (ints, or
+    Decimals under an exact context), and only the last len(den) - 1
+    coefficients are kept.
+    """
+    num = list(numerator)
+    den = list(denominator)
+    if terms < 0:
+        raise InvalidParameterError(f"terms must be >= 0, got {terms}")
+    if not den or den[0] not in (1, -1):
+        raise InvalidParameterError("denominator constant term must be 1 or -1")
+    # a zero of the numerator's type: Decimal("0"), where 0 * Decimal(-1) is "-0"
+    zero = type(num[0])(0) if num else 0
+    taps = [(j, c) for j, c in enumerate(den) if j and c]
+    sign = den[0]
+    # c_{i-1}, c_{i-2}, ..., c_{i-len(den)+1}; zeros stand for the c_{i-j} with i < j
+    window = deque([zero] * (len(den) - 1), maxlen=len(den) - 1)
+
+    def quotients():
+        for i in range(terms + 1):
+            acc = num[i] if i < len(num) else zero
+            for j, c in taps:
+                acc -= c * window[-j]
+            if sign < 0:
+                acc = -acc
+            window.append(acc)
+            yield acc
+
+    return quotients()
+
+
 def expand_rational(numerator, denominator, terms: int) -> PowerSeries:
     """Coefficients x^0..x^terms of numerator/denominator by long division.
 
     The denominator's constant term must be 1 or -1 so the division stays in
     exact integers: c_i = (num_i - sum_{j>=1} den_j * c_{i-j}) / den_0.
     """
-    num = _coefficients(numerator)
-    den = _coefficients(denominator)
-    if terms < 0:
-        raise InvalidParameterError(f"terms must be >= 0, got {terms}")
-    if not den or den[0] not in (1, -1):
-        raise InvalidParameterError("denominator constant term must be 1 or -1")
-    out: list[int] = []
-    for i in range(terms + 1):
-        acc = num[i] if i < len(num) else 0
-        for j in range(1, min(i, len(den) - 1) + 1):
-            acc -= den[j] * out[i - j]
-        out.append(acc * den[0])
-    return PowerSeries(tuple(out))
+    return PowerSeries(tuple(_long_division(_coefficients(numerator),
+                                            _coefficients(denominator), terms)))
 
 
 def parse_bfile(source) -> list[tuple[int, int]]:

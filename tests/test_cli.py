@@ -1,8 +1,11 @@
 """Command-line behaviour: formats, exit codes, budgets, determinism."""
 
+import bisect
+import decimal
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -13,8 +16,9 @@ from hypothesis import given, strategies as st
 import digicon._kernels as kernels
 from digicon import (
     EnumerationBudget,
-    PowerSeries,
     VertexSet,
+    a_count,
+    a_series,
     cartesian_product,
     cli,
     convex_set_from_string,
@@ -164,15 +168,13 @@ LAST_COEFFICIENT = {
 
 
 @pytest.mark.parametrize("fmt", list(LAST_COEFFICIENT))
-def test_series_coefficients_past_the_digit_limit_print_exactly(monkeypatch, capsys, fmt):
-    # k = 2 first passes 4300 digits near x^20600; a stand-in series keeps the test small
-    huge = 7 ** 6000
-    monkeypatch.setattr(cli, "a_series", lambda k, terms: PowerSeries((1, huge)))
-    code, out, _ = run_cli(capsys, "series", "--k", "2", "--terms", "1", "--format", fmt)
+def test_series_coefficients_past_the_digit_limit_print_exactly(capsys, fmt):
+    # k = 2 first passes 4300 digits near x^20600
+    code, out, _ = run_cli(capsys, "series", "--k", "2", "--terms", "20700", "--format", fmt)
     assert code == 0
     printed = LAST_COEFFICIENT[fmt](out)
     assert len(printed) > 4300
-    assert Decimal(printed) == huge
+    assert Decimal(printed) == a_count(2, 20700)
 
 
 def test_count_csv_record(capsys):
@@ -300,6 +302,32 @@ def test_line_format_matches_the_set_serialisers(case):
     s = VertexSet(universe, mask)
     assert cli._line_format(universe, "jsonl")(mask) == json.dumps(list(s.indices()))
     assert cli._line_format(universe, "plain")(mask) == plain(s)
+
+
+def _stream_masks(universe: int, rng) -> list[int]:
+    """Masks of the universe, ascending, with runs that share a high part
+    (mask >> 8), masks with an empty low byte or an empty high part, and
+    the empty and full sets."""
+    full = (1 << universe) - 1
+    picks = {0, full, full & 0xFF, full & ~0xFF, full & 0x81}
+    for _ in range(40):
+        mask = rng.getrandbits(max(universe, 1)) & full
+        picks |= {mask, mask & ~0xFF, mask & 0xFF, mask ^ (1 & full), mask | (0xFF & full)}
+    return sorted(picks)
+
+
+@pytest.mark.parametrize("universe", [*range(1, 18), 24, 26, 70])
+def test_line_format_streams_match_the_set_serialisers(universe):
+    rng = random.Random(universe)
+    ascending = _stream_masks(universe, rng)
+    shuffled = ascending * 2
+    rng.shuffle(shuffled)
+    for masks in (ascending, shuffled, ascending[::-1]):
+        jsonl, plain_line = cli._line_format(universe, "jsonl"), cli._line_format(universe, "plain")
+        for mask in masks:
+            s = VertexSet(universe, mask)
+            assert jsonl(mask) == set_to_json(s), mask
+            assert plain_line(mask) == plain(s), mask
 
 
 # the library's objects for each enumerate route, in the route's order: the
@@ -435,6 +463,52 @@ def test_series_jsonl(capsys):
     ]
 
 
+# for k = 2..8, the fewest terms whose last coefficient has more bits than
+# the CLI converts to decimal directly (64 more, so that several do)
+SERIES_TERMS = {k: bisect.bisect_left(range(1 << 15), cli._PLAIN_BITS + 65, lo=1,
+                                      key=lambda n: a_count(k, n).bit_length())
+                for k in range(2, 9)}
+
+SERIES_FORMATS = {
+    None: lambda cs: json.dumps(cs) + "\n",
+    "plain": lambda cs: json.dumps(cs) + "\n",
+    "csv": lambda cs: "n,coefficient\n" + "".join(f"{n},{c}\n" for n, c in enumerate(cs)),
+    "jsonl": lambda cs: "".join(json.dumps({"n": n, "coefficient": c}) + "\n"
+                                for n, c in enumerate(cs)),
+}
+
+
+@pytest.mark.parametrize("k, terms", list(SERIES_TERMS.items()))
+def test_series_stream_equals_the_integer_expansion(capsys, k, terms):
+    coefficients = [str(c) for c in a_series(k, terms).coefficients]
+    assert int(coefficients[-1]).bit_length() > cli._PLAIN_BITS
+    for fmt, render in SERIES_FORMATS.items():
+        code, out, err = run_cli(capsys, "series", "--k", str(k), "--terms", str(terms),
+                                 *(("--format", fmt) if fmt else ()))
+        assert (code, err) == (0, "")
+        assert out == render(coefficients), fmt
+
+
+@pytest.mark.parametrize("fmt", list(SERIES_FORMATS))
+@pytest.mark.parametrize("k, terms, message", [
+    ("1", "5", "k must be >= 2, got 1"),
+    ("2", "-1", "terms must be >= 0, got -1"),
+    # k is checked first
+    ("1", "-1", "k must be >= 2, got 1"),
+])
+def test_series_parameter_errors_print_nothing_to_stdout(capsys, fmt, k, terms, message):
+    code, out, err = run_cli(capsys, "series", "--k", k, "--terms", terms,
+                             *(("--format", fmt) if fmt else ()))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_series_leaves_the_decimal_context_as_it_was(capsys):
+    before = decimal.getcontext().copy()
+    assert run_cli(capsys, "series", "--k", "3", "--terms", "600", "--format", "csv")[0] == 0
+    after = decimal.getcontext()
+    assert (after.prec, after.traps, after.Emax) == (before.prec, before.traps, before.Emax)
+
+
 # --- verify ---
 
 
@@ -562,6 +636,37 @@ def test_budget_exceeded_exits_3(capsys):
     code, _, err = run_cli(capsys, "count", "--family", "path", "--n", "30")
     assert code == 3
     assert "1073741824" in err
+
+
+# parameters of each family's graph at a given order: n, or n x m
+def _order_params(family: str, order: int) -> tuple[str, ...]:
+    if family in ("complete-product", "path-grid"):
+        return ("--n", str(order // 2), "--m", "2")
+    return ("--n", str(order), *(("--k", "2") if family == "cycle-power" else ()))
+
+
+BRUTEFORCE_FAMILIES = [family for family, (_, methods) in FAMILIES.items()
+                       if "bruteforce" in methods]
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+@pytest.mark.parametrize("family", BRUTEFORCE_FAMILIES)
+@pytest.mark.parametrize("order, code, message", [
+    (64, 2, "exhaustive sweep supports at most 62-bit codes, got 64"),
+    (6000, 2, "exhaustive sweep supports at most 62-bit codes, got 6000"),
+    (30, 3, "needs 1073741824 subsets but the budget allows 67108864; "
+            "rerun with max_subsets >= 1073741824"),
+])
+def test_bruteforce_is_refused_before_the_graph_is_built(monkeypatch, capsys, command, family,
+                                                         order, code, message):
+    def no_graph(*args):
+        raise AssertionError("the graph was built")
+
+    for builder in ("make_path", "make_cycle", "make_complete", "cartesian_product", "graph_power"):
+        monkeypatch.setattr(cli, builder, no_graph)
+    result = run_cli(capsys, command, "--family", family, *_order_params(family, order),
+                     "--method", "bruteforce")
+    assert result == (code, "", f"error: {message}\n")
 
 
 def test_max_subsets_flag_sets_the_ceiling(capsys):

@@ -1,8 +1,10 @@
 """Recurrence evaluation, series expansion, and sequence-file comparison."""
 
+import decimal
 import json
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +22,8 @@ from digicon import (
     expand_rational,
     parse_bfile,
 )
-from digicon.cyclic import _a_recurrence
+from digicon.cli import _EXACT as EXACT
+from digicon.cyclic import _a_recurrence, _series_fraction
 from digicon.products import _GRID_P2_RECURRENCE
 from oracles import cycle_count_by_lucas, recurrence_terms_naive
 
@@ -246,6 +249,44 @@ def test_expansion_matches_recurrence_evaluation(data):
     series = expand_rational(num, den, 30)
     for n in range(31):
         assert series[n] == eval_recurrence(rec, n)
+
+
+@given(
+    st.lists(st.integers(-99, 99), min_size=0, max_size=6),
+    st.lists(st.integers(-9, 9), min_size=0, max_size=5),
+    st.sampled_from([1, -1]),
+)
+def test_long_division_in_exact_decimal_prints_the_integer_expansion(num, den_tail, lead):
+    """The same division on Decimal numerators, under a context that traps
+    any rounding, gives the ints' strings: no '-0', no exponent."""
+    den = [lead] + den_tail
+    with decimal.localcontext(EXACT):
+        got = [str(c) for c in sequences._long_division(map(Decimal, num), den, 40)]
+    assert got == [str(c) for c in expand_rational(num, den, 40).coefficients]
+
+
+def test_long_division_checks_on_the_call():
+    with pytest.raises(InvalidParameterError, match="terms must be >= 0, got -1"):
+        sequences._long_division([1], [1, -1], -1)
+    with pytest.raises(InvalidParameterError, match="constant term"):
+        sequences._long_division([1], [2], 3)
+
+
+def test_long_division_keeps_a_window_not_the_series():
+    # the k = 3 cycle-power series: 20,001 coefficients of up to 3,321
+    # digits, about 33 million digits in all, of which the window keeps 6
+    num, den = _series_fraction(3)
+    terms = sequences._long_division(map(Decimal, num), den, 20000)
+    with decimal.localcontext(EXACT):
+        tracemalloc.start()
+        try:
+            for last in terms:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(str(last)) == 3321
+    assert peak < 1 << 16
 
 
 # --- b-file parsing ---

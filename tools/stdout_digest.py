@@ -11,8 +11,10 @@ The first form runs every invocation of the matrix in this process through
 every family x method (and the default method) x format (and the default
 format) x ``--workers`` 1, 2 and 8, for ``count`` and ``enumerate``, at small
 sizes and at each parameter one below its least value; plus
-``verify --suite all``, ``oeis`` and ``series``.  The sweep-size cap is the
-default one: ``DIGICON_MAX_SUBSETS`` is unset while the matrix runs.
+``verify --suite all``, ``oeis`` and ``series``; plus single runs of
+``series --k 2 --terms 6500`` in each format and of the 13 x 2 ladder
+stream in jsonl and plain.  The sweep-size cap is the default one:
+``DIGICON_MAX_SUBSETS`` is unset while the matrix runs.
 
 To check that a change keeps the output bytes, digest the parent's source
 (``--src PARENT/src``) and the change's, then compare.  ``--compare`` prints
@@ -78,6 +80,14 @@ def matrix() -> list[list[str]]:
     runs.append(["oeis"])
     for k, fmt in itertools.product((2, 3), (None, "jsonl", "csv", "plain")):
         runs.append(["series", "--k", str(k), "--terms", "40"] + (["--format", fmt] if fmt else []))
+    # one run each at a size the loops above do not reach: coefficients past
+    # the bits the CLI converts to decimal directly, and a stream of 154,078
+    # ascending sets of 26 vertices
+    for fmt in (None, "jsonl", "csv", "plain"):
+        runs.append(["series", "--k", "2", "--terms", "6500"] + (["--format", fmt] if fmt else []))
+    for fmt in ("jsonl", "plain"):
+        runs.append(["enumerate", "--family", "path-grid", "--n", "13", "--m", "2",
+                     "--method", "recurrence", "--format", fmt])
     return runs
 
 
