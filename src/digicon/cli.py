@@ -22,7 +22,7 @@ from operator import getitem
 from pathlib import Path
 
 from ._kernels import DEFAULT_MAX_SUBSETS, EnumerationBudget, _check_sweep, check_budget
-from .convexity import _convex_codes, count_digitally_convex, enumerate_digitally_convex
+from .convexity import _convex_codes, count_digitally_convex
 from .cyclic import (
     _convex_set_codes,
     _series_fraction,
@@ -42,7 +42,7 @@ from .errors import (
     NotImageError,
     NotMemberError,
 )
-from .graphs import cartesian_product, graph_power, make_complete, make_cycle, make_path
+from .graphs import VertexSet, cartesian_product, graph_power, make_complete, make_cycle, make_path
 from .products import (
     _antidiagonal_index,
     _grid_cells,
@@ -51,7 +51,6 @@ from .products import (
     count_complete_product,
     count_grid_p2,
     count_grid_via_arrays,
-    generate_grid_p2,
 )
 from .sequences import ComparisonReport, _long_division, compare_with_bfile
 
@@ -229,15 +228,21 @@ _BATCH_CHARS = 8192
 _BATCH_LINES = 256
 
 
-def _print_lines(lines) -> None:
-    """Print a stream of lines in batches of about _BATCH_CHARS characters:
-    the first batch has _BATCH_LINES lines, and each later one as many as
-    the mean length of the one before fits in _BATCH_CHARS."""
+def _batches(items, sep: str):
+    """A stream of strings joined by sep in batches of about _BATCH_CHARS
+    characters: the first batch has _BATCH_LINES items, and each later one
+    as many as the mean length of the one before fits in _BATCH_CHARS."""
     size = _BATCH_LINES
-    while batch := list(itertools.islice(lines, size)):
-        text = "\n".join(batch)
-        print(text)
+    while batch := list(itertools.islice(items, size)):
+        text = sep.join(batch)
+        yield text
         size = _BATCH_CHARS * len(batch) // (len(text) + 1) + 1
+
+
+def _print_lines(lines) -> None:
+    """Print a stream of lines, a batch of them per print."""
+    for text in _batches(lines, "\n"):
+        print(text)
 
 
 def _line_format(universe: int, fmt: str):
@@ -294,64 +299,69 @@ def _cmd_series(args) -> int:
         elif args.format == "jsonl":
             _print_lines(itertools.starmap('{{"n": {}, "coefficient": "{}"}}'.format,
                                            enumerate(coefficients)))
-        else:
-            print(json.dumps(list(coefficients)))
+        else:  # the JSON list of the coefficient strings, on one line
+            print("[", end="")
+            for i, text in enumerate(_batches(map('"{}"'.format, coefficients), ", ")):
+                print(f", {text}" if i else text, end="")
+            print("]")
     return 0
 
 
+def _run(command: str, family: str, method: str | None, budget, **params):
+    """What `count` or `enumerate` (command) gives for the family by method
+    (None: the count default): a count, or the list of set bitmasks."""
+    methods = FAMILIES[family][1]
+    count, enumerate_masks = methods[method or next(iter(methods))]
+    return count(budget, **params) if command == "count" else list(enumerate_masks(budget, **params)[1])
+
+
+def _case(label: str, values: dict, *checks: tuple[bool, str]) -> tuple:
+    """A verify case from named route values, counts or mask lists shown by
+    their length: ok when they all agree and every (holds, note) check
+    holds; a failed check appends its note to the detail."""
+    shown = {name: v if isinstance(v, int) else len(v) for name, v in values.items()}
+    return (label, len(set(shown.values())) == 1 and all(holds for holds, _ in checks),
+            ", ".join(f"{name} {value}" for name, value in shown.items())
+            + "".join(note for holds, note in checks if not holds))
+
+
 def _suite_cyclic_strings(max_k: int, max_n: int, budget) -> list:
-    cases = []
-    for k in range(2, max_k + 1):
-        series = a_series(k, max_n)
-        for n in range(1, max_n + 1):
-            enumerated = sum(1 for _ in enumerate_B(k, n, budget))
-            counted = a_count(k, n)
-            ok = enumerated == counted == series[n]
-            cases.append((f"strings k={k} n={n}", ok,
-                          f"enumerated {enumerated}, recurrence {counted}, series {series[n]}"))
-    return cases
+    series = {k: a_series(k, max_n) for k in range(2, max_k + 1)}
+    return [_case(f"strings k={k} n={n}", {"enumerated": sum(1 for _ in enumerate_B(k, n, budget)),
+                                           "recurrence": a_count(k, n), "series": series[k][n]})
+            for k, n in itertools.product(series, range(1, max_n + 1))]
 
 
 def _suite_cycle_power(max_k: int, max_n: int, budget) -> list:
     cases = []
-    for k in range(1, max_k + 1):
-        for n in range(3, max_n + 1):
-            graph = graph_power(make_cycle(n), k)
-            brute = list(enumerate_digitally_convex(graph, budget))
-            recurrence = count_cycle_power(k, n)
-            via_strings = len(list(_convex_set_codes(k, n, budget)))
-            ok = len(brute) == recurrence == via_strings
-            detail = f"bruteforce {len(brute)}, recurrence {recurrence}, strings {via_strings}"
-            if any(convex_set_from_string(k, n, string_from_convex_set(k, n, s)) != s
-                   for s in brute):
-                ok = False
-                detail += ", round trip failed"
-            cases.append((f"cycle-power k={k} n={n}", ok, detail))
+    for k, n in itertools.product(range(1, max_k + 1), range(3, max_n + 1)):
+        brute = _run("enumerate", "cycle-power", "bruteforce", budget, n=n, k=k)
+        values = {"bruteforce": brute,
+                  "recurrence": _run("count", "cycle-power", "recurrence", budget, n=n, k=k),
+                  "strings": _run("enumerate", "cycle-power", "bijection", budget, n=n, k=k)}
+        round_trip = all(mask == convex_set_from_string(
+            k, n, string_from_convex_set(k, n, VertexSet(n, mask))).mask for mask in brute)
+        cases.append(_case(f"cycle-power k={k} n={n}", values,
+                           (sorted(values["strings"]) == brute, ", sets differ"),
+                           (round_trip, ", round trip failed")))
     return cases
 
 
 def _suite_fast_route(label: str, family: str, cells, budget) -> list:
     """The family's default count route against the exhaustive sweep."""
-    routes = FAMILIES[family][1]
-    methods = (next(iter(routes)), "bruteforce")
-    cases = []
-    for n, m in cells:
-        counts = [routes[method][0](budget, n=n, m=m) for method in methods]
-        cases.append((f"{label} {n}x{m}", counts[0] == counts[1],
-                      f"{methods[0]} {counts[0]}, bruteforce {counts[1]}"))
-    return cases
+    fast = next(iter(FAMILIES[family][1]))
+    return [_case(f"{label} {n}x{m}", {method: _run("count", family, method, budget, n=n, m=m)
+                                       for method in (fast, "bruteforce")}) for n, m in cells]
 
 
 def _suite_grid_p2(max_n: int, budget) -> list:
     cases = []
     for n in range(1, max_n + 1):
-        ladder = cartesian_product(make_path(n), make_path(2))
-        brute = list(enumerate_digitally_convex(ladder, budget))
-        generated = generate_grid_p2(n)
-        counted = count_grid_p2(n)
-        ok = len(brute) == counted and list(generated) == brute
-        cases.append((f"ladder n={n}", ok,
-                      f"bruteforce {len(brute)}, recurrence {counted}, generated {len(generated)}"))
+        brute = _run("enumerate", "path-grid", "bruteforce", budget, n=n, m=2)
+        values = {"bruteforce": brute,
+                  "recurrence": _run("count", "path-grid", "recurrence", budget, n=n, m=2),
+                  "generated": _run("enumerate", "path-grid", "recurrence", budget, n=n, m=2)}
+        cases.append(_case(f"ladder n={n}", values, (values["generated"] == brute, "")))
     return cases
 
 
@@ -366,20 +376,17 @@ def _oeis_report(bfile, max_cells: int, budget) -> ComparisonReport:
         lines = path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read the sequence file: {exc}") from None
-    values = [
-        (_antidiagonal_index(n, m), count_grid_via_arrays(n, m, budget))
-        for n, m in _grid_cells(max_cells)
-    ]
+    values = [(_antidiagonal_index(n, m), _run("count", "path-grid", None, budget, n=n, m=m))
+              for n, m in _grid_cells(max_cells)]
     return compare_with_bfile(values, lines)
 
 
 def _suite_oeis(bfile, max_cells: int, budget) -> list:
     report = _oeis_report(bfile, max_cells, budget)
-    cases = [("sequence-file overlap", report.all_match,
-              f"matched {report.matched}, mismatches {len(report.mismatches)}")]
-    for index, expected, found in report.mismatches:
-        cases.append((f"index {index}", False, f"expected {expected}, found {found}"))
-    return cases
+    return [("sequence-file overlap", report.all_match,
+             f"matched {report.matched}, mismatches {len(report.mismatches)}"),
+            *((f"index {index}", False, f"expected {expected}, found {found}")
+              for index, expected, found in report.mismatches)]
 
 
 def _checked_bound(value, flag: str):

@@ -13,7 +13,10 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, strategies as st
 
+import digicon
 import digicon._kernels as kernels
+import digicon.convexity as convexity
+import digicon.products as products
 from digicon import (
     EnumerationBudget,
     VertexSet,
@@ -489,6 +492,45 @@ def test_series_stream_equals_the_integer_expansion(capsys, k, terms):
         assert out == render(coefficients), fmt
 
 
+@pytest.mark.parametrize("terms", [0, 1, 600])
+@pytest.mark.parametrize("k", range(2, 9))
+def test_series_plain_is_the_json_list_of_the_coefficients(capsys, k, terms):
+    # terms past _PLAIN_BITS are in test_series_stream_equals_the_integer_expansion
+    code, out, _ = run_cli(capsys, "series", "--k", str(k), "--terms", str(terms))
+    assert (code, out) == (0, json.dumps([str(c) for c in a_series(k, terms).coefficients]) + "\n")
+
+
+# one CLI run with stdout discarded, then its peak RSS in kB: VmHWM, which
+# (unlike ru_maxrss) starts afresh at exec, so the forking test process's
+# own size is not counted
+PEAK_RSS_SCRIPT = """
+import os, sys
+from digicon.cli import main
+sys.stdout = open(os.devnull, "w")
+code = main(sys.argv[1:])
+sys.stdout.flush()
+peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(code, peak.split()[1], file=sys.stderr)
+"""
+
+
+def _peak_rss_kb(*argv: str) -> int:
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, *argv],
+                          capture_output=True, text=True, timeout=120)
+    code, peak = proc.stderr.split()
+    assert code == "0"
+    return int(peak)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_series_plain_streams_in_the_memory_of_csv():
+    # collecting the 20,000 coefficients, of up to 3,300 digits, before one
+    # json.dumps took about 100 MB more than csv
+    argv = ("series", "--k", "3", "--terms", "20000")
+    plain, csv = _peak_rss_kb(*argv), _peak_rss_kb(*argv, "--format", "csv")
+    assert plain <= csv + 2048, (plain, csv)
+
+
 @pytest.mark.parametrize("fmt", list(SERIES_FORMATS))
 @pytest.mark.parametrize("k, terms, message", [
     ("1", "5", "k must be >= 2, got 1"),
@@ -544,6 +586,67 @@ def test_verify_cycle_power_suite_catches_a_lost_bijection_set(monkeypatch, caps
     assert code == 1
     assert "FAIL [cycle-power-bijection] cycle-power k=1 n=3: " \
            "bruteforce 2, recurrence 2, strings 1" in out
+
+
+def test_verify_grid_p2_runs_the_shipped_ladder_stream(monkeypatch, capsys):
+    # the generated column is the path-grid recurrence stream that enumerate prints
+    count, stream = FAMILIES["path-grid"][1]["recurrence"]
+
+    def first_dropped(budget, **params):
+        universe, masks = stream(budget, **params)
+        return universe, itertools.islice(masks, 1, None)
+
+    monkeypatch.setitem(FAMILIES["path-grid"][1], "recurrence", (count, first_dropped))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "grid-p2", "--max-n", "3")
+    assert code == 1
+    assert "FAIL [grid-p2] ladder n=1: bruteforce 2, recurrence 2, generated 1\n" in out
+
+
+def test_verify_cycle_power_compares_the_bijection_sets(monkeypatch, capsys):
+    # {0, 1} is a convex set of C_5 and {0, 2} is not: the swapped stream
+    # keeps its length, so only the comparison of the sets catches it
+    count, stream = FAMILIES["cycle-power"][1]["bijection"]
+    assert 0b11 in set(stream(None, n=5, k=1)[1]) and 0b101 not in set(stream(None, n=5, k=1)[1])
+
+    def swapped(budget, **params):
+        universe, masks = stream(budget, **params)
+        return universe, (0b101 if mask == 0b11 else mask for mask in masks)
+
+    monkeypatch.setitem(FAMILIES["cycle-power"][1], "bijection", (count, swapped))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cycle-power-bijection",
+                           "--max-k", "1", "--max-n", "5")
+    total = count_cycle_power(1, 5)
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        f"FAIL [cycle-power-bijection] cycle-power k=1 n=5: "
+        f"bruteforce {total}, recurrence {total}, strings {total}, sets differ",
+        "1 of 3 cases failed",
+    ]
+
+
+def test_verify_and_oeis_build_no_sets_or_ladders_outside_the_routes(monkeypatch, capsys):
+    def wrapper(*args, **kwargs):
+        raise AssertionError("verify called an object-level wrapper, not a route")
+
+    # wherever the package binds them
+    for module in (digicon, cli, convexity, products):
+        for name in ("enumerate_digitally_convex", "generate_grid_p2"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    assert run_cli(capsys, "verify", "--suite", "all")[0] == 0
+    assert run_cli(capsys, "oeis")[0] == 0
+
+
+def test_a_budget_error_prints_none_of_its_suites_lines(capsys):
+    # cycle-power-bijection passes n = 3..9 before n = 10 needs 1024
+    # subsets; the suite runs whole before any of its lines is printed
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--max-subsets", "1000")
+    lines = out.splitlines()
+    assert code == 3
+    assert len(lines) == 56
+    assert all(line.startswith("ok   [cyclic-strings] strings ") for line in lines)
+    assert err == ("error: needs 1024 subsets but the budget allows 1000; "
+                   "rerun with max_subsets >= 1024\n")
 
 
 def test_verify_oeis_suite_catches_perturbation(tmp_path, capsys):

@@ -109,6 +109,12 @@ def test_the_matrix_covers_every_family_and_method(stdout_digest):
     assert stdout_digest.METHODS == {family: tuple(methods) for family, (_, methods) in FAMILIES.items()}
 
 
+def test_the_matrix_runs_every_verify_suite_alone(stdout_digest):
+    from digicon.cli import _SUITES
+
+    assert list(stdout_digest.VERIFY_BOUNDS) == list(_SUITES)
+
+
 def test_compare_fails_on_exit_stdout_or_presence_only(stdout_digest, tmp_path, capsys):
     parent = {"a": [0, sha("1\n"), ""], "b": [2, sha(""), "error: old words"], "c": [0, sha(""), ""]}
     changes = {

@@ -11,7 +11,9 @@ The first form runs every invocation of the matrix in this process through
 every family x method (and the default method) x format (and the default
 format) x ``--workers`` 1, 2 and 8, for ``count`` and ``enumerate``, at small
 sizes and at each parameter one below its least value; plus
-``verify --suite all``, ``oeis`` and ``series``; plus single runs of
+``verify --suite all``, ``oeis`` and ``series``; plus each verify suite
+alone at bounds other than its defaults, ``verify --suite all`` under a
+budget of 1000 subsets, and ``oeis --max-cells 22``; plus single runs of
 ``series --k 2 --terms 6500`` in each format and of the 13 x 2 ladder
 stream in jsonl and plain.  The sweep-size cap is the default one:
 ``DIGICON_MAX_SUBSETS`` is unset while the matrix runs.
@@ -59,6 +61,15 @@ SIZES = {
 }
 PARAMS = {"cycle-power": ("--n", "--k")}
 
+VERIFY_BOUNDS = {
+    "cyclic-strings": ("--max-k", "3", "--max-n", "18"),
+    "cycle-power-bijection": ("--max-k", "4", "--max-n", "13"),
+    "complete-product": ("--max-n", "5"),
+    "grid-p2": ("--max-n", "10"),
+    "grid-arrays": ("--max-cells", "20"),
+    "oeis": ("--max-cells", "12"),
+}
+
 
 def matrix() -> list[list[str]]:
     """Every invocation, as an argv list."""
@@ -78,6 +89,12 @@ def matrix() -> list[list[str]]:
             runs.append(argv + ["--workers", str(workers)])
     runs.append(["verify", "--suite", "all"])
     runs.append(["oeis"])
+    # each suite alone at bounds other than its defaults, a budget that one
+    # suite passes and the next exceeds, and grids past the oeis default
+    for suite, bounds in VERIFY_BOUNDS.items():
+        runs.append(["verify", "--suite", suite, *bounds])
+    runs.append(["verify", "--suite", "all", "--max-subsets", "1000"])
+    runs.append(["oeis", "--max-cells", "22"])
     for k, fmt in itertools.product((2, 3), (None, "jsonl", "csv", "plain")):
         runs.append(["series", "--k", str(k), "--terms", "40"] + (["--format", fmt] if fmt else []))
     # one run each at a size the loops above do not reach: coefficients past
