@@ -2,13 +2,13 @@
 kernels behind every exhaustive bitmask sweep.
 
 Every sweep walks the codes 0..2^bits - 1 in aligned blocks of 2^b codes,
-flags each block's codes with one predicate, and counts or lists them in
-block order: one flags function on count_flagged or iter_flagged, which
-check the code width and then the budget before any block runs.  Every
-block runs on the calling thread; the budget's workers are checked and
-select nothing, so the output is the same for any worker count.
+flags each block's codes with one kernel, and counts or lists them in block
+order: count_flagged or iter_flagged, the one place that refuses a sweep,
+checks the code width, then the budget, and only then builds the closed
+masks, so a refused sweep builds nothing.  Every block runs on the calling
+thread; the budget's workers are checked and select nothing.
 
-A flags function returns an int whose bit i stands for the code lo + i,
+A kernel returns an int whose bit i stands for the code lo + i,
 so one AND or OR tests all 2^b subsets of a block at once.  The plane of
 a low vertex v < b has bit i set iff i holds v; a high vertex is in every
 code of the block or in none, as lo says.  The grid arrays sweep is
@@ -57,14 +57,15 @@ def check_budget(required: int, budget: EnumerationBudget | None, what: str) -> 
         raise BudgetExceededError(required, limit, what=what)
 
 
-def _check_sweep(bits: int, budget: EnumerationBudget | None, what: str) -> None:
-    """Check a sweep of 2^bits codes (what): the width first, since a sweep
-    that no budget can run is a parameter error, not a budget error."""
+def _checked_masks(bits: int, masks, budget: EnumerationBudget | None, what: str):
+    """masks(), called only once a sweep of 2^bits codes (what) passes its
+    checks: the width first, since a sweep that no budget can run is a
+    parameter error, not a budget error, then the budget."""
     if bits > _MAX_SWEEP_BITS:
-        raise InvalidParameterError(
-            f"exhaustive sweep supports at most {_MAX_SWEEP_BITS}-bit codes, got {bits}"
-        )
+        raise InvalidParameterError(f"exhaustive sweep supports at most {_MAX_SWEEP_BITS}-bit "
+                                    f"codes, got {bits}")
     check_budget(1 << bits, budget, what)
+    return masks()
 
 
 def iter_blocks(total: int, block_size: int = BLOCK_SIZE):
@@ -81,19 +82,19 @@ def scan_blocks(total: int, block_fn, workers: int = 1, block_size: int = BLOCK_
         yield block_fn(lo, hi)
 
 
-def count_flagged(bits: int, flags, budget: EnumerationBudget | None, what: str) -> int:
-    """How many codes below 2^bits the block ints flags(lo, hi) mark;
-    _check_sweep checks the sweep before any block runs."""
-    _check_sweep(bits, budget, what)
-    return sum(scan_blocks(1 << bits, lambda lo, hi: flags(lo, hi).bit_count()))
+def count_flagged(bits: int, kernel, masks, budget: EnumerationBudget | None, what: str) -> int:
+    """How many codes below 2^bits kernel(masks(), lo, hi) marks; masks()
+    is called once, after _checked_masks checks the sweep."""
+    closed = _checked_masks(bits, masks, budget, what)
+    return sum(scan_blocks(1 << bits, lambda lo, hi: kernel(closed, lo, hi).bit_count()))
 
 
-def iter_flagged(bits: int, flags, budget: EnumerationBudget | None, what: str):
-    """The codes below 2^bits that flags(lo, hi) marks, ascending, as Python
-    ints; checked like count_flagged on the call, not on the first code."""
-    _check_sweep(bits, budget, what)
+def iter_flagged(bits: int, kernel, masks, budget: EnumerationBudget | None, what: str):
+    """The codes below 2^bits that kernel(masks(), lo, hi) marks, ascending;
+    checked and built like count_flagged on the call, not on the first code."""
+    closed = _checked_masks(bits, masks, budget, what)
     return itertools.chain.from_iterable(
-        scan_blocks(1 << bits, lambda lo, hi: _set_bits(lo, flags(lo, hi))))
+        scan_blocks(1 << bits, lambda lo, hi: _set_bits(lo, kernel(closed, lo, hi))))
 
 
 @functools.cache

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import decimal
-import functools
 import itertools
 import json
 import os
@@ -21,8 +20,8 @@ from importlib import resources
 from operator import getitem
 from pathlib import Path
 
-from ._kernels import DEFAULT_MAX_SUBSETS, EnumerationBudget, _check_sweep, check_budget
-from .convexity import _convex_codes, count_digitally_convex
+from ._kernels import (DEFAULT_MAX_SUBSETS, EnumerationBudget, convex_bits, count_flagged,
+                       iter_flagged)
 from .cyclic import (
     _convex_set_codes,
     _series_fraction,
@@ -52,25 +51,16 @@ from .products import (
     count_grid_p2,
     count_grid_via_arrays,
 )
-from .sequences import ComparisonReport, _long_division, compare_with_bfile
+from .sequences import ComparisonReport, _exact, _long_division, _to_decimal, compare_with_bfile
 
 
 def _sweep(graph, order=lambda n, **_: n):
-    """Count and enumerate routes over every subset of graph(**params).
-
-    The sweep is checked from order(**params), the graph's order, before
-    the graph is built: a graph too large to sweep costs nothing to refuse.
-    """
-    def checked_graph(budget, params):
-        _check_sweep(order(**params), budget, "subsets")
-        return graph(**params)
-
-    def enumerate_route(budget, **p):
-        g = checked_graph(budget, p)
-        return g.order, _convex_codes(g, budget)
-
-    return (lambda budget, **p: count_digitally_convex(checked_graph(budget, p), budget),
-            enumerate_route)
+    """Count and enumerate routes over every subset of graph(**params), of
+    order(**params) vertices, built only once the sweep passes its check."""
+    return (lambda budget, **p: count_flagged(order(**p), convex_bits,
+                                              lambda: graph(**p).closed_masks, budget, "subsets"),
+            lambda budget, **p: (order(**p), iter_flagged(
+                order(**p), convex_bits, lambda: graph(**p).closed_masks, budget, "subsets")))
 
 
 def _streamed(enumerate_route):
@@ -86,13 +76,6 @@ def _ladder_length(n: int, m: int) -> int:
     if m != 2:
         raise InvalidParameterError("method recurrence for path-grid needs --m 2")
     return n
-
-
-def _ladder_codes(budget, n: int, m: int):
-    """The ladder stream, budgeted by its exact count before any ladder is built."""
-    n = _ladder_length(n, m)
-    check_budget(count_grid_p2(n), budget, "sets")
-    return 2 * n, _grid_p2_codes(n)
 
 
 # family -> ({parameter: least value}, {method: (count route, enumerate route or None)}).
@@ -135,7 +118,7 @@ FAMILIES = {
         "bruteforce": _sweep(lambda n, m: cartesian_product(make_path(n), make_path(m)),
                              lambda n, m: n * m),
         "recurrence": (lambda budget, n, m: count_grid_p2(_ladder_length(n, m)),
-                       _ladder_codes),
+                       lambda budget, n, m: (2 * n, _grid_p2_codes(_ladder_length(n, m), budget))),
     }),
 }
 
@@ -172,37 +155,6 @@ def _budget_from(args) -> EnumerationBudget:
             raise InvalidParameterError(
                 f"DIGICON_MAX_SUBSETS must be an integer, got {env!r}") from None
     return EnumerationBudget(DEFAULT_MAX_SUBSETS if cap is None else cap, args.workers)
-
-
-# decimal arithmetic that raises on any rounding instead of passing it silently
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
-# ints up to this many bits convert directly; Decimal(int) is quadratic past it
-_PLAIN_BITS = 4096
-
-
-@functools.lru_cache(maxsize=None)
-def _two_power(bits: int) -> Decimal:
-    """2^bits as a Decimal, for bits = _PLAIN_BITS * 2^i."""
-    if bits <= _PLAIN_BITS:
-        return Decimal(1 << bits)
-    half = _two_power(bits // 2)
-    return _EXACT.multiply(half, half)
-
-
-def _to_decimal(value: int) -> Decimal:
-    """value as an exact Decimal, whose str prints an int of any size: where
-    str(int) stops at 4300 digits by default, and it and Decimal(int) are
-    quadratic (the 208,988 digits of the cycle count at n = 10^6).  Splits
-    on 2^bits, bits = _PLAIN_BITS * 2^i about half the length, and
-    recombines the halves in decimal."""
-    if value.bit_length() <= _PLAIN_BITS:
-        return Decimal(value)
-    bits = _PLAIN_BITS
-    while 2 * bits < value.bit_length():
-        bits *= 2
-    low = value & (1 << bits) - 1
-    return _EXACT.fma(_to_decimal(value >> bits), _two_power(bits), _to_decimal(low))
 
 
 def _cmd_count(args) -> int:
@@ -286,13 +238,13 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_series(args) -> int:
     """The series coefficients, each printed as it is computed: the long
-    division runs on Decimals under _EXACT, where str is linear at any size
+    division runs on Decimals under _exact(), where str is linear at any size
     and any rounding raises, and keeps O(k) coefficients."""
     numerator, denominator = _series_fraction(args.k)
     coefficients = map(str, _long_division(map(Decimal, numerator), denominator, args.terms))
     # the context is entered here, around the whole stream: a generator
     # that entered it would leak it to the caller at every yield
-    with decimal.localcontext(_EXACT):
+    with decimal.localcontext(_exact()):
         if args.format == "csv":
             print("n,coefficient")
             _print_lines(itertools.starmap("{},{}".format, enumerate(coefficients)))
@@ -385,7 +337,8 @@ def _suite_oeis(bfile, max_cells: int, budget) -> list:
     report = _oeis_report(bfile, max_cells, budget)
     return [("sequence-file overlap", report.all_match,
              f"matched {report.matched}, mismatches {len(report.mismatches)}"),
-            *((f"index {index}", False, f"expected {expected}, found {found}")
+            *((f"index {index}", False,
+               f"expected {_to_decimal(expected)}, found {_to_decimal(found)}")
               for index, expected, found in report.mismatches)]
 
 

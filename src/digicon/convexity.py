@@ -11,7 +11,6 @@ its budget and width check.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Iterator
 
 from . import _kernels
@@ -86,11 +85,11 @@ def _convex_codes(g: Graph, budget: EnumerationBudget | None = None) -> Iterator
 
     The budget is checked on the call, before the first code is asked for.
     """
-    return _kernels.iter_flagged(g.order, partial(_kernels.convex_bits, g.closed_masks),
+    return _kernels.iter_flagged(g.order, _kernels.convex_bits, lambda: g.closed_masks,
                                  budget, "subsets")
 
 
 def count_digitally_convex(g: Graph, budget: EnumerationBudget | None = None) -> int:
     """Exact number of digitally convex subsets of g, by exhaustive sweep."""
-    return _kernels.count_flagged(g.order, partial(_kernels.convex_bits, g.closed_masks),
+    return _kernels.count_flagged(g.order, _kernels.convex_bits, lambda: g.closed_masks,
                                   budget, "subsets")

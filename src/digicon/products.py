@@ -16,10 +16,10 @@ one cell; the per-code min(max(x)) == x stays as its test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import _kernels
-from ._kernels import EnumerationBudget
+from ._kernels import EnumerationBudget, check_budget
 from .convexity import _closure
 from .errors import InvalidParameterError, NotConvexError, NotImageError
 from .graphs import VertexSet, cartesian_product, make_path
@@ -63,8 +63,7 @@ class BinaryArray:
     @classmethod
     def from_code(cls, n: int, m: int, code: int) -> "BinaryArray":
         """Decode a row-major bit integer (bit i*m + j holds cell (i, j))."""
-        if n < 1 or m < 1:
-            raise InvalidParameterError(f"dimensions must be positive, got {n} x {m}")
+        _check_dims(n, m)
         if not 0 <= code < 1 << (n * m):
             raise InvalidParameterError(f"code {code} out of range for {n} x {m}")
         return cls(tuple(
@@ -123,14 +122,18 @@ def _min_codes(n: int, m: int, code: int) -> int:
             & (code << 1 | col_first) & (code >> 1 | col_last))
 
 
+def _check_dims(n: int, m: int) -> None:
+    if n < 1 or m < 1:
+        raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
+
+
 def count_complete_product(n: int, m: int) -> int:
     """Number of digitally convex sets of K_n x K_m: 2 + (2^n - 2)(2^m - 2).
 
     Besides the empty and full sets, the convex sets are exactly the
     products of a proper nonempty subset of each factor.
     """
-    if n < 1 or m < 1:
-        raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
+    _check_dims(n, m)
     return 2 + ((1 << n) - 2) * ((1 << m) - 2)
 
 
@@ -199,9 +202,10 @@ def _grid_p2_families(n: int, a1: list[int], a2: list[int],
     return d1, d2, d3
 
 
-def _grid_p2_codes(n: int) -> list[int]:
+def _grid_p2_codes(n: int, budget: EnumerationBudget | None = None) -> list[int]:
     """The bitmasks of the digitally convex sets of the n x 2 ladder, ascending.
 
+    Budgeted by its exact count on the call, before any ladder is built.
     Ladders up to n = 3 are the codes (at most 64) equal to their closure,
     tested one at a time with no sweep; each longer one is assembled
     constructively from the three before it.  The family sizes
@@ -209,8 +213,7 @@ def _grid_p2_codes(n: int) -> list[int]:
     set, and the total against count_grid_p2 are all checked at every
     length, so a construction bug raises instead of miscounting.
     """
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
+    check_budget(count_grid_p2(n), budget, "sets")  # count_grid_p2 checks n >= 1
     ladders = []
     for i in range(1, min(n, 3) + 1):
         g = cartesian_product(make_path(i), make_path(2))
@@ -240,10 +243,10 @@ def _grid_p2_codes(n: int) -> list[int]:
 # maxsize=0 keeps no ladder alive once the caller drops it; the wrapper only
 # keeps cache_clear, which perfbench/tracer.py calls before each op
 @lru_cache(maxsize=0)
-def generate_grid_p2(n: int) -> tuple[VertexSet, ...]:
+def generate_grid_p2(n: int, budget: EnumerationBudget | None = None) -> tuple[VertexSet, ...]:
     """All digitally convex sets of the n x 2 ladder, ascending by bitmask:
-    the sets of _grid_p2_codes(n), which checks every ladder it builds."""
-    return tuple(VertexSet(2 * n, mask) for mask in _grid_p2_codes(n))
+    the sets of _grid_p2_codes(n, budget), budgeted by their count."""
+    return tuple(VertexSet(2 * n, mask) for mask in _grid_p2_codes(n, budget))
 
 
 def _closed_codes(n: int, m: int, code: int) -> int:
@@ -262,27 +265,21 @@ def _cross_masks(n: int, m: int) -> tuple[int, ...]:
     return tuple(full ^ _min_codes(n, m, full ^ 1 << c) for c in range(n * m))
 
 
-def _image_flags(n: int, m: int):
-    """The flags function of the n x m arrays sweep: the codes equal to
-    their closure, by the convexity kernel on the cross masks.  The masks
-    are looked up per block, so the drivers check the width and budget
-    before n*m masks of n*m bits are built."""
-    if n < 1 or m < 1:
-        raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
-    return lambda lo, hi: _kernels.convex_bits(_cross_masks(n, m), lo, hi)
-
-
 def _image_codes(n: int, m: int, budget: EnumerationBudget | None = None) -> list[int]:
     """The images of the minimum transform over all n x m arrays, ascending:
-    the codes equal to their closure, so no image is met twice."""
-    return list(_kernels.iter_flagged(n * m, _image_flags(n, m), budget, "arrays"))
+    the codes that convex_bits keeps on the cross masks, each met once."""
+    _check_dims(n, m)
+    return list(_kernels.iter_flagged(n * m, _kernels.convex_bits, lambda: _cross_masks(n, m),
+                                      budget, "arrays"))
 
 
 def count_grid_via_arrays(n: int, m: int, budget: EnumerationBudget | None = None) -> int:
     """Number of minimum-transform images of n x m binary arrays (the codes
     equal to their closure), which equals the number of digitally convex
     sets of P_n x P_m."""
-    return _kernels.count_flagged(n * m, _image_flags(n, m), budget, "arrays")
+    _check_dims(n, m)
+    return _kernels.count_flagged(n * m, _kernels.convex_bits, lambda: _cross_masks(n, m),
+                                  budget, "arrays")
 
 
 def set_from_array(astar: BinaryArray) -> VertexSet:
@@ -303,8 +300,7 @@ def array_from_set(dims: tuple[int, int], s: VertexSet) -> BinaryArray:
     maximum transform of its indicator array.  Its minimum transform gives
     the indicator back; a set is convex iff its code is its closure."""
     n, m = dims
-    if n < 1 or m < 1:
-        raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
+    _check_dims(n, m)
     if s.universe != n * m:
         raise InvalidParameterError(f"set universe {s.universe} != {n}*{m}")
     if _closed_codes(n, m, s.mask) != s.mask:
@@ -328,15 +324,9 @@ def _antidiagonal_index(n: int, m: int) -> int:
 
 
 def count_mis_grid3(n: int, m: int, budget: EnumerationBudget | None = None) -> int:
-    """Number of maximal independent sets of P_n x P_m x P_2, by brute force.
-
-    Observed (and for small m known) to equal the number of digitally
-    convex sets of P_n x P_m.  A block whose high vertices (past the
-    kernel's table) already hold two adjacent members is rejected whole,
-    without a vector op; the sweep still covers every subset.
-    """
-    if n < 1 or m < 1:
-        raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
-    box = cartesian_product(cartesian_product(make_path(n), make_path(m)), make_path(2))
-    return _kernels.count_flagged(box.order, partial(_kernels.mis_bits, box.closed_masks),
-                                  budget, "subsets")
+    """Number of maximal independent sets of P_n x P_m x P_2, by the subset
+    sweep: observed (and for small m known) to equal the number of
+    digitally convex sets of P_n x P_m."""
+    _check_dims(n, m)
+    return _kernels.count_flagged(2 * n * m, _kernels.mis_bits, lambda: cartesian_product(
+        cartesian_product(make_path(n), make_path(m)), make_path(2)).closed_masks, budget, "subsets")

@@ -1,20 +1,76 @@
 """Exact-integer sequence tools: linear recurrences, rational power series,
 and comparison against external "index value" sequence files.
 
-Everything stays in arbitrary-precision Python ints, except that the long
-division also runs on Decimals under a context that traps any rounding;
-nothing here rounds.
+Everything stays in exact Python ints, read and printed in decimal at any
+size, except that the long division also runs on Decimals under a context
+that traps any rounding; nothing here rounds.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BfileParseError, EmptyOverlapError, InvalidParameterError
+
+# ints up to this many bits convert directly; Decimal(int) is quadratic past it
+_PLAIN_BITS = 4096
+
+
+@functools.cache
+def _exact():
+    """The decimal context that raises on any rounding instead of passing it
+    silently; decimal is imported on the first call, not with digicon."""
+    import decimal
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                           traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
+
+
+@functools.lru_cache(maxsize=None)
+def _two_power(bits: int):
+    """2^bits as a Decimal, for bits = _PLAIN_BITS * 2^i."""
+    if bits <= _PLAIN_BITS:
+        return _exact().create_decimal(1 << bits)
+    half = _two_power(bits // 2)
+    return _exact().multiply(half, half)
+
+
+def _to_decimal(value: int):
+    """value as an exact Decimal, whose str prints an int of any size: where
+    str(int) stops at 4300 digits by default, and it and Decimal(int) are
+    quadratic (the 208,988 digits of the cycle count at n = 10^6).  Splits
+    on 2^bits, bits = _PLAIN_BITS * 2^i about half the length, and
+    recombines the halves in decimal."""
+    if value.bit_length() <= _PLAIN_BITS:
+        return _exact().create_decimal(value)
+    bits = _PLAIN_BITS
+    while 2 * bits < value.bit_length():
+        bits *= 2
+    low = value & (1 << bits) - 1
+    return _exact().fma(_to_decimal(value >> bits), _two_power(bits), _to_decimal(low))
+
+
+# what int() reads in base 10: a sign, then digits with single underscores between
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def _exact_int(text: str) -> int:
+    """int(text), also past the cap on the digits that int(str) converts
+    (4300 by default): a longer integer is converted in halves."""
+    try:
+        return int(text)
+    except ValueError:
+        if not _INTEGER.fullmatch(text):
+            raise
+    digits = text.lstrip("+-").replace("_", "")
+    half = len(digits) // 2
+    value = _exact_int(digits[:half]) * 10 ** (len(digits) - half) + _exact_int(digits[half:])
+    return -value if text[0] == "-" else value
 
 
 @dataclass(frozen=True)
@@ -193,8 +249,8 @@ def parse_bfile(source) -> list[tuple[int, int]]:
 
     Accepts a path (str or Path) or an iterable of lines.  Whitespace
     separation is arbitrary; text after '#' is a comment; blank lines are
-    skipped.  Malformed or duplicated entries raise a parse error carrying
-    the 1-based line number.
+    skipped.  A value may have any number of digits.  Malformed or
+    duplicated entries raise a parse error carrying the 1-based line number.
     """
     if isinstance(source, (str, Path)):
         lines: Iterable[str] = Path(source).read_text().splitlines()
@@ -210,7 +266,7 @@ def parse_bfile(source) -> list[tuple[int, int]]:
         if len(fields) != 2:
             raise BfileParseError(lineno, raw.rstrip("\n"), "expected two fields")
         try:
-            index, value = int(fields[0]), int(fields[1])
+            index, value = int(fields[0]), _exact_int(fields[1])
         except ValueError:
             raise BfileParseError(lineno, raw.rstrip("\n"), "fields must be integers") from None
         if index in seen:
@@ -237,7 +293,7 @@ class ComparisonReport:
         return json.dumps({
             "matched": self.matched,
             "mismatches": [
-                {"index": i, "expected": str(e), "found": str(f)}
+                {"index": i, "expected": str(_to_decimal(e)), "found": str(_to_decimal(f))}
                 for i, e, f in self.mismatches
             ],
             "only_left": self.only_left,

@@ -17,6 +17,7 @@ import digicon
 import digicon._kernels as kernels
 import digicon.convexity as convexity
 import digicon.products as products
+import digicon.sequences as sequences
 from digicon import (
     EnumerationBudget,
     VertexSet,
@@ -468,7 +469,7 @@ def test_series_jsonl(capsys):
 
 # for k = 2..8, the fewest terms whose last coefficient has more bits than
 # the CLI converts to decimal directly (64 more, so that several do)
-SERIES_TERMS = {k: bisect.bisect_left(range(1 << 15), cli._PLAIN_BITS + 65, lo=1,
+SERIES_TERMS = {k: bisect.bisect_left(range(1 << 15), sequences._PLAIN_BITS + 65, lo=1,
                                       key=lambda n: a_count(k, n).bit_length())
                 for k in range(2, 9)}
 
@@ -484,7 +485,7 @@ SERIES_FORMATS = {
 @pytest.mark.parametrize("k, terms", list(SERIES_TERMS.items()))
 def test_series_stream_equals_the_integer_expansion(capsys, k, terms):
     coefficients = [str(c) for c in a_series(k, terms).coefficients]
-    assert int(coefficients[-1]).bit_length() > cli._PLAIN_BITS
+    assert int(coefficients[-1]).bit_length() > sequences._PLAIN_BITS
     for fmt, render in SERIES_FORMATS.items():
         code, out, err = run_cli(capsys, "series", "--k", str(k), "--terms", str(terms),
                                  *(("--format", fmt) if fmt else ()))
@@ -687,6 +688,33 @@ def test_oeis_exit_1_on_mismatch(tmp_path, capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["mismatches"] == [{"index": 3, "expected": "999", "found": "2"}]
+
+
+LONG_VALUE = "7" * 5000  # past the 4300 digits that int(str) takes by default
+
+
+def test_oeis_reads_a_value_past_the_int_digit_cap(tmp_path, capsys):
+    path = tmp_path / "b.txt"
+    # index 3 is the 2 x 1 grid, outside --max-cells 1
+    path.write_text(f"1 2\n3 {LONG_VALUE}\n")
+    code, out, _ = run_cli(capsys, "oeis", "--max-cells", "1", "--bfile", str(path))
+    assert code == 0
+    assert json.loads(out) == {"matched": 1, "mismatches": [], "only_left": [],
+                               "only_right": [3]}
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_a_mismatch_past_the_int_digit_cap_prints_its_exact_digits(tmp_path, capsys, sign):
+    value = sign + LONG_VALUE
+    path = tmp_path / "b.txt"
+    path.write_text(f"1 {value}\n")
+    code, out, err = run_cli(capsys, "oeis", "--max-cells", "1", "--bfile", str(path))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["mismatches"] == [{"index": 1, "expected": value, "found": "2"}]
+    code, out, err = run_cli(capsys, "verify", "--suite", "oeis", "--max-cells", "1",
+                             "--bfile", str(path))
+    assert (code, err) == (1, "")
+    assert f"FAIL [oeis] index 1: expected {value}, found 2\n" in out
 
 
 def test_oeis_parse_error_exits_2(tmp_path, capsys):

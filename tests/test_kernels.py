@@ -26,7 +26,8 @@ from digicon import (
     make_cycle,
     make_path,
 )
-from digicon.cli import main
+from digicon import cli, products
+from digicon.cli import FAMILIES, main
 from digicon.convexity import _closure, _convex_codes, _neighborhood_mask
 from digicon.products import _closed_codes, _cross_masks, _image_codes
 from oracles import is_convex_naive, is_mis_naive, random_graph
@@ -178,7 +179,8 @@ def test_scan_runs_a_bounded_window_ahead(monkeypatch):
 
 # entry -> (run(wide, budget), its label, CLI arguments reaching it or None).
 # A wide run needs codes of more than 62 bits; a narrow one sweeps 2^6 codes.
-# The bijection routes sweep nothing (tests/test_cyclic.py has their budget).
+# The bijection routes sweep nothing (tests/test_cyclic.py has their budget,
+# tests/test_products.py the ladder's).
 SWEEPS = {
     "_convex_codes": (
         lambda wide, budget: _convex_codes(make_path(63 if wide else 6), budget), "subsets",
@@ -196,6 +198,15 @@ SWEEPS = {
     "count_mis_grid3": (
         lambda wide, budget: count_mis_grid3(*((8, 4) if wide else (1, 3)), budget), "subsets",
         None),
+    # a slab of 45,000 vertices, whose closed masks alone take over 200 MB
+    "count_mis_grid3 150x150": (
+        lambda wide, budget: count_mis_grid3(*((150, 150) if wide else (1, 3)), budget),
+        "subsets", None),
+    "path-grid bruteforce": (
+        lambda wide, budget: FAMILIES["path-grid"][1]["bruteforce"][1](
+            budget, **({"n": 7, "m": 9} if wide else {"n": 2, "m": 3})), "subsets",
+        lambda wide: ["enumerate", "--family", "path-grid", "--method", "bruteforce",
+                      *(("--n", "7", "--m", "9") if wide else ("--n", "2", "--m", "3"))]),
 }
 
 
@@ -207,7 +218,15 @@ def test_every_sweep_checks_the_width_then_the_budget_before_any_block(
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep must not start")
 
+    def no_build(*args, **kwargs):
+        raise AssertionError("a refused sweep must build nothing of its size")
+
     monkeypatch.setattr(kernels, "scan_blocks", no_sweep)
+    # the graphs and cross masks of the routes, wherever they are built
+    for module in (cli, products):
+        for builder in ("cartesian_product", "make_path"):
+            monkeypatch.setattr(module, builder, no_build)
+    monkeypatch.setattr(products, "_cross_masks", no_build)
     for budget in (None, EnumerationBudget(max_subsets=1 << 64)):
         with pytest.raises(InvalidParameterError, match="at most 62-bit codes"):
             run(True, budget)

@@ -245,6 +245,25 @@ def test_ladder_validation():
         generate_grid_p2(-1)
 
 
+def test_the_ladder_is_budgeted_by_its_count_before_any_ladder_is_built(monkeypatch):
+    def no_ladder(*args):
+        raise AssertionError("a ladder was built")
+
+    # the short ladders are swept on a built grid, the long ones from the families
+    monkeypatch.setattr(products, "cartesian_product", no_ladder)
+    monkeypatch.setattr(products, "_grid_p2_families", no_ladder)
+    for build in (_grid_p2_codes, generate_grid_p2):
+        with pytest.raises(BudgetExceededError, match="needs 97124758 sets ") as exc:
+            build(20)
+        assert (exc.value.required, exc.value.limit) == (97124758, kernels.DEFAULT_MAX_SUBSETS)
+        with pytest.raises(BudgetExceededError, match="needs 9726 sets "):
+            build(10, EnumerationBudget(max_subsets=9725))
+    monkeypatch.undo()
+    # a budget of exactly the count builds the ladder
+    fits = EnumerationBudget(max_subsets=count_grid_p2(12))
+    assert len(generate_grid_p2(12, fits)) == len(_grid_p2_codes(12, fits)) == count_grid_p2(12)
+
+
 # --- grids via array images ---
 
 

@@ -22,7 +22,7 @@ from digicon import (
     expand_rational,
     parse_bfile,
 )
-from digicon.cli import _EXACT as EXACT
+from digicon.sequences import _exact
 from digicon.cyclic import _a_recurrence, _series_fraction
 from digicon.products import _GRID_P2_RECURRENCE
 from oracles import cycle_count_by_lucas, recurrence_terms_naive
@@ -260,7 +260,7 @@ def test_long_division_in_exact_decimal_prints_the_integer_expansion(num, den_ta
     """The same division on Decimal numerators, under a context that traps
     any rounding, gives the ints' strings: no '-0', no exponent."""
     den = [lead] + den_tail
-    with decimal.localcontext(EXACT):
+    with decimal.localcontext(_exact()):
         got = [str(c) for c in sequences._long_division(map(Decimal, num), den, 40)]
     assert got == [str(c) for c in expand_rational(num, den, 40).coefficients]
 
@@ -277,7 +277,7 @@ def test_long_division_keeps_a_window_not_the_series():
     # digits, about 33 million digits in all, of which the window keeps 6
     num, den = _series_fraction(3)
     terms = sequences._long_division(map(Decimal, num), den, 20000)
-    with decimal.localcontext(EXACT):
+    with decimal.localcontext(_exact()):
         tracemalloc.start()
         try:
             for last in terms:
@@ -325,6 +325,28 @@ def test_parse_bfile_reports_line_numbers():
     assert exc.value.line_number == 1
 
 
+@given(st.text(alphabet="0123456789_+- x\u0663\u0967", max_size=12))
+def test_a_value_reads_as_int_reads_it(text):
+    try:
+        expected = int(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            sequences._exact_int(text)
+    else:
+        assert sequences._exact_int(text) == expected
+
+
+@pytest.mark.parametrize("digits", [641, 4301, 5000, 20011])
+def test_parse_bfile_reads_values_of_any_length(digits):
+    value = (10 ** digits - 1) // 9 * 7  # digits sevens
+    text = "7" * digits
+    assert parse_bfile([f"1 {text}", f"2 -{text}", f"3 +{text[:-1]}_7"]) == \
+        [(1, value), (2, -value), (3, value)]
+    for bad in (f"{text}x", f"{text}__7", f"_{text}", f"{text}.0", f"{text}e5"):
+        with pytest.raises(BfileParseError, match="line 2: fields must be integers"):
+            parse_bfile(["1 2", f"2 {bad}"])
+
+
 def test_parse_bfile_rejects_duplicate_index():
     with pytest.raises(BfileParseError) as exc:
         parse_bfile(["1 2", "# skip", "1 3"])
@@ -369,6 +391,14 @@ def test_compare_requires_overlap():
         compare_with_bfile([(1, 2)], ["9 9"])
     with pytest.raises(EmptyOverlapError):
         compare_with_bfile([(1, 2)], ["# nothing but comments"])
+
+
+def test_report_serializes_values_of_any_length():
+    value = (10 ** 5000 - 1) // 9 * 7
+    report = compare_with_bfile([(1, 2), (2, -value)], [f"1 {'7' * 5000}", "2 6"])
+    assert json.loads(report.to_json())["mismatches"] == [
+        {"index": 1, "expected": "7" * 5000, "found": "2"},
+        {"index": 2, "expected": "6", "found": "-" + "7" * 5000}]
 
 
 def test_report_serializes_counts_as_strings():

@@ -1,5 +1,6 @@
 """The tools: the benchmark record collector copies run records without
-changing them, the stdout digest, and the test session's warning filters."""
+changing them, the snapshot generator, the stdout digest, and the test
+session's warning filters."""
 
 import hashlib
 import importlib.util
@@ -62,6 +63,19 @@ def test_missing_or_mixed_records_are_refused(bench_record, tmp_path):
     with pytest.raises(SystemExit):
         run("../x", "p")
     assert not list(tmp_path.rglob("BENCH_*"))
+
+
+# --- the bundled sequence snapshot ---
+
+
+def test_regen_bfile_rewrites_the_bundled_snapshot_byte_for_byte(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location("regen_bfile", TOOL.parent / "regen_bfile.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    bundled = module.OUT.read_bytes()
+    monkeypatch.setattr(module, "OUT", tmp_path / "A217637.txt")
+    module.main()
+    assert (tmp_path / "A217637.txt").read_bytes() == bundled
 
 
 # --- the stdout digest over a matrix of CLI invocations ---
