@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
-from .errors import BudgetExceededError, InvalidParameterError
+from .errors import BudgetExceededError, FrozenRecord, InvalidParameterError
 from .graphs import union_of_masks
 
 # 2^16 codes: a block int, and each plane, is 8 KiB
@@ -34,20 +33,20 @@ DEFAULT_MAX_SUBSETS = 1 << 26
 _MAX_SWEEP_BITS = 62
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(FrozenRecord):
     """Cap on exhaustive sweep size (on the exact count for the string walk
     and the ladder stream), plus a worker count that is checked and kept
     for compatibility: every sweep runs on the calling thread."""
 
-    max_subsets: int = DEFAULT_MAX_SUBSETS
-    workers: int = 1
+    _fields = ("max_subsets", "workers")
 
-    def __post_init__(self):
-        if self.max_subsets < 1:
-            raise InvalidParameterError(f"max_subsets must be >= 1, got {self.max_subsets}")
-        if self.workers < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {self.workers}")
+    def __init__(self, max_subsets: int = DEFAULT_MAX_SUBSETS, workers: int = 1):
+        if max_subsets < 1:
+            raise InvalidParameterError(f"max_subsets must be >= 1, got {max_subsets}")
+        if workers < 1:
+            raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+        object.__setattr__(self, "max_subsets", max_subsets)
+        object.__setattr__(self, "workers", workers)
 
 
 def check_budget(required: int, budget: EnumerationBudget | None, what: str) -> None:

@@ -10,15 +10,10 @@ deterministic for a fixed request, regardless of --workers.
 from __future__ import annotations
 
 import argparse
-import decimal
 import itertools
-import json
 import os
 import sys
-from decimal import Decimal
-from importlib import resources
 from operator import getitem
-from pathlib import Path
 
 from ._kernels import (DEFAULT_MAX_SUBSETS, EnumerationBudget, convex_bits, count_flagged,
                        iter_flagged)
@@ -51,7 +46,7 @@ from .products import (
     count_grid_p2,
     count_grid_via_arrays,
 )
-from .sequences import ComparisonReport, _exact, _long_division, _to_decimal, compare_with_bfile
+from .sequences import ComparisonReport, _exact, _int_text, _long_division, compare_with_bfile
 
 
 def _sweep(graph, order=lambda n, **_: n):
@@ -159,12 +154,13 @@ def _budget_from(args) -> EnumerationBudget:
 
 def _cmd_count(args) -> int:
     params, method, count = _route(args, "count")
-    value = str(_to_decimal(count(_budget_from(args), **params)))
+    value = _int_text(count(_budget_from(args), **params))
     if args.format == "csv":
         print("family,params,method,count")
         joined = ";".join(f"{k}={v}" for k, v in params.items())
         print(f"{args.family},{joined},{method},{value}")
     elif args.format == "jsonl":
+        import json
         print(json.dumps({"family": args.family, "params": params, "method": method,
                           "count": value}))
     else:
@@ -240,8 +236,9 @@ def _cmd_series(args) -> int:
     """The series coefficients, each printed as it is computed: the long
     division runs on Decimals under _exact(), where str is linear at any size
     and any rounding raises, and keeps O(k) coefficients."""
+    import decimal
     numerator, denominator = _series_fraction(args.k)
-    coefficients = map(str, _long_division(map(Decimal, numerator), denominator, args.terms))
+    coefficients = map(str, _long_division(map(decimal.Decimal, numerator), denominator, args.terms))
     # the context is entered here, around the whole stream: a generator
     # that entered it would leak it to the caller at every yield
     with decimal.localcontext(_exact()):
@@ -323,6 +320,8 @@ def _oeis_report(bfile, max_cells: int, budget) -> ComparisonReport:
 
     The file is read before any count, so an unreadable one costs no sweep.
     """
+    from importlib import resources
+    from pathlib import Path
     path = resources.files("digicon") / "data" / "A217637.txt" if bfile is None else Path(bfile)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -338,7 +337,7 @@ def _suite_oeis(bfile, max_cells: int, budget) -> list:
     return [("sequence-file overlap", report.all_match,
              f"matched {report.matched}, mismatches {len(report.mismatches)}"),
             *((f"index {index}", False,
-               f"expected {_to_decimal(expected)}, found {_to_decimal(found)}")
+               f"expected {_int_text(expected)}, found {_int_text(found)}")
               for index, expected, found in report.mismatches)]
 
 

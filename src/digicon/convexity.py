@@ -11,7 +11,7 @@ its budget and width check.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import _kernels
 from ._kernels import EnumerationBudget

@@ -14,27 +14,26 @@ contributing ones at positions x..x+k (mod n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from ._kernels import EnumerationBudget, check_budget
-from .errors import InvalidParameterError, NotConvexError, NotMemberError
+from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotMemberError
 from .graphs import VertexSet
 from .sequences import LinearRecurrence, PowerSeries, eval_recurrence, expand_rational
 
 
-@dataclass(frozen=True)
-class CyclicBinaryString:
+class CyclicBinaryString(FrozenRecord):
     """A cyclically-read bit string; position 0 prints leftmost."""
 
-    bits: tuple[int, ...]
+    _fields = ("bits",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if len(self.bits) < 1:
+    def __init__(self, bits: tuple[int, ...]):
+        bits = tuple(int(b) for b in bits)
+        if len(bits) < 1:
             raise InvalidParameterError("string must have length >= 1")
-        if any(b not in (0, 1) for b in self.bits):
+        if any(b not in (0, 1) for b in bits):
             raise InvalidParameterError("bits must be 0 or 1")
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_text(cls, text: str) -> "CyclicBinaryString":
@@ -67,15 +66,17 @@ class CyclicBinaryString:
         return "".join(str(b) for b in self.bits)
 
 
-@dataclass(frozen=True)
-class BlockProfile:
+class BlockProfile(FrozenRecord):
     """Maximal cyclic runs as (bit, length) pairs.
 
     The run containing position 0 (wraparound merged) comes first, the rest
     follow in increasing position order; lengths sum to the string length.
     """
 
-    runs: tuple[tuple[int, int], ...]
+    _fields = ("runs",)
+
+    def __init__(self, runs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "runs", runs)
 
 
 def _cyclic_runs(bits) -> list[tuple[int, int, int]]:

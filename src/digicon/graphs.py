@@ -8,28 +8,24 @@ exact at any size.
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from .errors import InvalidParameterError
+from .errors import FrozenRecord, InvalidParameterError
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(FrozenRecord):
     """A subset of the vertices 0..universe-1, stored as a bitmask."""
 
-    universe: int
-    mask: int = 0
+    _fields = ("universe", "mask")
 
-    def __post_init__(self):
-        if self.universe < 0:
-            raise InvalidParameterError(f"universe must be >= 0, got {self.universe}")
-        if not 0 <= self.mask < (1 << self.universe):
-            raise InvalidParameterError(
-                f"mask {self.mask:#x} out of range for universe {self.universe}"
-            )
+    def __init__(self, universe: int, mask: int = 0):
+        if universe < 0:
+            raise InvalidParameterError(f"universe must be >= 0, got {universe}")
+        if not 0 <= mask < (1 << universe):
+            raise InvalidParameterError(f"mask {mask:#x} out of range for universe {universe}")
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_indices(cls, universe: int, indices: Iterable[int]) -> "VertexSet":
@@ -93,41 +89,39 @@ class VertexSet:
         return VertexSet(self.universe, ~self.mask & (1 << self.universe) - 1)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(FrozenRecord):
     """A finite simple graph given by sorted adjacency tuples.
 
     ``closed_masks[v]`` is the bitmask of the closed neighbourhood N[v]; it is
     precomputed because every convexity question below reduces to unions and
-    subset tests on these masks.
+    subset tests on these masks.  Equality and hash ignore ``family``, and
+    the repr omits ``closed_masks``.
     """
 
-    order: int
-    adjacency: tuple[tuple[int, ...], ...]
-    family: str | None = field(default=None, compare=False)
-    closed_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("order", "adjacency")
+    _shown = ("order", "adjacency", "family")
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise InvalidParameterError(f"order must be >= 1, got {self.order}")
-        if len(self.adjacency) != self.order:
-            raise InvalidParameterError(
-                f"adjacency has {len(self.adjacency)} rows for order {self.order}"
-            )
-        for v, row in enumerate(self.adjacency):
+    def __init__(self, order: int, adjacency: tuple[tuple[int, ...], ...],
+                 family: str | None = None):
+        if order < 1:
+            raise InvalidParameterError(f"order must be >= 1, got {order}")
+        if len(adjacency) != order:
+            raise InvalidParameterError(f"adjacency has {len(adjacency)} rows for order {order}")
+        for v, row in enumerate(adjacency):
             if list(row) != sorted(set(row)):
                 raise InvalidParameterError(f"adjacency of {v} not sorted and duplicate-free")
             for u in row:
-                if not 0 <= u < self.order:
+                if not 0 <= u < order:
                     raise InvalidParameterError(f"vertex {u} out of range in adjacency of {v}")
                 if u == v:
                     raise InvalidParameterError(f"self-loop at vertex {v}")
-                if v not in self.adjacency[u]:
+                if v not in adjacency[u]:
                     raise InvalidParameterError(f"edge {v}-{u} is not symmetric")
-        masks = tuple(
-            (1 << v) | sum(1 << u for u in row) for v, row in enumerate(self.adjacency)
-        )
-        object.__setattr__(self, "closed_masks", masks)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "closed_masks", tuple(
+            (1 << v) | sum(1 << u for u in row) for v, row in enumerate(adjacency)))
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]],
@@ -244,10 +238,12 @@ def union_of_masks(masks, members: int) -> int:
 
 def graph_to_json(g: Graph) -> str:
     """Serialize as {"order": n, "edges": [[u, v], ...]} with u < v, sorted."""
+    import json
     return json.dumps({"order": g.order, "edges": [list(e) for e in g.edges()]})
 
 
 def graph_from_json(text: str) -> Graph:
+    import json
     data = json.loads(text)
     if not isinstance(data, dict) or "order" not in data or "edges" not in data:
         raise InvalidParameterError("graph JSON needs 'order' and 'edges' keys")
@@ -265,10 +261,12 @@ def graph_from_json(text: str) -> Graph:
 
 def set_to_json(s: VertexSet) -> str:
     """Serialize a vertex set as a sorted JSON array of 0-based indices."""
+    import json
     return json.dumps(list(s.indices()))
 
 
 def set_from_json(text: str, universe: int) -> VertexSet:
+    import json
     data = json.loads(text)
     if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
         raise InvalidParameterError("vertex set JSON must be an array of ints")

@@ -15,13 +15,12 @@ one cell; the per-code min(max(x)) == x stays as its test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels
 from ._kernels import EnumerationBudget, check_budget
 from .convexity import _closure
-from .errors import InvalidParameterError, NotConvexError, NotImageError
+from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotImageError
 from .graphs import VertexSet, cartesian_product, make_path
 from .sequences import LinearRecurrence, eval_recurrence
 
@@ -35,22 +34,22 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class BinaryArray:
+class BinaryArray(FrozenRecord):
     """An n x m array of 0/1 cells; cell (i, j) maps to bit i*cols + j."""
 
-    cells: tuple[tuple[int, ...], ...]
+    _fields = ("cells",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(tuple(int(x) for x in row) for row in self.cells))
-        if len(self.cells) < 1 or len(self.cells[0]) < 1:
+    def __init__(self, cells: tuple[tuple[int, ...], ...]):
+        cells = tuple(tuple(int(x) for x in row) for row in cells)
+        if len(cells) < 1 or len(cells[0]) < 1:
             raise InvalidParameterError("array dimensions must be positive")
-        width = len(self.cells[0])
-        for row in self.cells:
+        width = len(cells[0])
+        for row in cells:
             if len(row) != width:
                 raise InvalidParameterError("rows must all have the same length")
             if any(x not in (0, 1) for x in row):
                 raise InvalidParameterError("cells must be 0 or 1")
+        object.__setattr__(self, "cells", cells)
 
     @property
     def rows(self) -> int:

@@ -9,14 +9,11 @@ that traps any rounding; nothing here rounds.
 from __future__ import annotations
 
 import functools
-import json
-import re
+import os
 from collections import deque
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .errors import BfileParseError, EmptyOverlapError, InvalidParameterError
+from .errors import BfileParseError, EmptyOverlapError, FrozenRecord, InvalidParameterError, Record
 
 # ints up to this many bits convert directly; Decimal(int) is quadratic past it
 _PLAIN_BITS = 4096
@@ -55,8 +52,20 @@ def _to_decimal(value: int):
     return _exact().fma(_to_decimal(value >> bits), _two_power(bits), _to_decimal(low))
 
 
-# what int() reads in base 10: a sign, then digits with single underscores between
-_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+def _int_text(value: int) -> str:
+    """str(value) at any size: directly up to _PLAIN_BITS bits, which stays
+    below str(int)'s digit cap and needs no decimal, else via _to_decimal."""
+    if value.bit_length() <= _PLAIN_BITS:
+        return str(value)
+    return str(_to_decimal(value))
+
+
+@functools.cache
+def _integer_pattern():
+    """What int() reads in base 10: a sign, then digits with single
+    underscores between; re is imported on the first call."""
+    import re
+    return re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
 def _exact_int(text: str) -> int:
@@ -65,7 +74,7 @@ def _exact_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        if not _INTEGER.fullmatch(text):
+        if not _integer_pattern().fullmatch(text):
             raise
     digits = text.lstrip("+-").replace("_", "")
     half = len(digits) // 2
@@ -73,28 +82,29 @@ def _exact_int(text: str) -> int:
     return -value if text[0] == "-" else value
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
+class LinearRecurrence(FrozenRecord):
     """f(n) = sum of coefficient * f(n - offset), from first_recurrent_index on.
 
     taps are (offset, coefficient) pairs; initial_terms maps indices below
     (or at isolated points of) the recurrent range to their exact values.
+    Since initial_terms is a dict, hashing a recurrence raises TypeError.
     """
 
-    taps: tuple[tuple[int, int], ...]
-    initial_terms: dict[int, int]
-    first_recurrent_index: int
+    _fields = ("taps", "initial_terms", "first_recurrent_index")
 
-    def __post_init__(self):
-        object.__setattr__(self, "taps", tuple((int(o), int(c)) for o, c in self.taps))
-        object.__setattr__(self, "initial_terms",
-                           {int(i): int(v) for i, v in self.initial_terms.items()})
-        if not self.taps:
+    def __init__(self, taps: tuple[tuple[int, int], ...], initial_terms: dict[int, int],
+                 first_recurrent_index: int):
+        taps = tuple((int(o), int(c)) for o, c in taps)
+        initial_terms = {int(i): int(v) for i, v in initial_terms.items()}
+        if not taps:
             raise InvalidParameterError("recurrence needs at least one tap")
-        if any(o < 1 for o, _ in self.taps):
+        if any(o < 1 for o, _ in taps):
             raise InvalidParameterError("tap offsets must be >= 1")
-        if not self.initial_terms:
+        if not initial_terms:
             raise InvalidParameterError("recurrence needs initial terms")
+        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "initial_terms", initial_terms)
+        object.__setattr__(self, "first_recurrent_index", first_recurrent_index)
 
 
 def _advance(taps, window: deque, start: int, stop: int) -> None:
@@ -176,14 +186,13 @@ def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
     return window[-1]
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(FrozenRecord):
     """A finite prefix of a formal integer power series; index = exponent."""
 
-    coefficients: tuple[int, ...]
+    _fields = ("coefficients",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
+    def __init__(self, coefficients: tuple[int, ...]):
+        object.__setattr__(self, "coefficients", tuple(int(c) for c in coefficients))
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -247,13 +256,14 @@ def expand_rational(numerator, denominator, terms: int) -> PowerSeries:
 def parse_bfile(source) -> list[tuple[int, int]]:
     """Parse "index value" lines into (index, value) pairs.
 
-    Accepts a path (str or Path) or an iterable of lines.  Whitespace
+    Accepts a path (str or os.PathLike) or an iterable of lines.  Whitespace
     separation is arbitrary; text after '#' is a comment; blank lines are
     skipped.  A value may have any number of digits.  Malformed or
     duplicated entries raise a parse error carrying the 1-based line number.
     """
-    if isinstance(source, (str, Path)):
-        lines: Iterable[str] = Path(source).read_text().splitlines()
+    if isinstance(source, (str, os.PathLike)):
+        with open(source) as file:
+            lines: Iterable[str] = file.read().splitlines()
     else:
         lines = source
     entries: list[tuple[int, int]] = []
@@ -276,24 +286,29 @@ def parse_bfile(source) -> list[tuple[int, int]]:
     return entries
 
 
-@dataclass
-class ComparisonReport:
-    """Outcome of comparing computed (index, value) pairs against a file."""
+class ComparisonReport(Record):
+    """Outcome of comparing computed (index, value) pairs against a file;
+    mutable, and so unhashable.  Each list not passed starts empty."""
 
-    matched: int
-    mismatches: list[tuple[int, int, int]] = field(default_factory=list)
-    only_left: list[int] = field(default_factory=list)
-    only_right: list[int] = field(default_factory=list)
+    _fields = ("matched", "mismatches", "only_left", "only_right")
+
+    def __init__(self, matched: int, mismatches: list[tuple[int, int, int]] | None = None,
+                 only_left: list[int] | None = None, only_right: list[int] | None = None):
+        self.matched = matched
+        self.mismatches = [] if mismatches is None else mismatches
+        self.only_left = [] if only_left is None else only_left
+        self.only_right = [] if only_right is None else only_right
 
     @property
     def all_match(self) -> bool:
         return not self.mismatches
 
     def to_json(self) -> str:
+        import json
         return json.dumps({
             "matched": self.matched,
             "mismatches": [
-                {"index": i, "expected": str(_to_decimal(e)), "found": str(_to_decimal(f))}
+                {"index": i, "expected": _int_text(e), "found": _int_text(f)}
                 for i, e, f in self.mismatches
             ],
             "only_left": self.only_left,

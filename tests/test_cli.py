@@ -161,7 +161,8 @@ def wide_ints(draw):
 
 @given(wide_ints())
 def test_split_decimal_conversion_is_exact(value):
-    assert str(cli._to_decimal(value)) == str(Decimal(value))
+    # what count and the oeis lines print: str(int) up to _PLAIN_BITS bits
+    assert sequences._int_text(value) == str(sequences._to_decimal(value)) == str(Decimal(value))
 
 
 LAST_COEFFICIENT = {

@@ -1,11 +1,13 @@
 """No route imports numpy, and only a sweep with more than one worker
-imports the thread pool.
+imports the thread pool; dataclasses, inspect, json and decimal load only
+with the routes that read or write JSON or print a very wide integer.
 
 Each check runs in a fresh interpreter, since this one has loaded numpy
 already.  A first line of sys.modules["numpy"] = None makes any later
 import of numpy raise ImportError.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -155,3 +157,81 @@ def test_fresh_interpreters_stream_the_same_bytes_for_one_and_two_workers():
         two = subprocess.run([*argv, "--workers", "2"], capture_output=True)
         assert two.returncode == 0, two.stderr
         assert two.stdout == one.stdout
+
+
+# modules that importing digicon does not need, nor any route that reads or
+# writes no JSON and prints no int wider than 4096 bits; dataclasses would
+# pull in inspect, ast and dis
+LAZY = ("dataclasses", "inspect", "json", "decimal")
+
+BLOCK_LAZY = f"import sys\nfor name in {LAZY!r}:\n    sys.modules[name] = None\n"
+
+# reads its routes from a literal and prints the runs with repr, so that it
+# needs no json itself
+RUN_LITERAL = """\
+import contextlib, io
+import digicon
+from digicon.cyclic import count_cycle_power
+import digicon.cli
+runs = []
+for argv in {routes!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = digicon.cli.main(argv)
+    runs.append([code, out.getvalue()])
+print(repr([count_cycle_power(2, 300), runs]))
+"""
+
+PLAIN_ROUTES = [
+    ["count", "--family", "cycle", "--n", "10"],
+    ["count", "--family", "cycle-power", "--n", "200", "--k", "3", "--format", "csv"],
+    ["count", "--family", "path-grid", "--n", "3", "--m", "3", "--format", "plain"],
+    ["enumerate", "--family", "path-grid", "--n", "5", "--m", "2", "--method", "recurrence",
+     "--format", "plain"],
+    ["verify", "--suite", "grid-p2"],
+]
+
+
+def test_plain_routes_run_without_dataclasses_inspect_json_or_decimal():
+    proc = _python(BLOCK_LAZY + RUN_LITERAL.format(routes=PLAIN_ROUTES))
+    assert proc.returncode == 0, proc.stderr
+    value, runs = ast.literal_eval(proc.stdout)
+    assert value == digicon.count_cycle_power(2, 300)
+    for argv, run in zip(PLAIN_ROUTES, runs, strict=True):
+        assert run == _in_process(argv), argv
+        assert run[0] == 0 and run[1], argv
+    assert runs[0][1] == "122\n"
+
+
+LOADED_BY = """\
+import contextlib, io, sys
+import digicon.cli
+lazy = {lazy!r}
+before = [m for m in lazy if m in sys.modules]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = digicon.cli.main(sys.argv[1:])
+print(repr([before, [m for m in lazy if m in sys.modules], code, out.getvalue()]))
+"""
+
+# a route, and the modules it loads of LAZY
+LOADING_ROUTES = [
+    (["count", "--family", "cycle", "--n", "10"], []),
+    (["count", "--family", "cycle", "--n", "10", "--format", "jsonl"], ["json"]),
+    (["series", "--k", "3", "--terms", "20", "--format", "csv"], ["decimal"]),
+    (["oeis", "--max-cells", "6"], ["json"]),
+    # 4166 bits: wider than sequences._PLAIN_BITS, so printed via decimal
+    (["count", "--family", "cycle", "--n", "6000"], ["decimal"]),
+]
+
+
+@pytest.mark.parametrize("argv, loads", LOADING_ROUTES, ids=[" ".join(a) for a, _ in LOADING_ROUTES])
+def test_a_route_loads_json_or_decimal_only_when_it_needs_them(argv, loads):
+    proc = _python(LOADED_BY.format(lazy=LAZY), *argv)
+    assert proc.returncode == 0, proc.stderr
+    before, after, code, out = ast.literal_eval(proc.stdout)
+    # importing digicon.cli loads none of them
+    assert before == []
+    assert after == loads
+    assert [code, out] == _in_process(argv)
+
