@@ -320,6 +320,8 @@ def _oeis_report(bfile, max_cells: int, budget) -> ComparisonReport:
 
     The file is read before any count, so an unreadable one costs no sweep.
     """
+    # imported here, not for every route: pathlib brings urllib.parse and
+    # ipaddress, and from Python 3.12 on importlib.resources loads inspect
     from importlib import resources
     from pathlib import Path
     path = resources.files("digicon") / "data" / "A217637.txt" if bfile is None else Path(bfile)

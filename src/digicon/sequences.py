@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
@@ -60,12 +61,8 @@ def _int_text(value: int) -> str:
     return str(_to_decimal(value))
 
 
-@functools.cache
-def _integer_pattern():
-    """What int() reads in base 10: a sign, then digits with single
-    underscores between; re is imported on the first call."""
-    import re
-    return re.compile(r"[+-]?\d+(?:_\d+)*")
+# what int() reads in base 10: a sign, then digits with single underscores between
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
 def _exact_int(text: str) -> int:
@@ -74,7 +71,7 @@ def _exact_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        if not _integer_pattern().fullmatch(text):
+        if not _INTEGER.fullmatch(text):
             raise
     digits = text.lstrip("+-").replace("_", "")
     half = len(digits) // 2
@@ -262,6 +259,8 @@ def parse_bfile(source) -> list[tuple[int, int]]:
     duplicated entries raise a parse error carrying the 1-based line number.
     """
     if isinstance(source, (str, os.PathLike)):
+        # open() rather than pathlib, which would load urllib.parse and
+        # ipaddress with it in every digicon process
         with open(source) as file:
             lines: Iterable[str] = file.read().splitlines()
     else:
