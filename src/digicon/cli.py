@@ -193,34 +193,31 @@ def _print_lines(lines) -> None:
         print(text)
 
 
-def _line_format(universe: int, fmt: str):
-    """mask -> its line, as set_to_json (jsonl) or the 1-based plain form
-    prints VertexSet(universe, mask): frag[j][byte] holds the joined labels
-    of the set bits of byte j.  A line is the low byte's fragment before the
-    joined fragments of mask >> 8, which are joined again only when that
-    high part differs from the previous mask's, so an ascending stream
-    joins each high part once."""
+def _format_lines(universe: int, fmt: str, masks):
+    """The lines of a stream of masks, each as set_to_json (jsonl) or the
+    1-based plain form prints VertexSet(universe, mask): frag[j][byte] holds
+    the joined labels of the set bits of byte j, and the low byte's
+    fragments carry the left bracket.  A line is the low byte's fragment
+    before the joined fragments of mask >> 8, which are joined again only
+    when that high part differs from the previous mask's, so an ascending
+    stream joins each high part once."""
     first, sep, left, right = (1, " ", "", "") if fmt == "plain" else (0, ", ", "[", "]")
     width = max(1, (universe + 7) // 8)
     frag = [[sep.join(str(8 * j + bit + first) for bit in range(8) if byte >> bit & 1)
              for byte in range(256)] for j in range(width)]
-    low_frag, high_frag = frag[0], frag[1:]
+    low_frag = [left + text for text in frag[0]]
+    high_frag = frag[1:]
     join = sep.join
-    last = None  # the previous mask's high part, and its line pieces
-    tail = bare = ""
-
-    def line(mask: int) -> str:
-        nonlocal last, tail, bare
+    last = None  # the previous mask's high part; tail and bare are its line pieces
+    for mask in masks:
         high = mask >> 8
         if high != last:
             last = high
             text = join(filter(None, map(getitem, high_frag, high.to_bytes(width - 1, "little"))))
             tail = f"{sep}{text}{right}" if text else right
             bare = f"{left}{text}{right}"
-        low = low_frag[mask & 255]
-        return f"{left}{low}{tail}" if low else bare
-
-    return line
+        low = mask & 255
+        yield low_frag[low] + tail if low else bare
 
 
 def _cmd_enumerate(args) -> int:
@@ -228,7 +225,7 @@ def _cmd_enumerate(args) -> int:
     if args.format == "csv":
         raise InvalidParameterError("enumerate emits jsonl or plain, not csv")
     universe, masks = enumerate_masks(_budget_from(args), **params)
-    _print_lines(map(_line_format(universe, args.format), masks))
+    _print_lines(_format_lines(universe, args.format, masks))
     return 0
 
 

@@ -16,6 +16,8 @@ one cell; the per-code min(max(x)) == x stays as its test oracle.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
+from operator import lt
 
 from . import _kernels
 from ._kernels import EnumerationBudget, check_budget
@@ -207,10 +209,13 @@ def _grid_p2_codes(n: int, budget: EnumerationBudget | None = None) -> list[int]
     Budgeted by its exact count on the call, before any ladder is built.
     Ladders up to n = 3 are the codes (at most 64) equal to their closure,
     tested one at a time with no sweep; each longer one is assembled
-    constructively from the three before it.  The family sizes
-    (1x, 3x, 2x the three smaller counts), that their union repeats no
-    set, and the total against count_grid_p2 are all checked at every
-    length, so a construction bug raises instead of miscounting.
+    constructively from the three before it: the three families are
+    concatenated into one list and sorted in place (timsort merges their
+    ascending runs), and one pass over neighbours proves that the sorted
+    list strictly ascends, so no set repeats.  The family sizes (1x, 3x, 2x
+    the three smaller counts), that no set repeats (naming the family that
+    repeats one), and the total against count_grid_p2 are all checked at
+    every length, so a construction bug raises instead of miscounting.
     """
     check_budget(count_grid_p2(n), budget, "sets")  # count_grid_p2 checks n >= 1
     ladders = []
@@ -226,8 +231,10 @@ def _grid_p2_codes(n: int, budget: EnumerationBudget | None = None) -> list[int]
         for family, size, which in families:
             if len(family) != size:
                 raise AssertionError(f"{which} family miscounted at n={k}")
-        combined = {*d1, *d2, *d3}
-        if len(combined) != len(d1) + len(d2) + len(d3):
+        combined = d1 + d2
+        combined += d3
+        combined.sort()
+        if not all(map(lt, combined, islice(combined, 1, None))):
             # a repeat within one family, or a set in two: name which
             for family, _, which in families:
                 if len(set(family)) != len(family):
@@ -235,7 +242,7 @@ def _grid_p2_codes(n: int, budget: EnumerationBudget | None = None) -> list[int]
             raise AssertionError(f"extension families overlap at n={k}")
         if len(combined) != count_grid_p2(k):
             raise AssertionError(f"family total disagrees with the recurrence at n={k}")
-        ladders = [a2, a1, sorted(combined)]
+        ladders = [a2, a1, combined]
     return ladders[-1]
 
 

@@ -305,8 +305,9 @@ def universes_and_masks(draw):
 def test_line_format_matches_the_set_serialisers(case):
     universe, mask = case
     s = VertexSet(universe, mask)
-    assert cli._line_format(universe, "jsonl")(mask) == json.dumps(list(s.indices()))
-    assert cli._line_format(universe, "plain")(mask) == plain(s)
+    # a one-mask stream: the line of a generator's first mask
+    assert list(cli._format_lines(universe, "jsonl", [mask])) == [json.dumps(list(s.indices()))]
+    assert list(cli._format_lines(universe, "plain", [mask])) == [plain(s)]
 
 
 def _stream_masks(universe: int, rng) -> list[int]:
@@ -328,11 +329,14 @@ def test_line_format_streams_match_the_set_serialisers(universe):
     shuffled = ascending * 2
     rng.shuffle(shuffled)
     for masks in (ascending, shuffled, ascending[::-1]):
-        jsonl, plain_line = cli._line_format(universe, "jsonl"), cli._line_format(universe, "plain")
-        for mask in masks:
+        # each order is one stream through one generator, so every line
+        # after the first is made from the state the lines before it left
+        jsonl = cli._format_lines(universe, "jsonl", iter(masks))
+        plain_lines = cli._format_lines(universe, "plain", iter(masks))
+        for mask, jsonl_line, plain_line in zip(masks, jsonl, plain_lines, strict=True):
             s = VertexSet(universe, mask)
-            assert jsonl(mask) == set_to_json(s), mask
-            assert plain_line(mask) == plain(s), mask
+            assert jsonl_line == set_to_json(s), mask
+            assert plain_line == plain(s), mask
 
 
 # the library's objects for each enumerate route, in the route's order: the

@@ -32,7 +32,7 @@ from digicon import (
     set_from_array,
     array_from_set,
 )
-from digicon import products
+from digicon import convexity, products
 from digicon.products import _antidiagonal_index, _grid_cells, _grid_p2_codes, _image_codes
 from oracles import (
     all_convex_masks_naive,
@@ -198,6 +198,36 @@ def test_ladder_generation_matches_enumeration():
         generated = [s.mask for s in generate_grid_p2(n)]
         streamed = [s.mask for s in enumerate_digitally_convex(g)]
         assert generated == streamed
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_ladder_construction_matches_the_sweep_deep(n):
+    # up to 2^24 subsets swept, against the sets built from the families
+    g = cartesian_product(make_path(n), make_path(2))
+    assert _grid_p2_codes(n) == list(convexity._convex_codes(g))
+
+
+def test_ladder_construction_peaks_below_twice_its_result():
+    # a fresh process, so that the traced peak is this call's alone; the
+    # result's size is what freeing it gives back
+    script = (
+        "import gc, tracemalloc\n"
+        "from digicon.products import _grid_p2_codes\n"
+        "tracemalloc.start()\n"
+        "codes = _grid_p2_codes(12)\n"
+        "held, peak = tracemalloc.get_traced_memory()\n"
+        "assert len(codes) == 61348\n"
+        "del codes\n"
+        "gc.collect()\n"
+        "print(held - tracemalloc.get_traced_memory()[0], peak)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result, peak = map(int, proc.stdout.split())
+    # the 61,348 codes take about 2.45 MB; besides them the construction
+    # holds only the shorter ladders and the families' lists, no hash set
+    assert result > 2_000_000
+    assert peak < 2 * result, (peak, result)
 
 
 def test_ladder_generation_base_case():
