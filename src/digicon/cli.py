@@ -174,6 +174,8 @@ def _cmd_count(args) -> int:
 _BATCH_CHARS = 8192
 # lines in a stream's first batch
 _BATCH_LINES = 256
+# high parts whose line pieces a stream keeps at once: about 1.6 MB for sets of 100 vertices
+_JOINED_HIGH_PARTS = 4096
 
 
 def _batches(items, sep: str):
@@ -198,9 +200,13 @@ def _format_lines(universe: int, fmt: str, masks):
     1-based plain form prints VertexSet(universe, mask): frag[j][byte] holds
     the joined labels of the set bits of byte j, and the low byte's
     fragments carry the left bracket.  A line is the low byte's fragment
-    before the joined fragments of mask >> 8, which are joined again only
-    when that high part differs from the previous mask's, so an ascending
-    stream joins each high part once."""
+    before the joined fragments of mask >> 8.  Those line pieces are made
+    again only when the high part differs from the previous mask's, so an
+    ascending stream pays nothing per line and joins each high part once.
+    Once the stream goes down (the bijection's string order does), a high
+    part can come back, so from then on the pieces are kept in a dict and
+    looked up before joining; the dict is cleared at _JOINED_HIGH_PARTS
+    entries, so that it stays small."""
     first, sep, left, right = (1, " ", "", "") if fmt == "plain" else (0, ", ", "[", "]")
     width = max(1, (universe + 7) // 8)
     frag = [[sep.join(str(8 * j + bit + first) for bit in range(8) if byte >> bit & 1)
@@ -208,14 +214,23 @@ def _format_lines(universe: int, fmt: str, masks):
     low_frag = [left + text for text in frag[0]]
     high_frag = frag[1:]
     join = sep.join
-    last = None  # the previous mask's high part; tail and bare are its line pieces
+    joined = None  # high part -> (tail, bare), from the stream's first descent on
+    last = -1  # the previous mask's high part; tail and bare are its line pieces
     for mask in masks:
         high = mask >> 8
         if high != last:
+            if high < last and joined is None:
+                joined = {}
+            pieces = joined and joined.get(high)
+            if not pieces:
+                text = join(filter(None, map(getitem, high_frag, high.to_bytes(width - 1, "little"))))
+                pieces = (f"{sep}{text}{right}" if text else right, f"{left}{text}{right}")
+                if joined is not None:
+                    if len(joined) == _JOINED_HIGH_PARTS:
+                        joined.clear()
+                    joined[high] = pieces
+            tail, bare = pieces
             last = high
-            text = join(filter(None, map(getitem, high_frag, high.to_bytes(width - 1, "little"))))
-            tail = f"{sep}{text}{right}" if text else right
-            bare = f"{left}{text}{right}"
         low = mask & 255
         yield low_frag[low] + tail if low else bare
 

@@ -10,11 +10,20 @@ recurrence, initial terms and series all follow from one polynomial, and
 for k+1 these strings are exactly the indicator strings of
 the digitally convex sets of the k-th power of an n-cycle, with vertex x
 contributing ones at positions x..x+k (mod n).
+
+The members are listed with no sweep, one run at a time: a string is its
+first run, then alternating runs of length >= k, the last of which wraps
+into the first.  How a string may end depends only on a few numbers (the
+positions left, the run bit, whether it is the first run's bit, and the
+first run's length capped at k), so every ending of at most n // 2
+positions is tabulated once per call (_suffix_tables), and each prefix
+that reaches one yields its whole table as a chunk (_block_chunks).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import chain, starmap
 
 from ._kernels import EnumerationBudget, check_budget
 from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotMemberError
@@ -145,32 +154,92 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
 
 def _block_strings(k: int, n: int) -> Iterator[tuple[int, int]]:
     """(code, reversed code) of each length-n string whose cyclic blocks are
-    all >= k, in increasing code order: the members of enumerate_B(k, n).
+    all >= k, in increasing code order: the members of enumerate_B(k, n),
+    flattened from the chunks of _block_chunks."""
+    return chain.from_iterable(starmap(zip, _block_chunks(k, n)))
 
-    A depth-first walk over the positions, most significant first and 0
-    before 1, on an explicit stack.  A prefix is its first bit f, the length
-    h of its first run (0 while that run is open), and its current bit c and
-    run length r, with h and r capped at k.  The walk enters only prefixes
-    that can be completed.  An open first run can stay open to the end.
-    Otherwise at least k - r - h more positions are needed if c = f (the
-    last run wraps into the first), and 2k - r - h if not (the current run
-    reaches k, then a run of f makes the first one up to k).
+
+def _suffix_tables(k: int, n: int, top: int) -> list[dict]:
+    """tables[m][c, eq, h] = (codes, reversed codes) of every way to finish a
+    length-n string whose last m positions start a run of bit c, in
+    increasing code order: the runs from there alternate, each >= k, except
+    that the last one wraps into the first run (bit f, length h capped at
+    k).  eq says whether c = f.  If the last run's bit is f, it needs
+    length >= k - h; if not, it needs length >= k and h >= k.  Codes hold
+    the m suffix bits; reversed codes hold them at bits n - m..n - 1, as
+    position p sits at bit p.  tables[0] is the empty suffix after a run of
+    length >= k, complete when that run is not f's (not eq) or h >= k.
+
+    Row m is built from the shorter rows only, for m <= top: a 0-suffix is
+    its first run (longest first, so the codes ascend) followed by the
+    1-suffixes of the rest, and a 1-suffix is the complement of the
+    0-suffix with the same eq (so the other f), in reverse order.
     """
-    # (position, code, reversed code, f, h, c, r) of the prefixes still to walk
-    stack = [(1, 1, 1, 1, 0, 1, 1), (1, 0, 0, 0, 0, 0, 1)]
+    keys = [(c, eq, h) for c in (0, 1) for eq in (False, True) for h in range(1, k + 1)]
+    done, empty = ([0], [0]), ([], [])
+    tables = [{key: done if not key[1] or key[2] == k else empty for key in keys}]
+    for m in range(1, top + 1):
+        row = {}
+        for eq in (False, True):
+            for h in range(1, k + 1):
+                codes, revs = [], []
+                if m < k:  # only one run fits: the last, wrapping into the first
+                    if eq and m >= k - h:
+                        codes.append(0)
+                        revs.append(0)
+                else:
+                    for length in range(m, k - 1, -1):
+                        rest_codes, rest_revs = tables[m - length][1, not eq, h]
+                        codes += rest_codes
+                        revs += rest_revs
+                if not codes:  # one shared empty table: short rows are mostly empty
+                    row[0, eq, h] = row[1, eq, h] = empty
+                    continue
+                row[0, eq, h] = codes, revs
+                ones, ones_rev = (1 << m) - 1, (1 << m) - 1 << n - m
+                row[1, eq, h] = ([ones ^ code for code in reversed(codes)],
+                                 [ones_rev ^ rev for rev in reversed(revs)])
+        tables.append(row)
+    return tables
+
+
+def _block_chunks(k: int, n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """The strings of _block_strings as (codes, reversed codes) chunks, each
+    nonempty and ascending, each starting above the end of the one before.
+
+    The walk goes one run at a time over the prefixes that leave more than
+    n // 2 positions, on an explicit stack: first the first run (bit f,
+    length h), then alternating runs of length >= k, 0-runs longest first
+    and 1-runs shortest first, so that the codes ascend.  A prefix that
+    leaves m <= n // 2 positions yields its table of _suffix_tables under
+    it as one chunk.  The two constant strings come first and last.
+    """
+    top = n // 2
+    tables = _suffix_tables(k, n, top)
+    full = (1 << n) - 1
+    yield [0], [0]
+    # (m, c, eq, h, code, rev): a prefix that leaves m positions, starting a
+    # run of c; code and rev hold the prefix bits where the whole string does
+    stack = [(n - h, 0, False, min(h, k), (1 << h) - 1 << n - h, (1 << h) - 1)
+             for h in range(n - 1, 0, -1)]
+    stack += [(n - h, 1, False, min(h, k), 0, 0) for h in range(1, n)]
     while stack:
-        pos, code, rev, f, h, c, r = stack.pop()
-        if pos == n:
-            yield code, rev
-        elif h and r < k:  # a run after the first goes on to length k or to the end
-            m = min(k - r, n - pos)
-            ones = -c & (1 << m) - 1
-            stack.append((pos + m, code << m | ones, rev | ones << pos, f, h, c, r + m))
+        m, c, eq, h, code, rev = stack.pop()
+        if m <= top:
+            codes, revs = tables[m][c, eq, h]
+            if codes:
+                yield [code | s for s in codes], [rev | r for r in revs]
         else:
-            for b in (1, 0):  # 1 is pushed first, so 0 is walked first
-                hb, rb = (h, min(r + 1, k)) if b == c else (h or r, 1)
-                if not hb or n - pos - 1 >= (1 if b == f else 2) * k - rb - hb:
-                    stack.append((pos + 1, code << 1 | b, rev | b << pos, f, hb, b, rb))
+            # push the runs in reverse order, so that they are walked in order.
+            # None fits when m < k, and none need: a prefix past the tables
+            # with a run after the first leaves m <= n - k - 1, so m >= k,
+            # and one without must end on a run of k or more
+            lengths = range(k, m + 1) if c == 0 else range(m, k - 1, -1)
+            for length in lengths:
+                run = (1 << length) - 1 if c else 0
+                stack.append((m - length, 1 - c, not eq, h,
+                              code | run << m - length, rev | run << n - m))
+    yield [full], [full]
 
 
 def _q_poly(k: int) -> list[int]:
@@ -298,7 +367,24 @@ def _convex_set_codes(k: int, n: int, budget: EnumerationBudget | None = None) -
     convex_set_from_string, with no string or set built.  The budget is
     checked on the call, before the first code is asked for."""
     check_budget(a_count(k + 1, n), budget, "strings")
-    return (_erode(n, k, rev) for _, rev in _block_strings(k + 1, n))
+    return chain.from_iterable(_eroded_chunks(k, n))
+
+
+def _eroded_chunks(k: int, n: int) -> Iterator[list[int]]:
+    """_erode of each reversed code of _block_chunks(k + 1, n), a chunk at a
+    time.  Bit x of a mask says that the window of positions x..x+w-1 (mod
+    n) is all ones; a pass ands each mask with itself rotated by -s, for
+    s <= w, which widens the window to w + s.  Windows double until they
+    reach k + 1 positions: ceil(log2(k + 1)) list passes."""
+    full = (1 << n) - 1
+    for _, masks in _block_chunks(k + 1, n):
+        width = 1
+        while width <= k:
+            step = min(width, k + 1 - width)
+            d = -step % n  # a rotation by -step, taken mod n, as step may pass n
+            masks = [mask & (mask << d & full | mask >> n - d) for mask in masks]
+            width += step
+        yield masks
 
 
 def count_cycle_power(k: int, n: int) -> int:

@@ -197,3 +197,34 @@ def cycle_count_by_lucas(n, modulus=None):
 
     value = pair(n)[0] + (2, 1, -1, -2, -1, 1)[n % 6]
     return value % modulus if modulus else value
+
+
+def block_strings_by_bits(k, n):
+    """(code, reversed code) of each length-n string whose cyclic blocks are
+    all >= k, in increasing code order, by a depth-first walk that adds one
+    bit at a time.
+
+    Positions are walked most significant first and 0 before 1, on an
+    explicit stack.  A prefix is its first bit f, the length h of its first
+    run (0 while that run is open), and its current bit c and run length r,
+    with h and r capped at k.  The walk enters only prefixes that can be
+    completed.  An open first run can stay open to the end.  Otherwise at
+    least k - r - h more positions are needed if c = f (the last run wraps
+    into the first), and 2k - r - h if not (the current run reaches k, then
+    a run of f makes the first one up to k).
+    """
+    # (position, code, reversed code, f, h, c, r) of the prefixes still to walk
+    stack = [(1, 1, 1, 1, 0, 1, 1), (1, 0, 0, 0, 0, 0, 1)]
+    while stack:
+        pos, code, rev, f, h, c, r = stack.pop()
+        if pos == n:
+            yield code, rev
+        elif h and r < k:  # a run after the first goes on to length k or to the end
+            m = min(k - r, n - pos)
+            ones = -c & (1 << m) - 1
+            stack.append((pos + m, code << m | ones, rev | ones << pos, f, h, c, r + m))
+        else:
+            for b in (1, 0):  # 1 is pushed first, so 0 is walked first
+                hb, rb = (h, min(r + 1, k)) if b == c else (h or r, 1)
+                if not hb or n - pos - 1 >= (1 if b == f else 2) * k - rb - hb:
+                    stack.append((pos + 1, code << 1 | b, rev | b << pos, f, hb, b, rb))

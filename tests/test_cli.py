@@ -339,6 +339,20 @@ def test_line_format_streams_match_the_set_serialisers(universe):
             assert plain_line == plain(s), mask
 
 
+@pytest.mark.parametrize("kept", [1, 3, 64])
+def test_line_format_clears_its_joined_high_parts(monkeypatch, kept):
+    # a stream out of order that holds more high parts than the formatter
+    # keeps joined: the dict is cleared on the way and refilled, and every
+    # line is still the set's
+    monkeypatch.setattr(cli, "_JOINED_HIGH_PARTS", kept)
+    rng = random.Random(kept)
+    masks = _stream_masks(26, rng) * 3
+    rng.shuffle(masks)
+    lines = cli._format_lines(26, "plain", iter(masks))
+    for mask, line in zip(masks, lines, strict=True):
+        assert line == plain(VertexSet(26, mask)), mask
+
+
 # the library's objects for each enumerate route, in the route's order: the
 # sweeps and the array images ascend by mask, the bijection by string code
 LIBRARY_SETS = {

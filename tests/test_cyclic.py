@@ -1,5 +1,8 @@
 """Block strings, their counting sequence, and the cycle-power bijection."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +30,7 @@ from digicon import (
 )
 from digicon.cyclic import (
     _a_recurrence,
+    _block_chunks,
     _block_strings,
     _blocks_ok,
     _convex_set_codes,
@@ -36,7 +40,8 @@ from digicon.cyclic import (
     _reverse,
 )
 from digicon.cli import main
-from oracles import berkowitz, is_convex_naive, run_length_automaton, walk_traces
+from oracles import (berkowitz, block_strings_by_bits, is_convex_naive, run_length_automaton,
+                     walk_traces)
 
 
 def all_strings(n):
@@ -191,6 +196,87 @@ def test_walk_is_the_block_filter_on_ints():
     assert walked == sorted(set(walked))
     assert len(walked) == a_count(34, 100)
     assert all(_blocks_ok(100, 34, code) for code in walked)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_run_walk_is_the_per_bit_walk(k):
+    # pair for pair and in order, against the walk that adds one bit at a time
+    for n in range(1, 21):
+        assert list(_block_strings(k, n)) == list(block_strings_by_bits(k, n)), n
+
+
+@pytest.mark.parametrize("k, n", [(21, 100), (34, 100)])
+def test_run_walk_past_62_bits_is_the_per_bit_walk(k, n):
+    assert list(_block_strings(k, n)) == list(block_strings_by_bits(k, n))
+
+
+def test_chunks_are_nonempty_ascending_and_in_order():
+    cases = [(k, n) for k in range(2, 9) for n in range(1, 21)] + [(21, 100), (34, 100)]
+    for k, n in cases:
+        below = -1
+        for codes, revs in _block_chunks(k, n):
+            assert codes and len(revs) == len(codes), (k, n)
+            assert codes[0] > below, (k, n)
+            assert all(a < b for a, b in zip(codes, codes[1:])), (k, n)
+            below = codes[-1]
+
+
+def test_string_routes_with_k_at_least_n():
+    # a rotation must be taken mod n: a shift by k >= n, or by a window of
+    # more than n positions (k >= 2n), once went negative.  The set codes
+    # are the sweep's masks, and past k = n only the two constant strings
+    # have every block >= k
+    for n in range(3, 10):
+        for k in range(1, 2 * n + 3):
+            swept = [s.mask for s in enumerate_digitally_convex(graph_power(make_cycle(n), k))]
+            assert sorted(_convex_set_codes(k, n)) == swept, (n, k)
+            if k > n:
+                assert [s.code for s in enumerate_B(k, n)] == [0, (1 << n) - 1]
+
+
+@pytest.mark.parametrize("n, ks", [(22, range(1, 23)), (40, (6, 7, 15)), (100, (20, 31, 33))])
+def test_set_codes_erode_like_the_per_string_map(n, ks):
+    # the chunk erosion doubles its window; _erode ands in one rotation per j
+    for k in ks:
+        expected = [_erode(n, k, rev) for _, rev in block_strings_by_bits(k + 1, n)]
+        assert list(_convex_set_codes(k, n)) == expected, k
+
+
+def _fresh_python(script: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_set_codes_stream_in_bounded_memory():
+    # 710,647 sets of C_28 stream through suffix tables of at most 14
+    # positions; the traced peak stays far below the stream's size
+    peak = int(_fresh_python(
+        "import tracemalloc\n"
+        "from collections import deque\n"
+        "from digicon.cyclic import _convex_set_codes\n"
+        "tracemalloc.start()\n"
+        "deque(_convex_set_codes(1, 28), 0)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"))
+    assert peak < 2_000_000, peak
+
+
+def test_walks_leave_no_garbage_for_the_cycle_collector():
+    # with the collector off, what a walk allocates is freed only by
+    # reference counts: tables caught in a reference cycle would stay
+    held = int(_fresh_python(
+        "import gc, tracemalloc\n"
+        "from collections import deque\n"
+        "from digicon.cyclic import _block_strings, _convex_set_codes\n"
+        "gc.disable()\n"
+        "tracemalloc.start()\n"
+        "for k in range(2, 6):\n"
+        "    for n in range(1, 15):\n"
+        "        deque(_block_strings(k, n), 0)\n"
+        "        if n >= 3:\n"
+        "            deque(_convex_set_codes(k - 1, n), 0)\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"))
+    assert held < 64 * 1024, held
 
 
 def test_enumeration_counts_match_recurrence_small():

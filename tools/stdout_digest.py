@@ -14,9 +14,11 @@ sizes and at each parameter one below its least value; plus
 ``verify --suite all``, ``oeis`` and ``series``; plus each verify suite
 alone at bounds other than its defaults, ``verify --suite all`` under a
 budget of 1000 subsets, and ``oeis --max-cells 22``; plus single runs of
-``series --k 2 --terms 6500`` in each format and of the 13 x 2 ladder
-stream in jsonl and plain.  The sweep-size cap is the default one:
-``DIGICON_MAX_SUBSETS`` is unset while the matrix runs.
+``series --k 2 --terms 6500`` in each format, of the 13 x 2 ladder
+stream, and of the bijection streams of ``cycle-power --n 40 --k 6``,
+``cycle-power --n 5 --k 7`` and ``cycle --n 24``, each in jsonl and plain.
+The sweep-size cap is the default one: ``DIGICON_MAX_SUBSETS`` is unset
+while the matrix runs.
 
 To check that a change keeps the output bytes, digest the parent's source
 (``--src PARENT/src``) and the change's, then compare.  ``--compare`` prints
@@ -105,6 +107,12 @@ def matrix() -> list[list[str]]:
     for fmt in ("jsonl", "plain"):
         runs.append(["enumerate", "--family", "path-grid", "--n", "13", "--m", "2",
                      "--method", "recurrence", "--format", fmt])
+    # bijection streams at the edges of its chunks and of the line widths:
+    # codes past 32 bits, k >= n, and 103,684 strings of 24 positions
+    for params, fmt in itertools.product(
+            (("cycle-power", "--n", "40", "--k", "6"), ("cycle-power", "--n", "5", "--k", "7"),
+             ("cycle", "--n", "24")), ("jsonl", "plain")):
+        runs.append(["enumerate", "--family", *params, "--method", "bijection", "--format", fmt])
     return runs
 
 
