@@ -361,17 +361,21 @@ def _checked_bound(value, flag: str):
     return value
 
 
-# suite -> its cases, from the checked bounds (None for the suite's default)
+# suite -> ({flag: least value}, its cases from the checked bounds, None for
+# the suite's default).  Below its least values a suite would check nothing,
+# so every chosen suite's are checked before any suite runs.
 _SUITES = {
-    "cyclic-strings": lambda a, budget: _suite_cyclic_strings(a.max_k or 5, a.max_n or 14, budget),
-    "cycle-power-bijection": lambda a, budget: _suite_cycle_power(a.max_k or 3, a.max_n or 12, budget),
-    "complete-product": lambda a, budget: _suite_fast_route(
+    "cyclic-strings": ({"--max-k": 2}, lambda a, budget: _suite_cyclic_strings(
+        a.max_k or 5, a.max_n or 14, budget)),
+    "cycle-power-bijection": ({"--max-n": 3}, lambda a, budget: _suite_cycle_power(
+        a.max_k or 3, a.max_n or 12, budget)),
+    "complete-product": ({}, lambda a, budget: _suite_fast_route(
         "complete-product", "complete-product",
-        itertools.product(range(1, (a.max_n or 4) + 1), repeat=2), budget),
-    "grid-p2": lambda a, budget: _suite_grid_p2(a.max_n or 8, budget),
-    "grid-arrays": lambda a, budget: _suite_fast_route(
-        "grid", "path-grid", _grid_cells(a.max_cells or 16), budget),
-    "oeis": lambda a, budget: _suite_oeis(a.bfile, a.max_cells or 20, budget),
+        itertools.product(range(1, (a.max_n or 4) + 1), repeat=2), budget)),
+    "grid-p2": ({}, lambda a, budget: _suite_grid_p2(a.max_n or 8, budget)),
+    "grid-arrays": ({}, lambda a, budget: _suite_fast_route(
+        "grid", "path-grid", _grid_cells(a.max_cells or 16), budget)),
+    "oeis": ({}, lambda a, budget: _suite_oeis(a.bfile, a.max_cells or 20, budget)),
 }
 
 
@@ -381,10 +385,16 @@ def _cmd_verify(args) -> int:
     _checked_bound(args.max_n, "--max-n")
     _checked_bound(args.max_cells, "--max-cells")
     chosen = list(_SUITES) if args.suite == "all" else [args.suite]
+    for name in chosen:
+        for flag, least in _SUITES[name][0].items():
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is not None and value < least:
+                raise InvalidParameterError(
+                    f"suite {name} needs {flag} >= {least} to check anything, got {value}")
     failures = 0
     total = 0
     for name in chosen:
-        for case, ok, detail in _SUITES[name](args, budget):
+        for case, ok, detail in _SUITES[name][1](args, budget):
             total += 1
             failures += not ok
             print(f"{'ok  ' if ok else 'FAIL'} [{name}] {case}: {detail}")

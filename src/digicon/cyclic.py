@@ -17,13 +17,16 @@ into the first.  How a string may end depends only on a few numbers (the
 positions left, the run bit, whether it is the first run's bit, and the
 first run's length capped at k), so every ending of at most n // 2
 positions is tabulated once per call (_suffix_tables), and each prefix
-that reaches one yields its whole table as a chunk (_block_chunks).
+that reaches one yields its whole table as a chunk (_block_chunks).  The
+walk carries one int per string, the position-ordered one (bit p holds
+position p), which is what erosion reads; a string's code, position 0 at
+the top bit, is its reverse.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain, starmap
+from itertools import chain
 
 from ._kernels import EnumerationBudget, check_budget
 from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotMemberError
@@ -126,7 +129,7 @@ def _blocks_ok(n: int, k: int, codes):
     t = _rot(n, codes, 1)
     t ^= codes
     clash = 0
-    for d in range(1, k):
+    for d in range(1, min(k, n + 1)):  # rotations repeat after n
         near = _rot(n, t, d)
         near &= t
         clash |= near
@@ -146,66 +149,59 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
     Position 0 is the most significant bit of the code, and rotations are
     distinct members (no necklace quotienting).  The budget caps the exact
     number of members, a_count(k, n); it is checked on the first item.
+    The strings are read off the position-ordered ints of _block_chunks.
     """
     check_budget(a_count(k, n), budget, "strings")
-    for code, _ in _block_strings(k, n):
-        yield CyclicBinaryString.from_code(n, code)
-
-
-def _block_strings(k: int, n: int) -> Iterator[tuple[int, int]]:
-    """(code, reversed code) of each length-n string whose cyclic blocks are
-    all >= k, in increasing code order: the members of enumerate_B(k, n),
-    flattened from the chunks of _block_chunks."""
-    return chain.from_iterable(starmap(zip, _block_chunks(k, n)))
+    for rev in chain.from_iterable(_block_chunks(k, n)):
+        yield CyclicBinaryString(tuple(rev >> i & 1 for i in range(n)))
 
 
 def _suffix_tables(k: int, n: int, top: int) -> list[dict]:
-    """tables[m][c, eq, h] = (codes, reversed codes) of every way to finish a
-    length-n string whose last m positions start a run of bit c, in
-    increasing code order: the runs from there alternate, each >= k, except
-    that the last one wraps into the first run (bit f, length h capped at
-    k).  eq says whether c = f.  If the last run's bit is f, it needs
-    length >= k - h; if not, it needs length >= k and h >= k.  Codes hold
-    the m suffix bits; reversed codes hold them at bits n - m..n - 1, as
-    position p sits at bit p.  tables[0] is the empty suffix after a run of
-    length >= k, complete when that run is not f's (not eq) or h >= k.
+    """tables[m][c, eq, h] = every way to finish a length-n string whose
+    last m positions start a run of bit c, in increasing code order: the
+    runs from there alternate, each >= k, except that the last one wraps
+    into the first run (bit f, length h capped at k; h < n, so the keys
+    stop at h = min(k, n)).  eq says whether c = f.  If the last run's bit
+    is f, it needs length >= k - h; if not, it needs length >= k and
+    h >= k.  Each way is an int holding the m suffix bits at bits
+    n - m..n - 1, as position p sits at bit p.
+    tables[0] is the empty suffix after a run of length >= k, complete when
+    that run is not f's (not eq) or h >= k.
 
     Row m is built from the shorter rows only, for m <= top: a 0-suffix is
     its first run (longest first, so the codes ascend) followed by the
     1-suffixes of the rest, and a 1-suffix is the complement of the
     0-suffix with the same eq (so the other f), in reverse order.
     """
-    keys = [(c, eq, h) for c in (0, 1) for eq in (False, True) for h in range(1, k + 1)]
-    done, empty = ([0], [0]), ([], [])
-    tables = [{key: done if not key[1] or key[2] == k else empty for key in keys}]
+    hs = range(1, min(k, n) + 1)
+    empty = []
+    tables = [{(c, eq, h): [0] if not eq or h == k else empty
+               for c in (0, 1) for eq in (False, True) for h in hs}]
     for m in range(1, top + 1):
         row = {}
+        ones = (1 << m) - 1 << n - m
         for eq in (False, True):
-            for h in range(1, k + 1):
-                codes, revs = [], []
+            for h in hs:
                 if m < k:  # only one run fits: the last, wrapping into the first
-                    if eq and m >= k - h:
-                        codes.append(0)
-                        revs.append(0)
+                    zeros = [0] if eq and m >= k - h else empty
                 else:
+                    zeros = []
                     for length in range(m, k - 1, -1):
-                        rest_codes, rest_revs = tables[m - length][1, not eq, h]
-                        codes += rest_codes
-                        revs += rest_revs
-                if not codes:  # one shared empty table: short rows are mostly empty
+                        zeros += tables[m - length][1, not eq, h]
+                if not zeros:  # one shared empty table: short rows are mostly empty
                     row[0, eq, h] = row[1, eq, h] = empty
                     continue
-                row[0, eq, h] = codes, revs
-                ones, ones_rev = (1 << m) - 1, (1 << m) - 1 << n - m
-                row[1, eq, h] = ([ones ^ code for code in reversed(codes)],
-                                 [ones_rev ^ rev for rev in reversed(revs)])
+                row[0, eq, h] = zeros
+                row[1, eq, h] = [ones ^ rev for rev in reversed(zeros)]
         tables.append(row)
     return tables
 
 
-def _block_chunks(k: int, n: int) -> Iterator[tuple[list[int], list[int]]]:
-    """The strings of _block_strings as (codes, reversed codes) chunks, each
-    nonempty and ascending, each starting above the end of the one before.
+def _block_chunks(k: int, n: int) -> Iterator[list[int]]:
+    """Each length-n string whose cyclic blocks are all >= k, as the int
+    whose bit p is position p, in lists (chunks), each nonempty.  Flattened,
+    the chunks are the members of enumerate_B(k, n) in its order: increasing
+    code order, position 0 at the top bit.
 
     The walk goes one run at a time over the prefixes that leave more than
     n // 2 positions, on an explicit stack: first the first run (bit f,
@@ -216,19 +212,16 @@ def _block_chunks(k: int, n: int) -> Iterator[tuple[list[int], list[int]]]:
     """
     top = n // 2
     tables = _suffix_tables(k, n, top)
-    full = (1 << n) - 1
-    yield [0], [0]
-    # (m, c, eq, h, code, rev): a prefix that leaves m positions, starting a
-    # run of c; code and rev hold the prefix bits where the whole string does
-    stack = [(n - h, 0, False, min(h, k), (1 << h) - 1 << n - h, (1 << h) - 1)
-             for h in range(n - 1, 0, -1)]
-    stack += [(n - h, 1, False, min(h, k), 0, 0) for h in range(1, n)]
+    yield [0]
+    # (m, c, eq, h, rev): a prefix that leaves m positions, starting a run of
+    # c; rev holds the prefix bits, position p at bit p
+    stack = [(n - h, 0, False, min(h, k), (1 << h) - 1) for h in range(n - 1, 0, -1)]
+    stack += [(n - h, 1, False, min(h, k), 0) for h in range(1, n)]
     while stack:
-        m, c, eq, h, code, rev = stack.pop()
+        m, c, eq, h, rev = stack.pop()
         if m <= top:
-            codes, revs = tables[m][c, eq, h]
-            if codes:
-                yield [code | s for s in codes], [rev | r for r in revs]
+            if suffixes := tables[m][c, eq, h]:
+                yield [rev | r for r in suffixes]
         else:
             # push the runs in reverse order, so that they are walked in order.
             # None fits when m < k, and none need: a prefix past the tables
@@ -237,9 +230,8 @@ def _block_chunks(k: int, n: int) -> Iterator[tuple[list[int], list[int]]]:
             lengths = range(k, m + 1) if c == 0 else range(m, k - 1, -1)
             for length in lengths:
                 run = (1 << length) - 1 if c else 0
-                stack.append((m - length, 1 - c, not eq, h,
-                              code | run << m - length, rev | run << n - m))
-    yield [full], [full]
+                stack.append((m - length, 1 - c, not eq, h, rev | run << n - m))
+    yield [(1 << n) - 1]
 
 
 def _q_poly(k: int) -> list[int]:
@@ -277,6 +269,8 @@ def a_count(k: int, n: int) -> int:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
+    if n < 2 * k:  # two blocks of length >= k do not fit: only the constant strings
+        return 2
     return eval_recurrence(_a_recurrence(k), n)
 
 
@@ -318,7 +312,7 @@ def _erode(n: int, k: int, ones):
     """The vertices x whose positions x..x+k are all ones (bit p holding
     position p)."""
     mask = ones
-    for j in range(1, k + 1):
+    for j in range(1, min(k, n - 1) + 1):  # rotations repeat after n
         mask = mask & _rot(n, ones, -j)
     return mask
 
@@ -335,7 +329,7 @@ def string_from_convex_set(k: int, n: int, s: VertexSet) -> CyclicBinaryString:
     if s.universe != n:
         raise InvalidParameterError(f"set universe {s.universe} != cycle length {n}")
     ones = 0
-    for j in range(k + 1):
+    for j in range(min(k, n - 1) + 1):  # rotations repeat after n
         ones |= _rot(n, s.mask, j)
     if not (_blocks_ok(n, k + 1, ones) and _erode(n, k, ones) == s.mask):
         raise NotConvexError(
@@ -371,17 +365,19 @@ def _convex_set_codes(k: int, n: int, budget: EnumerationBudget | None = None) -
 
 
 def _eroded_chunks(k: int, n: int) -> Iterator[list[int]]:
-    """_erode of each reversed code of _block_chunks(k + 1, n), a chunk at a
-    time.  Bit x of a mask says that the window of positions x..x+w-1 (mod
-    n) is all ones; a pass ands each mask with itself rotated by -s, for
-    s <= w, which widens the window to w + s.  Windows double until they
-    reach k + 1 positions: ceil(log2(k + 1)) list passes."""
+    """_erode of each int of _block_chunks(k + 1, n), a chunk at a time as
+    it comes.  Bit x of a mask says that the window of positions x..x+w-1
+    (mod n) is all ones; a pass ands each mask with itself rotated by -s,
+    for s <= w, which widens the window to w + s.  Windows double until
+    they reach k + 1 positions, or all n of them: ceil(log2(min(k + 1, n)))
+    list passes."""
     full = (1 << n) - 1
-    for _, masks in _block_chunks(k + 1, n):
+    reach = min(k, n - 1)  # the window's last offset
+    for masks in _block_chunks(k + 1, n):
         width = 1
-        while width <= k:
-            step = min(width, k + 1 - width)
-            d = -step % n  # a rotation by -step, taken mod n, as step may pass n
+        while width <= reach:
+            step = min(width, reach + 1 - width)
+            d = n - step  # a rotation by -step, mod n
             masks = [mask & (mask << d & full | mask >> n - d) for mask in masks]
             width += step
         yield masks

@@ -595,6 +595,23 @@ def test_verify_all_runs_every_suite_trimmed(capsys):
         assert f"[{suite}]" in out
 
 
+@pytest.mark.parametrize("suite, flag, value, least", [
+    ("cyclic-strings", "--max-k", 1, 2),
+    ("cycle-power-bijection", "--max-n", 2, 3),
+    ("all", "--max-k", 1, 2),
+    ("all", "--max-n", 2, 3),
+])
+def test_verify_refuses_bounds_that_check_nothing(capsys, suite, flag, value, least):
+    # cyclic-strings has no k below 2 and cycle-power-bijection no n below
+    # 3: "all 0 cases passed" would look like success.  The refusal comes
+    # before any suite runs, so under all no suite prints a line
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, str(value))
+    named = {"--max-k": "cyclic-strings", "--max-n": "cycle-power-bijection"}[flag]
+    assert (code, out) == (2, "")
+    assert f"suite {named} needs {flag} >= {least}" in err
+    assert run_cli(capsys, "verify", "--suite", named, flag, str(least))[0] == 0
+
+
 def test_verify_cycle_power_suite_catches_a_lost_bijection_set(monkeypatch, capsys):
     # the strings column is the bijection route, not the recurrence again
     real = cli._convex_set_codes

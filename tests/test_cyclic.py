@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from digicon import (
 from digicon.cyclic import (
     _a_recurrence,
     _block_chunks,
-    _block_strings,
     _blocks_ok,
     _convex_set_codes,
     _cyclic_runs,
@@ -40,6 +40,7 @@ from digicon.cyclic import (
     _reverse,
 )
 from digicon.cli import main
+from digicon.sequences import eval_recurrence
 from oracles import (berkowitz, block_strings_by_bits, is_convex_naive, run_length_automaton,
                      walk_traces)
 
@@ -182,40 +183,49 @@ def test_enumeration_is_the_membership_filter(k, n):
     assert got == sorted(set(got))
 
 
+def walked(k, n):
+    """The flattened chunks of the run walk: position-ordered ints."""
+    return list(chain.from_iterable(_block_chunks(k, n)))
+
+
+def oracle_revs(k, n):
+    return [rev for _, rev in block_strings_by_bits(k, n)]
+
+
 def test_walk_is_the_block_filter_on_ints():
     # the pruned walk against _blocks_ok over all 2^n codes (its array form,
     # which test_block_test_matches_the_run_definition ties to the int form)
     for n in range(1, 17):
         codes = np.arange(1 << n, dtype=np.int64)
         for k in range(2, 9):
-            walked = list(_block_strings(k, n))
-            assert [code for code, _ in walked] == np.flatnonzero(_blocks_ok(n, k, codes)).tolist()
-            assert all(rev == _reverse(n, code) for code, rev in walked)
+            assert [_reverse(n, rev) for rev in walked(k, n)] == \
+                np.flatnonzero(_blocks_ok(n, k, codes)).tolist()
     # past 62 bits, where no filter runs: a_count(k, n) members, ascending
-    walked = [code for code, _ in _block_strings(34, 100)]
-    assert walked == sorted(set(walked))
-    assert len(walked) == a_count(34, 100)
-    assert all(_blocks_ok(100, 34, code) for code in walked)
+    codes = [_reverse(100, rev) for rev in walked(34, 100)]
+    assert codes == sorted(set(codes))
+    assert len(codes) == a_count(34, 100)
+    assert all(_blocks_ok(100, 34, code) for code in codes)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_run_walk_is_the_per_bit_walk(k):
     # pair for pair and in order, against the walk that adds one bit at a time
     for n in range(1, 21):
-        assert list(_block_strings(k, n)) == list(block_strings_by_bits(k, n)), n
+        assert walked(k, n) == oracle_revs(k, n), n
 
 
 @pytest.mark.parametrize("k, n", [(21, 100), (34, 100)])
 def test_run_walk_past_62_bits_is_the_per_bit_walk(k, n):
-    assert list(_block_strings(k, n)) == list(block_strings_by_bits(k, n))
+    assert walked(k, n) == oracle_revs(k, n)
 
 
 def test_chunks_are_nonempty_ascending_and_in_order():
     cases = [(k, n) for k in range(2, 9) for n in range(1, 21)] + [(21, 100), (34, 100)]
     for k, n in cases:
         below = -1
-        for codes, revs in _block_chunks(k, n):
-            assert codes and len(revs) == len(codes), (k, n)
+        for chunk in _block_chunks(k, n):
+            codes = [_reverse(n, rev) for rev in chunk]
+            assert codes, (k, n)
             assert codes[0] > below, (k, n)
             assert all(a < b for a, b in zip(codes, codes[1:])), (k, n)
             below = codes[-1]
@@ -261,18 +271,39 @@ def test_set_codes_stream_in_bounded_memory():
     assert peak < 2_000_000, peak
 
 
+def test_cycle_power_work_is_bounded_by_n_not_k():
+    # at n = 5 only the two constant strings have every block >= k + 1, and
+    # neither the count nor the walk's tables may grow with k (at k = 10^5
+    # they once took about 167 MB)
+    peaks = _fresh_python(
+        "import tracemalloc\n"
+        "from collections import deque\n"
+        "from digicon.cyclic import _convex_set_codes, count_cycle_power, enumerate_B\n"
+        "tracemalloc.start()\n"
+        "for run in (lambda: count_cycle_power(10**5, 5),\n"
+        "            lambda: deque(_convex_set_codes(10**5, 5), 0),\n"
+        "            lambda: deque(enumerate_B(10**5, 5), 0)):\n"
+        "    tracemalloc.reset_peak()\n"
+        "    run()\n"
+        "    print(tracemalloc.get_traced_memory()[1])\n")
+    assert all(int(peak) < 1_000_000 for peak in peaks.split()), peaks
+    assert count_cycle_power(10**5, 5) == 2
+    assert list(_convex_set_codes(10**5, 5)) == [0, 31]
+    assert [str(s) for s in enumerate_B(10**5, 5)] == ["00000", "11111"]
+
+
 def test_walks_leave_no_garbage_for_the_cycle_collector():
     # with the collector off, what a walk allocates is freed only by
     # reference counts: tables caught in a reference cycle would stay
     held = int(_fresh_python(
         "import gc, tracemalloc\n"
         "from collections import deque\n"
-        "from digicon.cyclic import _block_strings, _convex_set_codes\n"
+        "from digicon.cyclic import _block_chunks, _convex_set_codes\n"
         "gc.disable()\n"
         "tracemalloc.start()\n"
         "for k in range(2, 6):\n"
         "    for n in range(1, 15):\n"
-        "        deque(_block_strings(k, n), 0)\n"
+        "        deque(_block_chunks(k, n), 0)\n"
         "        if n >= 3:\n"
         "            deque(_convex_set_codes(k - 1, n), 0)\n"
         "print(tracemalloc.get_traced_memory()[0])\n"))
@@ -323,10 +354,12 @@ def test_string_routes_are_budgeted_by_their_exact_count(route):
 
 
 def test_count_initial_window():
-    # below the first interesting length everything is the two constants
-    for k in (2, 3, 4, 5, 6):
+    # below the first interesting length everything is the two constants:
+    # a_count returns 2 there with no recurrence, and the recurrence agrees
+    for k in range(2, 40):
+        terms = _a_recurrence(k)
         for i in range(1, 2 * k):
-            assert a_count(k, i) == 2, (k, i)
+            assert a_count(k, i) == eval_recurrence(terms, i) == 2, (k, i)
     # the three seeded values beyond the constant window
     for k in (2, 3, 4, 5):
         for j in (2 * k, 2 * k + 1, 2 * k + 2):

@@ -16,7 +16,8 @@ alone at bounds other than its defaults, ``verify --suite all`` under a
 budget of 1000 subsets, and ``oeis --max-cells 22``; plus single runs of
 ``series --k 2 --terms 6500`` in each format, of the 13 x 2 ladder
 stream, and of the bijection streams of ``cycle-power --n 40 --k 6``,
-``cycle-power --n 5 --k 7`` and ``cycle --n 24``, each in jsonl and plain.
+``cycle-power --n 5 --k 7``, ``cycle-power --n 100 --k 20`` (54,352 sets,
+string codes past 62 bits) and ``cycle --n 24``, each in jsonl and plain.
 The sweep-size cap is the default one: ``DIGICON_MAX_SUBSETS`` is unset
 while the matrix runs.
 
@@ -108,10 +109,12 @@ def matrix() -> list[list[str]]:
         runs.append(["enumerate", "--family", "path-grid", "--n", "13", "--m", "2",
                      "--method", "recurrence", "--format", fmt])
     # bijection streams at the edges of its chunks and of the line widths:
-    # codes past 32 bits, k >= n, and 103,684 strings of 24 positions
+    # codes past 32 bits, k >= n, codes past 62 bits in 13-byte masks, and
+    # 103,684 strings of 24 positions
     for params, fmt in itertools.product(
             (("cycle-power", "--n", "40", "--k", "6"), ("cycle-power", "--n", "5", "--k", "7"),
-             ("cycle", "--n", "24")), ("jsonl", "plain")):
+             ("cycle-power", "--n", "100", "--k", "20"), ("cycle", "--n", "24")),
+            ("jsonl", "plain")):
         runs.append(["enumerate", "--family", *params, "--method", "bijection", "--format", fmt])
     return runs
 
