@@ -15,17 +15,18 @@ import os
 import sys
 from operator import getitem
 
-from ._kernels import (DEFAULT_MAX_SUBSETS, EnumerationBudget, convex_bits, count_flagged,
-                       iter_flagged)
+from ._kernels import (DEFAULT_MAX_SUBSETS, EnumerationBudget, check_budget, convex_bits,
+                       count_flagged, iter_flagged)
 from .cyclic import (
+    _block_chunks,
+    _blocks_ok,
     _convex_set_codes,
+    _dilated,
+    _eroded,
     _series_fraction,
     a_count,
     a_series,
-    convex_set_from_string,
     count_cycle_power,
-    enumerate_B,
-    string_from_convex_set,
 )
 from .errors import (
     BfileParseError,
@@ -36,7 +37,7 @@ from .errors import (
     NotImageError,
     NotMemberError,
 )
-from .graphs import VertexSet, cartesian_product, graph_power, make_complete, make_cycle, make_path
+from .graphs import cartesian_product, graph_power, make_complete, make_cycle, make_path
 from .products import (
     _antidiagonal_index,
     _grid_cells,
@@ -247,10 +248,11 @@ def _cmd_enumerate(args) -> int:
 def _cmd_series(args) -> int:
     """The series coefficients, each printed as it is computed: the long
     division runs on Decimals under _exact(), where str is linear at any size
-    and any rounding raises, and keeps O(k) coefficients."""
+    and any rounding raises, and keeps min(2k, terms) coefficients."""
     import decimal
     numerator, denominator = _series_fraction(args.k)
-    coefficients = map(str, _long_division(map(decimal.Decimal, numerator), denominator, args.terms))
+    numerator = [(i, decimal.Decimal(c)) for i, c in numerator]
+    coefficients = map(str, _long_division(numerator, denominator, args.terms))
     # the context is entered here, around the whole stream: a generator
     # that entered it would leak it to the caller at every yield
     with decimal.localcontext(_exact()):
@@ -286,22 +288,33 @@ def _case(label: str, values: dict, *checks: tuple[bool, str]) -> tuple:
             + "".join(note for holds, note in checks if not holds))
 
 
+def _walked(k: int, n: int, budget) -> int:
+    """The number of strings the walk of enumerate_B(k, n) yields, under the
+    same budget, with no string built."""
+    check_budget(a_count(k, n), budget, "strings")
+    return sum(map(len, _block_chunks(k, n)))
+
+
 def _suite_cyclic_strings(max_k: int, max_n: int, budget) -> list:
     series = {k: a_series(k, max_n) for k in range(2, max_k + 1)}
-    return [_case(f"strings k={k} n={n}", {"enumerated": sum(1 for _ in enumerate_B(k, n, budget)),
+    return [_case(f"strings k={k} n={n}", {"enumerated": _walked(k, n, budget),
                                            "recurrence": a_count(k, n), "series": series[k][n]})
             for k, n in itertools.product(series, range(1, max_n + 1))]
 
 
 def _suite_cycle_power(max_k: int, max_n: int, budget) -> list:
+    """Each case's brute-force sets against the recurrence and the bijection
+    stream, and the round trip of the whole list on int masks: dilated to
+    their ones, every string's blocks >= k + 1, and eroded back to the list."""
     cases = []
     for k, n in itertools.product(range(1, max_k + 1), range(3, max_n + 1)):
         brute = _run("enumerate", "cycle-power", "bruteforce", budget, n=n, k=k)
         values = {"bruteforce": brute,
                   "recurrence": _run("count", "cycle-power", "recurrence", budget, n=n, k=k),
                   "strings": _run("enumerate", "cycle-power", "bijection", budget, n=n, k=k)}
-        round_trip = all(mask == convex_set_from_string(
-            k, n, string_from_convex_set(k, n, VertexSet(n, mask))).mask for mask in brute)
+        [ones] = _dilated(k, n, [brute])
+        round_trip = (all(_blocks_ok(n, k + 1, o) for o in ones)
+                      and next(_eroded(k, n, [ones])) == brute)
         cases.append(_case(f"cycle-power k={k} n={n}", values,
                            (sorted(values["strings"]) == brute, ", sets differ"),
                            (round_trip, ", round trip failed")))

@@ -31,7 +31,7 @@ from itertools import chain
 from ._kernels import EnumerationBudget, check_budget
 from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotMemberError
 from .graphs import VertexSet
-from .sequences import LinearRecurrence, PowerSeries, eval_recurrence, expand_rational
+from .sequences import LinearRecurrence, PowerSeries, _long_division, eval_recurrence
 
 
 class CyclicBinaryString(FrozenRecord):
@@ -274,20 +274,21 @@ def a_count(k: int, n: int) -> int:
     return eval_recurrence(_a_recurrence(k), n)
 
 
-def _series_fraction(k: int) -> tuple[list[int], list[int]]:
+def _series_fraction(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Numerator and denominator of sum_n a_count(k, n) x^n = -x Q_k'(x) / Q_k(x),
     the generating function of Q_k's power sums:
-    (2x - 2x^2 + 2k x^{2k}) / (1 - 2x + x^2 - x^{2k})."""
+    (2x - 2x^2 + 2k x^{2k}) / (1 - 2x + x^2 - x^{2k}), each as its nonzero
+    (degree, coefficient) pairs, so that their size does not grow with k."""
     if k < 2:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
-    q = _q_poly(k)
-    return [-i * c for i, c in enumerate(q)], q
+    q = [(0, 1), (1, -2), (2, 1), (2 * k, -1)]  # _q_poly(k), sparse
+    return [(i, -i * c) for i, c in q if i], q
 
 
 def a_series(k: int, terms: int) -> PowerSeries:
     """Coefficients x^0..x^terms of _series_fraction(k), by long division
-    in O(terms * k) integer steps."""
-    return expand_rational(*_series_fraction(k), terms)
+    in O(terms) integer steps."""
+    return PowerSeries(tuple(_long_division(*_series_fraction(k), terms)))
 
 
 def _check_power(k: int, n: int) -> None:
@@ -308,13 +309,44 @@ def _reverse(n: int, codes):
     return out
 
 
-def _erode(n: int, k: int, ones):
-    """The vertices x whose positions x..x+k are all ones (bit p holding
-    position p)."""
-    mask = ones
-    for j in range(1, min(k, n - 1) + 1):  # rotations repeat after n
-        mask = mask & _rot(n, ones, -j)
-    return mask
+def _window_steps(k: int, n: int) -> list[int]:
+    """The steps that widen a window of one position to k + 1 positions, or
+    all n of them, by doubling: a window of w positions and its copy s <= w
+    positions on make one of w + s.  ceil(log2(min(k + 1, n))) steps."""
+    reach = min(k, n - 1)  # the window's last offset
+    steps = []
+    width = 1
+    while width <= reach:
+        steps.append(min(width, reach + 1 - width))
+        width += steps[-1]
+    return steps
+
+
+def _eroded(k: int, n: int, chunks) -> Iterator[list[int]]:
+    """For each list of ones (bit p holding position p), the list of the
+    vertices x whose positions x..x+k (mod n) are all ones.  Bit x of a mask
+    says that the window of positions x..x+w-1 is all ones; a pass ands each
+    mask with itself rotated by -s, which widens the window to w + s."""
+    full = (1 << n) - 1
+    steps = _window_steps(k, n)
+    for masks in chunks:
+        for step in steps:
+            up = n - step  # a rotation by -step, mod n
+            masks = [mask & (mask << up & full | mask >> step) for mask in masks]
+        yield masks
+
+
+def _dilated(k: int, n: int, chunks) -> Iterator[list[int]]:
+    """For each list of vertex sets, the list of their ones: position p is
+    one when a member x has p among x..x+k (mod n).  The mirror of _eroded:
+    a pass ors each mask with itself rotated by +s."""
+    full = (1 << n) - 1
+    steps = _window_steps(k, n)
+    for masks in chunks:
+        for step in steps:
+            down = n - step  # bit n - step wraps to bit 0
+            masks = [mask | (mask << step & full | mask >> down) for mask in masks]
+        yield masks
 
 
 def string_from_convex_set(k: int, n: int, s: VertexSet) -> CyclicBinaryString:
@@ -328,10 +360,8 @@ def string_from_convex_set(k: int, n: int, s: VertexSet) -> CyclicBinaryString:
     _check_power(k, n)
     if s.universe != n:
         raise InvalidParameterError(f"set universe {s.universe} != cycle length {n}")
-    ones = 0
-    for j in range(min(k, n - 1) + 1):  # rotations repeat after n
-        ones |= _rot(n, s.mask, j)
-    if not (_blocks_ok(n, k + 1, ones) and _erode(n, k, ones) == s.mask):
+    [[ones]] = _dilated(k, n, [[s.mask]])
+    if not (_blocks_ok(n, k + 1, ones) and next(_eroded(k, n, [[ones]])) == [s.mask]):
         raise NotConvexError(
             f"set {list(s.indices())} is not digitally convex in the power-{k} {n}-cycle"
         )
@@ -352,35 +382,18 @@ def convex_set_from_string(k: int, n: int, s: CyclicBinaryString) -> VertexSet:
         raise NotMemberError(
             f"string {s} has a cyclic block shorter than {k + 1}; it matches no convex set"
         )
-    return VertexSet(n, _erode(n, k, _reverse(n, s.code)))
+    [[mask]] = _eroded(k, n, [[_reverse(n, s.code)]])
+    return VertexSet(n, mask)
 
 
 def _convex_set_codes(k: int, n: int, budget: EnumerationBudget | None = None) -> Iterator[int]:
     """The bitmasks of the digitally convex sets of the k-th power of C_n,
     in the order enumerate_B(k + 1, n) yields their strings: the map of
-    convex_set_from_string, with no string or set built.  The budget is
-    checked on the call, before the first code is asked for."""
+    convex_set_from_string, with no string or set built: each chunk of the
+    walk is eroded as it comes.  The budget is checked on the call, before
+    the first code is asked for."""
     check_budget(a_count(k + 1, n), budget, "strings")
-    return chain.from_iterable(_eroded_chunks(k, n))
-
-
-def _eroded_chunks(k: int, n: int) -> Iterator[list[int]]:
-    """_erode of each int of _block_chunks(k + 1, n), a chunk at a time as
-    it comes.  Bit x of a mask says that the window of positions x..x+w-1
-    (mod n) is all ones; a pass ands each mask with itself rotated by -s,
-    for s <= w, which widens the window to w + s.  Windows double until
-    they reach k + 1 positions, or all n of them: ceil(log2(min(k + 1, n)))
-    list passes."""
-    full = (1 << n) - 1
-    reach = min(k, n - 1)  # the window's last offset
-    for masks in _block_chunks(k + 1, n):
-        width = 1
-        while width <= reach:
-            step = min(width, reach + 1 - width)
-            d = n - step  # a rotation by -step, mod n
-            masks = [mask & (mask << d & full | mask >> n - d) for mask in masks]
-            width += step
-        yield masks
+    return chain.from_iterable(_eroded(k, n, _block_chunks(k + 1, n)))
 
 
 def count_cycle_power(k: int, n: int) -> int:

@@ -208,24 +208,29 @@ def _long_division(numerator, denominator, terms: int) -> Iterator:
     """Coefficients x^0..x^terms of numerator/denominator, yielded one at a
     time by long division: c_i = (num_i - sum_{j>=1} den_j * c_{i-j}) / den_0.
 
-    The denominator's constant term must be 1 or -1, so dividing by it is a
-    sign; both checks run on the call, before the first coefficient.  The
-    arithmetic is in whatever number type the numerator holds (ints, or
-    Decimals under an exact context), and only the last len(den) - 1
-    coefficients are kept.
+    Both polynomials are given as (degree, coefficient) pairs, so a sparse
+    one costs its nonzero terms.  The denominator's constant term must be 1
+    or -1, so dividing by it is a sign; both checks run on the call, before
+    the first coefficient.  The arithmetic is in whatever number type the
+    numerator holds (ints, or Decimals under an exact context), and only
+    the last min(deg den, terms) coefficients are kept: a term of degree
+    past terms meets only the zeros before x^0.
     """
-    num = list(numerator)
-    den = list(denominator)
+    num = dict(numerator)
+    den = dict(denominator)
     if terms < 0:
         raise InvalidParameterError(f"terms must be >= 0, got {terms}")
-    if not den or den[0] not in (1, -1):
+    if den.get(0) not in (1, -1):
         raise InvalidParameterError("denominator constant term must be 1 or -1")
     # a zero of the numerator's type: Decimal("0"), where 0 * Decimal(-1) is "-0"
-    zero = type(num[0])(0) if num else 0
-    taps = [(j, c) for j, c in enumerate(den) if j and c]
+    zero = type(next(iter(num.values())))(0) if num else 0
+    # the numerator's coefficients up to x^terms, by degree, for the loop to index
+    num = [num.get(i, zero) for i in range(min(max(num, default=-1), terms) + 1)]
+    size = min(max(den), terms)
+    taps = [(j, c) for j, c in sorted(den.items()) if 0 < j <= size and c]
     sign = den[0]
-    # c_{i-1}, c_{i-2}, ..., c_{i-len(den)+1}; zeros stand for the c_{i-j} with i < j
-    window = deque([zero] * (len(den) - 1), maxlen=len(den) - 1)
+    # c_{i-1}, c_{i-2}, ..., c_{i-size}; zeros stand for the c_{i-j} with i < j
+    window = deque([zero] * size, maxlen=size)
 
     def quotients():
         for i in range(terms + 1):
@@ -243,11 +248,12 @@ def _long_division(numerator, denominator, terms: int) -> Iterator:
 def expand_rational(numerator, denominator, terms: int) -> PowerSeries:
     """Coefficients x^0..x^terms of numerator/denominator by long division.
 
-    The denominator's constant term must be 1 or -1 so the division stays in
-    exact integers: c_i = (num_i - sum_{j>=1} den_j * c_{i-j}) / den_0.
+    Both are coefficient sequences, index = exponent.  The denominator's
+    constant term must be 1 or -1 so the division stays in exact integers:
+    c_i = (num_i - sum_{j>=1} den_j * c_{i-j}) / den_0.
     """
-    return PowerSeries(tuple(_long_division(_coefficients(numerator),
-                                            _coefficients(denominator), terms)))
+    return PowerSeries(tuple(_long_division(enumerate(_coefficients(numerator)),
+                                            enumerate(_coefficients(denominator)), terms)))
 
 
 def parse_bfile(source) -> list[tuple[int, int]]:

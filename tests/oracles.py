@@ -228,3 +228,28 @@ def block_strings_by_bits(k, n):
                 hb, rb = (h, min(r + 1, k)) if b == c else (h or r, 1)
                 if not hb or n - pos - 1 >= (1 if b == f else 2) * k - rb - hb:
                     stack.append((pos + 1, code << 1 | b, rev | b << pos, f, hb, b, rb))
+
+
+def _rotate(n, code, d):
+    """An n-bit code rotated cyclically, bit i moving to bit i + d (mod n)."""
+    d %= n
+    return (code << d | code >> n - d) & (1 << n) - 1
+
+
+def erode_by_rotations(n, k, ones):
+    """The vertices x whose positions x..x+k (mod n) are all ones, bit p
+    holding position p: the ones and'ed with their rotation by -j for each
+    j = 1..k, one rotation at a time (rotations repeat after n)."""
+    mask = ones
+    for j in range(1, min(k, n - 1) + 1):
+        mask &= _rotate(n, ones, -j)
+    return mask
+
+
+def dilate_by_rotations(n, k, members):
+    """The positions covered when each member x sets x..x+k (mod n): the
+    members or'ed with their rotation by +j for each j = 1..k."""
+    ones = members
+    for j in range(1, min(k, n - 1) + 1):
+        ones |= _rotate(n, members, j)
+    return ones

@@ -19,6 +19,7 @@ import digicon.convexity as convexity
 import digicon.products as products
 import digicon.sequences as sequences
 from digicon import (
+    CyclicBinaryString,
     EnumerationBudget,
     VertexSet,
     a_count,
@@ -520,6 +521,21 @@ def test_series_plain_is_the_json_list_of_the_coefficients(capsys, k, terms):
     assert (code, out) == (0, json.dumps([str(c) for c in a_series(k, terms).coefficients]) + "\n")
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_series_in_every_format_is_the_string_count(capsys, k):
+    # coefficient n is a_count(k, n), by the recurrence, past the x^{2k} tap
+    coefficients = ["0", *(str(a_count(k, n)) for n in range(1, 41))]
+    for fmt, render in SERIES_FORMATS.items():
+        code, out, _ = run_cli(capsys, "series", "--k", str(k), "--terms", "40",
+                               *(("--format", fmt) if fmt else ()))
+        assert (code, out) == (0, render(coefficients)), fmt
+
+
+def test_series_at_large_k_prints_its_few_terms(capsys):
+    assert run_cli(capsys, "series", "--k", "1000000", "--terms", "3") == (
+        0, '["0", "2", "2", "2"]\n', "")
+
+
 # one CLI run with stdout discarded, then its peak RSS in kB: VmHWM, which
 # (unlike ru_maxrss) starts afresh at exec, so the forking test process's
 # own size is not counted
@@ -659,6 +675,55 @@ def test_verify_cycle_power_compares_the_bijection_sets(monkeypatch, capsys):
         f"bruteforce {total}, recurrence {total}, strings {total}, sets differ",
         "1 of 3 cases failed",
     ]
+
+
+def test_verify_cycle_power_round_trip_fails_a_set_that_is_not_convex(monkeypatch, capsys):
+    # {0, 2} of C_5 dilates to the ones of 0, 1, 2 and 3, whose block of one
+    # 0 is too short: a FAIL line and exit 1, not a usage error that loses
+    # the lines of the cases that passed
+    count, stream = FAMILIES["cycle-power"][1]["bruteforce"]
+
+    def swapped(budget, **params):
+        universe, masks = stream(budget, **params)
+        return universe, (0b101 if mask == 0b11 else mask for mask in masks)
+
+    monkeypatch.setitem(FAMILIES["cycle-power"][1], "bruteforce", (count, swapped))
+    code, out, err = run_cli(capsys, "verify", "--suite", "cycle-power-bijection",
+                             "--max-k", "1", "--max-n", "5")
+    total = count_cycle_power(1, 5)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[2:] == [
+        f"FAIL [cycle-power-bijection] cycle-power k=1 n=5: "
+        f"bruteforce {total}, recurrence {total}, strings {total}, sets differ, round trip failed",
+        "1 of 3 cases failed",
+    ]
+
+
+def test_verify_cycle_power_round_trip_catches_a_short_dilation(monkeypatch, capsys):
+    # the suite's dilation one position short (at k = 1, no pass at all):
+    # the strings column runs on the stream's own erosion and still agrees
+    real = cli._dilated
+    monkeypatch.setattr(cli, "_dilated", lambda k, n, chunks: real(k - 1, n, chunks))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cycle-power-bijection",
+                           "--max-k", "1", "--max-n", "5")
+    assert code == 1
+    assert out.splitlines() == [
+        "ok   [cycle-power-bijection] cycle-power k=1 n=3: bruteforce 2, recurrence 2, strings 2",
+        *(f"FAIL [cycle-power-bijection] cycle-power k=1 n={n}: bruteforce {total}, "
+          f"recurrence {total}, strings {total}, round trip failed"
+          for n, total in ((4, count_cycle_power(1, 4)), (5, count_cycle_power(1, 5)))),
+        "2 of 3 cases failed",
+    ]
+
+
+def test_verify_and_oeis_build_no_vertex_sets_or_strings(monkeypatch, capsys):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"verify built a {type(self).__name__}")
+
+    monkeypatch.setattr(VertexSet, "__init__", refuse)
+    monkeypatch.setattr(CyclicBinaryString, "__init__", refuse)
+    assert run_cli(capsys, "verify", "--suite", "all")[0] == 0
+    assert run_cli(capsys, "oeis")[0] == 0
 
 
 def test_verify_and_oeis_build_no_sets_or_ladders_outside_the_routes(monkeypatch, capsys):

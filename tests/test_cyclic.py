@@ -1,5 +1,6 @@
 """Block strings, their counting sequence, and the cycle-power bijection."""
 
+import random
 import subprocess
 import sys
 from itertools import chain
@@ -35,14 +36,15 @@ from digicon.cyclic import (
     _blocks_ok,
     _convex_set_codes,
     _cyclic_runs,
-    _erode,
+    _dilated,
+    _eroded,
     _q_poly,
     _reverse,
 )
 from digicon.cli import main
 from digicon.sequences import eval_recurrence
-from oracles import (berkowitz, block_strings_by_bits, is_convex_naive, run_length_automaton,
-                     walk_traces)
+from oracles import (berkowitz, block_strings_by_bits, dilate_by_rotations, erode_by_rotations,
+                     is_convex_naive, run_length_automaton, walk_traces)
 
 
 def all_strings(n):
@@ -246,10 +248,35 @@ def test_string_routes_with_k_at_least_n():
 
 @pytest.mark.parametrize("n, ks", [(22, range(1, 23)), (40, (6, 7, 15)), (100, (20, 31, 33))])
 def test_set_codes_erode_like_the_per_string_map(n, ks):
-    # the chunk erosion doubles its window; _erode ands in one rotation per j
+    # the chunk erosion doubles its window; the oracle ands in one rotation per j
     for k in ks:
-        expected = [_erode(n, k, rev) for _, rev in block_strings_by_bits(k + 1, n)]
+        expected = [erode_by_rotations(n, k, rev) for _, rev in block_strings_by_bits(k + 1, n)]
         assert list(_convex_set_codes(k, n)) == expected, k
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_window_passes_agree_with_the_per_rotation_oracles(n):
+    # every mask, and every k up to 2n + 2, so that the windows wrap mod n
+    # and reach past all n positions; one list comes out per chunk, in order
+    masks = list(range(1 << n))
+    chunks = [masks[:5], [], masks[5:]]
+    for k in range(1, 2 * n + 3):
+        eroded = [erode_by_rotations(n, k, mask) for mask in masks]
+        dilated = [dilate_by_rotations(n, k, mask) for mask in masks]
+        assert list(_eroded(k, n, chunks)) == [eroded[:5], [], eroded[5:]], k
+        assert list(_dilated(k, n, chunks)) == [dilated[:5], [], dilated[5:]], k
+
+
+@pytest.mark.parametrize("k", [20, 31, 33])
+def test_window_passes_agree_with_the_oracles_past_62_bits(k):
+    n = 100
+    rng = random.Random(k)
+    sparse = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(40)]
+    dense = [dilate_by_rotations(n, k, mask) for mask in sparse] + [rng.getrandbits(n)
+                                                                    for _ in range(40)]
+    assert next(_dilated(k, n, [sparse])) == dense[:40]
+    assert next(_eroded(k, n, [dense])) == [erode_by_rotations(n, k, mask) for mask in dense]
+    assert any(next(_eroded(k, n, [dense[:40]])))  # the windows do find all-one runs
 
 
 def _fresh_python(script: str) -> str:
@@ -479,7 +506,8 @@ def test_string_maps_on_arrays_agree_with_ints_and_keep_their_input():
     codes = np.arange(1 << n, dtype=np.int64)
     before = codes.copy()
     assert _reverse(n, codes).tolist() == [int(f"{c:0{n}b}"[::-1], 2) for c in range(1 << n)]
-    assert _erode(n, k, codes).tolist() == [_erode(n, k, c) for c in range(1 << n)]
+    assert next(_eroded(k, n, [list(range(1 << n))])) == [erode_by_rotations(n, k, c)
+                                                          for c in range(1 << n)]
     assert (codes == before).all()
 
 
@@ -494,7 +522,7 @@ def test_string_maps_at_the_dtype_boundary_agree_with_ints(n, k, back):
     members = [all(length >= k + 1 for _, _, length in r) for r in runs]
     assert _blocks_ok(n, k + 1, codes).tolist() == members == [_blocks_ok(n, k + 1, c) for c in span]
     assert _reverse(n, codes).tolist() == [int(f"{c:0{n}b}"[::-1], 2) for c in span]
-    assert _erode(n, k, codes).tolist() == [_erode(n, k, c) for c in span]
+    assert next(_eroded(k, n, [list(span)])) == [erode_by_rotations(n, k, c) for c in span]
     assert codes.tolist() == list(span)
 
 

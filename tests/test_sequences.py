@@ -23,7 +23,7 @@ from digicon import (
     parse_bfile,
 )
 from digicon.sequences import _exact
-from digicon.cyclic import _a_recurrence, _series_fraction
+from digicon.cyclic import _a_recurrence, _q_poly, _series_fraction
 from digicon.products import _GRID_P2_RECURRENCE
 from oracles import cycle_count_by_lucas, recurrence_terms_naive
 
@@ -261,22 +261,25 @@ def test_long_division_in_exact_decimal_prints_the_integer_expansion(num, den_ta
     any rounding, gives the ints' strings: no '-0', no exponent."""
     den = [lead] + den_tail
     with decimal.localcontext(_exact()):
-        got = [str(c) for c in sequences._long_division(map(Decimal, num), den, 40)]
+        got = [str(c) for c in sequences._long_division(enumerate(map(Decimal, num)),
+                                                        enumerate(den), 40)]
     assert got == [str(c) for c in expand_rational(num, den, 40).coefficients]
 
 
 def test_long_division_checks_on_the_call():
     with pytest.raises(InvalidParameterError, match="terms must be >= 0, got -1"):
-        sequences._long_division([1], [1, -1], -1)
+        sequences._long_division([(0, 1)], [(0, 1), (1, -1)], -1)
     with pytest.raises(InvalidParameterError, match="constant term"):
-        sequences._long_division([1], [2], 3)
+        sequences._long_division([(0, 1)], [(0, 2)], 3)
+    with pytest.raises(InvalidParameterError, match="constant term"):
+        sequences._long_division([(0, 1)], [(1, 1)], 3)
 
 
 def test_long_division_keeps_a_window_not_the_series():
     # the k = 3 cycle-power series: 20,001 coefficients of up to 3,321
     # digits, about 33 million digits in all, of which the window keeps 6
     num, den = _series_fraction(3)
-    terms = sequences._long_division(map(Decimal, num), den, 20000)
+    terms = sequences._long_division([(i, Decimal(c)) for i, c in num], den, 20000)
     with decimal.localcontext(_exact()):
         tracemalloc.start()
         try:
@@ -287,6 +290,28 @@ def test_long_division_keeps_a_window_not_the_series():
             tracemalloc.stop()
     assert len(str(last)) == 3321
     assert peak < 1 << 16
+
+
+def test_long_division_at_large_k_keeps_a_window_of_terms_not_of_k():
+    # Q_k has degree 2k, but only the taps up to x^terms can meet a
+    # coefficient already made: the fraction and the division hold a few
+    # terms, where dense lists of 2k + 1 coefficients took 322 MB at k = 10^6
+    tracemalloc.start()
+    try:
+        coefficients = list(sequences._long_division(*_series_fraction(10 ** 6), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coefficients == [0, 2, 2, 2]
+    assert peak < 1 << 20
+
+
+def test_series_fraction_is_the_sparse_form_of_q():
+    for k in range(2, 9):
+        num, den = _series_fraction(k)
+        q = _q_poly(k)
+        assert den == [(i, c) for i, c in enumerate(q) if c]
+        assert num == [(i, -i * c) for i, c in enumerate(q) if i and c]
 
 
 # --- b-file parsing ---

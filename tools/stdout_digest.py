@@ -14,7 +14,8 @@ sizes and at each parameter one below its least value; plus
 ``verify --suite all``, ``oeis`` and ``series``; plus each verify suite
 alone at bounds other than its defaults, ``verify --suite all`` under a
 budget of 1000 subsets, and ``oeis --max-cells 22``; plus single runs of
-``series --k 2 --terms 6500`` in each format, of the 13 x 2 ladder
+``series --k 2 --terms 6500`` in each format, of ``series --k 1000000
+--terms 3`` (a denominator of degree two million), of the 13 x 2 ladder
 stream, and of the bijection streams of ``cycle-power --n 40 --k 6``,
 ``cycle-power --n 5 --k 7``, ``cycle-power --n 100 --k 20`` (54,352 sets,
 string codes past 62 bits) and ``cycle --n 24``, each in jsonl and plain.
@@ -101,10 +102,11 @@ def matrix() -> list[list[str]]:
     for k, fmt in itertools.product((2, 3), (None, "jsonl", "csv", "plain")):
         runs.append(["series", "--k", str(k), "--terms", "40"] + (["--format", fmt] if fmt else []))
     # one run each at a size the loops above do not reach: coefficients past
-    # the bits the CLI converts to decimal directly, and a stream of 154,078
-    # ascending sets of 26 vertices
+    # the bits the CLI converts to decimal directly, a large k, and a stream
+    # of 154,078 ascending sets of 26 vertices
     for fmt in (None, "jsonl", "csv", "plain"):
         runs.append(["series", "--k", "2", "--terms", "6500"] + (["--format", fmt] if fmt else []))
+    runs.append(["series", "--k", "1000000", "--terms", "3"])
     for fmt in ("jsonl", "plain"):
         runs.append(["enumerate", "--family", "path-grid", "--n", "13", "--m", "2",
                      "--method", "recurrence", "--format", fmt])
