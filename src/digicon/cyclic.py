@@ -21,6 +21,12 @@ that reaches one yields its whole table as a chunk (_block_chunks).  The
 walk carries one int per string, the position-ordered one (bit p holds
 position p), which is what erosion reads; a string's code, position 0 at
 the top bit, is its reverse.
+
+The same window passes map strings to sets and back (_eroded, _dilated)
+and test the blocks (_blocks_ok): the opening of a string's ones by a
+window of k positions, its erosion dilated back, keeps just the ones in
+runs of k or more, so every block is >= k when the ones and the zeros each
+survive their opening.
 """
 
 from __future__ import annotations
@@ -110,37 +116,12 @@ def cyclic_blocks(s: CyclicBinaryString) -> BlockProfile:
     return BlockProfile(tuple((b, length) for _, b, length in _cyclic_runs(s.bits)))
 
 
-def _rot(n: int, codes, d: int):
-    """Rotate an n-bit code cyclically, bit i moving to bit i + d (mod n)."""
-    d %= n
-    out = codes & (1 << n - d) - 1  # the bits that stay below 2^n after the shift
-    out <<= d
-    out |= codes >> n - d
-    return out
-
-
-def _blocks_ok(n: int, k: int, codes):
-    """Every cyclic block has length >= k (n >= k), or the string is constant (n < k).
-
-    t marks the block boundaries, and a block shorter than k puts two of
-    them less than k apart.  For n < k the shift d = n is among those
-    tested, so only a constant string (t = 0) passes.
-    """
-    t = _rot(n, codes, 1)
-    t ^= codes
-    clash = 0
-    for d in range(1, min(k, n + 1)):  # rotations repeat after n
-        near = _rot(n, t, d)
-        near &= t
-        clash |= near
-    return clash == 0
-
-
 def is_member_B(k: int, s: CyclicBinaryString) -> bool:
     """Membership in the family of strings with all cyclic blocks >= k."""
     if k < 2:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
-    return _blocks_ok(s.length, k, s.code)
+    [ok] = _blocks_ok(k, s.length, [s.code])
+    return ok
 
 
 def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iterator[CyclicBinaryString]:
@@ -234,8 +215,9 @@ def _block_chunks(k: int, n: int) -> Iterator[list[int]]:
     yield [(1 << n) - 1]
 
 
-def _q_poly(k: int) -> list[int]:
-    """Q_k(x) = det(I - x A_k) = 1 - 2x + x^2 - x^{2k}, coefficients by degree.
+def _q_poly(k: int) -> list[tuple[int, int]]:
+    """Q_k(x) = det(I - x A_k) = 1 - 2x + x^2 - x^{2k}, k >= 2, as its nonzero
+    (degree, coefficient) pairs, so that its size does not grow with k.
 
     A_k is the 2k-state run-length automaton: state (bit, run length capped
     at k) steps to (bit, run + 1 capped at k), and (b, k) also steps to
@@ -243,9 +225,7 @@ def _q_poly(k: int) -> list[int]:
     walk from its state at position 0, so a_count(k, n) = trace(A_k^n) for
     all n >= 1: the power sums of the reciprocal roots of Q_k.
     """
-    q = [1, -2, 1] + [0] * (2 * k - 2)
-    q[2 * k] -= 1
-    return q
+    return [(0, 1), (1, -2), (2, 1), (2 * k, -1)]
 
 
 def _a_recurrence(k: int) -> LinearRecurrence:
@@ -254,12 +234,12 @@ def _a_recurrence(k: int) -> LinearRecurrence:
     order-2k recurrence f(n) = 2f(n-1) - f(n-2) + f(n-2k), taps (i, -q_i),
     and for n = 1..2k it gives the initial terms.  O(k) work, since Q_k has
     three nonzero coefficients past the constant."""
-    q = _q_poly(k)
-    degree = len(q) - 1
-    taps = tuple((i, -c) for i, c in enumerate(q) if i and c)
+    taps = tuple((i, -c) for i, c in _q_poly(k) if i)
+    degree = taps[-1][0]
+    minus_q = dict(taps)
     p: dict[int, int] = {}
     for n in range(1, degree + 1):
-        p[n] = -n * q[n] + sum(c * p[n - i] for i, c in taps if i < n)
+        p[n] = n * minus_q.get(n, 0) + sum(c * p[n - i] for i, c in taps if i < n)
     return LinearRecurrence(taps=taps, initial_terms=p, first_recurrent_index=degree + 1)
 
 
@@ -281,7 +261,7 @@ def _series_fraction(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int
     (degree, coefficient) pairs, so that their size does not grow with k."""
     if k < 2:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
-    q = [(0, 1), (1, -2), (2, 1), (2 * k, -1)]  # _q_poly(k), sparse
+    q = _q_poly(k)
     return [(i, -i * c) for i, c in q if i], q
 
 
@@ -297,16 +277,6 @@ def _check_power(k: int, n: int) -> None:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     if n < 3:
         raise InvalidParameterError(f"n must be >= 3, got {n}")
-
-
-def _reverse(n: int, codes):
-    """Reverse an n-bit code, bit i moving to bit n-1-i.  A string's code
-    holds position p at bit n-1-p, so this gives the integer whose bit p is
-    position p."""
-    out = codes & 0
-    for i in range(n):
-        out |= (codes >> i & 1) << n - 1 - i
-    return out
 
 
 def _window_steps(k: int, n: int) -> list[int]:
@@ -349,6 +319,19 @@ def _dilated(k: int, n: int, chunks) -> Iterator[list[int]]:
         yield masks
 
 
+def _blocks_ok(k: int, n: int, masks: list[int]) -> list[bool]:
+    """For each n-bit mask, whether every cyclic block of its string has
+    length >= k.  The opening of a mask by a window of k positions, its
+    erosion dilated back, keeps the ones that lie in some run of k or more
+    (Serra 1982), so a string passes when its ones and its zeros are each
+    their own opening: when the two openings cover all n positions.  The
+    bit order does not matter, as reversal keeps the blocks.  For n <= k the
+    window covers all n positions, so only the constant strings pass."""
+    full = (1 << n) - 1
+    opened = _dilated(k - 1, n, _eroded(k - 1, n, [masks, [full ^ mask for mask in masks]]))
+    return [ones | zeros == full for ones, zeros in zip(*opened)]
+
+
 def string_from_convex_set(k: int, n: int, s: VertexSet) -> CyclicBinaryString:
     """Indicator string of a digitally convex set of the k-th power of C_n.
 
@@ -361,7 +344,8 @@ def string_from_convex_set(k: int, n: int, s: VertexSet) -> CyclicBinaryString:
     if s.universe != n:
         raise InvalidParameterError(f"set universe {s.universe} != cycle length {n}")
     [[ones]] = _dilated(k, n, [[s.mask]])
-    if not (_blocks_ok(n, k + 1, ones) and next(_eroded(k, n, [[ones]])) == [s.mask]):
+    [ok] = _blocks_ok(k + 1, n, [ones])
+    if not (ok and next(_eroded(k, n, [[ones]])) == [s.mask]):
         raise NotConvexError(
             f"set {list(s.indices())} is not digitally convex in the power-{k} {n}-cycle"
         )
@@ -378,11 +362,13 @@ def convex_set_from_string(k: int, n: int, s: CyclicBinaryString) -> VertexSet:
     _check_power(k, n)
     if s.length != n:
         raise InvalidParameterError(f"string length {s.length} != n = {n}")
-    if not _blocks_ok(n, k + 1, s.code):
+    ones = sum(b << p for p, b in enumerate(s.bits))
+    [ok] = _blocks_ok(k + 1, n, [ones])
+    if not ok:
         raise NotMemberError(
             f"string {s} has a cyclic block shorter than {k + 1}; it matches no convex set"
         )
-    [[mask]] = _eroded(k, n, [[_reverse(n, s.code)]])
+    [[mask]] = _eroded(k, n, [[ones]])
     return VertexSet(n, mask)
 
 

@@ -253,3 +253,10 @@ def dilate_by_rotations(n, k, members):
     for j in range(1, min(k, n - 1) + 1):
         ones |= _rotate(n, members, j)
     return ones
+
+
+def reverse_bits(n, value):
+    """An n-bit int read backwards, bit i moving to bit n-1-i: a string's
+    position-ordered int (bit p holds position p) to its code (position 0 at
+    the top bit), and back."""
+    return int(f"{value:0{n}b}"[::-1], 2)

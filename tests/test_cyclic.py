@@ -3,9 +3,8 @@
 import random
 import subprocess
 import sys
-from itertools import chain
+from itertools import chain, compress
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,12 +38,11 @@ from digicon.cyclic import (
     _dilated,
     _eroded,
     _q_poly,
-    _reverse,
 )
 from digicon.cli import main
 from digicon.sequences import eval_recurrence
 from oracles import (berkowitz, block_strings_by_bits, dilate_by_rotations, erode_by_rotations,
-                     is_convex_naive, run_length_automaton, walk_traces)
+                     is_convex_naive, reverse_bits, run_length_automaton, walk_traces)
 
 
 def all_strings(n):
@@ -147,17 +145,55 @@ def test_membership_agrees_with_block_profile(k, n):
         assert is_member_B(k, s) == expected
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 15))
 def test_block_test_matches_the_run_definition(n):
-    """The rotation test, on one int and on an int64 array, against the
-    run decomposition: all runs >= k, or a constant string when n < k."""
-    codes = np.arange(1 << n, dtype=np.int64)
+    """The opening test, on all 2^n codes as one list, against the run
+    decomposition: all runs >= k, or a constant string when n < k, up to
+    k = 18, past n."""
+    codes = list(range(1 << n))
     runs = [_cyclic_runs(s.bits) for s in all_strings(n)]
-    for k in range(2, 9):
+    for k in range(2, 19):
         expected = [len(r) == 1 if n < k else all(length >= k for _, _, length in r)
                     for r in runs]
-        assert [_blocks_ok(n, k, code) for code in range(1 << n)] == expected
-        assert _blocks_ok(n, k, codes).tolist() == expected
+        assert _blocks_ok(k, n, codes) == expected, k
+
+
+def strings_from_runs(rng, n, k, count):
+    """count strings of length n, each as the bits of alternating runs of
+    length >= k (n >= 2k), rotated at random; and count near-misses, each
+    the same but with one run cut to k - 1 and another made that much
+    longer."""
+    members, misses = [], []
+    for _ in range(count):
+        runs = 2 * rng.randint(1, n // (2 * k))
+        lengths = [k] * runs
+        for _ in range(n - k * runs):
+            lengths[rng.randrange(runs)] += 1
+        cut, grown = rng.sample(range(runs), 2)
+        short = lengths.copy()
+        short[grown] += short[cut] - (k - 1)
+        short[cut] = k - 1
+        first, turn = rng.randint(0, 1), rng.randrange(n)
+        for out, runs_of in ((members, lengths), (misses, short)):
+            bits = [(first + i) % 2 for i, length in enumerate(runs_of) for _ in range(length)]
+            out.append(bits[turn:] + bits[:turn])
+    return members, misses
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(31, 130), seed=st.integers(0, 1 << 32))
+def test_block_test_past_62_bits_matches_the_run_definition(n, seed):
+    # strings built from their runs: members, and near-misses with one run
+    # too short; the bits are read as codes, position 0 at the top bit
+    rng = random.Random(seed)
+    k = rng.randint(2, n // 2)
+    members, misses = strings_from_runs(rng, n, k, 8)
+    strings = members + misses
+    expected = [all(length >= k for _, _, length in _cyclic_runs(bits)) for bits in strings]
+    assert expected == [True] * 8 + [False] * 8
+    codes = [int("".join(map(str, bits)), 2) for bits in strings]
+    assert _blocks_ok(k, n, codes) == expected
+    assert _blocks_ok(k, n, [0, (1 << n) - 1]) == [True, True]
 
 
 def test_membership_rejects_small_k():
@@ -195,18 +231,18 @@ def oracle_revs(k, n):
 
 
 def test_walk_is_the_block_filter_on_ints():
-    # the pruned walk against _blocks_ok over all 2^n codes (its array form,
-    # which test_block_test_matches_the_run_definition ties to the int form)
+    # the pruned walk against _blocks_ok over all 2^n codes, which
+    # test_block_test_matches_the_run_definition ties to the runs
     for n in range(1, 17):
-        codes = np.arange(1 << n, dtype=np.int64)
+        codes = range(1 << n)
         for k in range(2, 9):
-            assert [_reverse(n, rev) for rev in walked(k, n)] == \
-                np.flatnonzero(_blocks_ok(n, k, codes)).tolist()
+            assert [reverse_bits(n, rev) for rev in walked(k, n)] == \
+                list(compress(codes, _blocks_ok(k, n, list(codes))))
     # past 62 bits, where no filter runs: a_count(k, n) members, ascending
-    codes = [_reverse(100, rev) for rev in walked(34, 100)]
+    codes = [reverse_bits(100, rev) for rev in walked(34, 100)]
     assert codes == sorted(set(codes))
     assert len(codes) == a_count(34, 100)
-    assert all(_blocks_ok(100, 34, code) for code in codes)
+    assert all(_blocks_ok(34, 100, codes))
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -226,7 +262,7 @@ def test_chunks_are_nonempty_ascending_and_in_order():
     for k, n in cases:
         below = -1
         for chunk in _block_chunks(k, n):
-            codes = [_reverse(n, rev) for rev in chunk]
+            codes = [reverse_bits(n, rev) for rev in chunk]
             assert codes, (k, n)
             assert codes[0] > below, (k, n)
             assert all(a < b for a, b in zip(codes, codes[1:])), (k, n)
@@ -429,7 +465,10 @@ def test_recurrence_is_certified_by_the_run_length_automaton(k):
     from that one polynomial."""
     automaton = run_length_automaton(k)
     paper = [1, -2, 1] + [0] * (2 * k - 3) + [-1]
-    assert berkowitz(automaton) == paper == _q_poly(k)
+    dense = [0] * (2 * k + 1)
+    for i, c in _q_poly(k):
+        dense[i] += c
+    assert berkowitz(automaton) == paper == dense
     traces = walk_traces(automaton, 39)
     assert [a_count(k, n) for n in range(1, 40)] == traces[1:]
     rec = _a_recurrence(k)
@@ -501,29 +540,25 @@ def test_bijection_round_trips_and_image():
                 assert string_from_convex_set(k, n, back) == w
 
 
-def test_string_maps_on_arrays_agree_with_ints_and_keep_their_input():
+def test_string_maps_keep_their_input_lists():
     n, k = 11, 2
-    codes = np.arange(1 << n, dtype=np.int64)
-    before = codes.copy()
-    assert _reverse(n, codes).tolist() == [int(f"{c:0{n}b}"[::-1], 2) for c in range(1 << n)]
-    assert next(_eroded(k, n, [list(range(1 << n))])) == [erode_by_rotations(n, k, c)
-                                                          for c in range(1 << n)]
-    assert (codes == before).all()
+    codes = list(range(1 << n))
+    assert next(_eroded(k, n, [codes])) == [erode_by_rotations(n, k, c) for c in codes]
+    next(_dilated(k, n, [codes]))
+    _blocks_ok(k + 1, n, codes)
+    assert codes == list(range(1 << n))
 
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.sampled_from([31, 32, 33]), k=st.integers(1, 6), back=st.integers(1, 1 << 24))
-def test_string_maps_at_the_dtype_boundary_agree_with_ints(n, k, back):
-    # 31 and 32 positions on uint32 codes, 33 on int64; the span sits near the top
+def test_string_maps_near_the_top_code_agree_with_the_oracles(n, k, back):
+    # 64 codes of 31 to 33 positions, the span near the top
     lo = (1 << n) - 64 * back
-    span = range(lo, lo + 64)
-    codes = np.arange(lo, lo + 64, dtype=np.uint32 if n <= 32 else np.int64)
+    span = list(range(lo, lo + 64))
     runs = [_cyclic_runs(CyclicBinaryString.from_code(n, c).bits) for c in span]
     members = [all(length >= k + 1 for _, _, length in r) for r in runs]
-    assert _blocks_ok(n, k + 1, codes).tolist() == members == [_blocks_ok(n, k + 1, c) for c in span]
-    assert _reverse(n, codes).tolist() == [int(f"{c:0{n}b}"[::-1], 2) for c in span]
-    assert next(_eroded(k, n, [list(span)])) == [erode_by_rotations(n, k, c) for c in span]
-    assert codes.tolist() == list(span)
+    assert _blocks_ok(k + 1, n, span) == members
+    assert next(_eroded(k, n, [span])) == [erode_by_rotations(n, k, c) for c in span]
 
 
 def test_set_codes_are_the_bijection_for_any_workers():

@@ -1,6 +1,6 @@
-"""No route imports numpy, and only a sweep with more than one worker
-imports the thread pool; dataclasses, inspect, json and decimal load only
-with the routes that read or write JSON or print a very wide integer.
+"""No route imports numpy or the thread pool, not even a sweep on more
+than one worker; dataclasses, inspect, json and decimal load only with the
+routes that read or write JSON or print a very wide integer.
 
 Each check runs in a fresh interpreter, since this one has loaded numpy
 already.  A first line of sys.modules["numpy"] = None makes any later
@@ -79,8 +79,14 @@ library = {library}
 after = sorted(m for m in ("numpy", "concurrent.futures") if sys.modules.get(m) is not None)
 print(json.dumps({{"loaded": loaded, "runs": runs, "library": library, "after": after}}))
 """
+# library calls with no sweep, the cyclic string API among them; evaluated
+# with digicon imported, in the blocked interpreter and in this one
 NO_SWEEP_LIBRARY = """[digicon.count_cycle_power(2, 500), digicon.count_grid_p2(200),
-           [s.mask for s in digicon.generate_grid_p2(8)]]"""
+           [s.mask for s in digicon.generate_grid_p2(8)],
+           digicon.is_member_B(3, digicon.CyclicBinaryString.from_text("1110001")),
+           str(digicon.string_from_convex_set(2, 7, digicon.VertexSet.from_indices(7, [0, 6]))),
+           digicon.convex_set_from_string(2, 7, digicon.CyclicBinaryString.from_text("1110001")).mask,
+           [str(s) for s in list(digicon.enumerate_B(3, 12))]]"""
 
 
 def _python(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -104,8 +110,8 @@ def test_non_sweep_routes_run_without_numpy():
     for argv, run in zip(NO_SWEEP_ROUTES, result["runs"], strict=True):
         assert run == _in_process(argv), argv
         assert run[0] == 0 and run[1], argv
-    assert result["library"] == [digicon.count_cycle_power(2, 500), digicon.count_grid_p2(200),
-                                 [s.mask for s in digicon.generate_grid_p2(8)]]
+    assert result["library"] == eval(NO_SWEEP_LIBRARY)
+    assert result["library"][3:6] == [True, "1110001", 0b1000001]
 
 
 def test_import_leaves_numpy_and_the_pool_unloaded_until_a_sweep_runs():

@@ -307,10 +307,12 @@ def test_long_division_at_large_k_keeps_a_window_of_terms_not_of_k():
 
 
 def test_series_fraction_is_the_sparse_form_of_q():
+    # the denominator is Q_k itself, the paper's 1 - 2x + x^2 - x^{2k}, and
+    # the numerator -x Q_k', taken term by term from the dense coefficients
     for k in range(2, 9):
         num, den = _series_fraction(k)
-        q = _q_poly(k)
-        assert den == [(i, c) for i, c in enumerate(q) if c]
+        q = [1, -2, 1] + [0] * (2 * k - 3) + [-1]
+        assert den == _q_poly(k) == [(i, c) for i, c in enumerate(q) if c]
         assert num == [(i, -i * c) for i, c in enumerate(q) if i and c]
 
 
