@@ -2,9 +2,10 @@
 
 Two independent routes to the same numbers:
 
-  * P_n x P_2 satisfies f(n) = f(n-1) + 3 f(n-2) + 2 f(n-3), and the proof
-    is constructive, so the library can *generate* the convex sets of the
-    ladder from those of three shorter ladders.
+  * P_n x P_2 satisfies f(n) = f(n-1) + 3 f(n-2) + 2 f(n-3), and the
+    library also *generates* the ladder's convex sets, streamed in
+    ascending order from an automaton that reads the ladder a column at a
+    time and checks its own count against the recurrence.
   * P_n x P_m counts equal the number of distinct images of n x m binary
     arrays under the min-over-closed-neighbourhood transform.
 
@@ -40,8 +41,8 @@ def main():
     s = set_from_array(star)
     print(f"A* is the indicator of the convex set {sorted(s.indices())} of P_3 x P_3\n")
 
-    print("ladder counts, recurrence vs generation vs sweep:")
-    print(f"{'n':>4} {'recurrence':>11} {'generated':>10} {'sweep':>8}")
+    print("ladder counts, recurrence vs automaton stream vs sweep:")
+    print(f"{'n':>4} {'recurrence':>11} {'streamed':>10} {'sweep':>8}")
     for n in range(1, 9):
         built = len(generate_grid_p2(n))
         swept = count_digitally_convex(cartesian_product(make_path(n), make_path(2)))

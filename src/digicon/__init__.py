@@ -5,7 +5,7 @@ private neighbour: some vertex of its closed neighbourhood that N[S]
 misses.  The package provides the brute-force enumeration oracle together
 with the fast routes for specific families (cycle powers via constrained
 cyclic strings, products of complete graphs via a closed formula, ladders
-via a recurrence and a constructive generation, grids via binary-array
+via a recurrence and a column automaton stream, grids via binary-array
 transforms), and tools to cross-validate all of them.
 """
 

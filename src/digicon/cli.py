@@ -41,8 +41,8 @@ from .graphs import cartesian_product, graph_power, make_complete, make_cycle, m
 from .products import (
     _antidiagonal_index,
     _grid_cells,
-    _grid_p2_codes,
     _image_codes,
+    _ladder_chunks,
     count_complete_product,
     count_grid_p2,
     count_grid_via_arrays,
@@ -114,7 +114,8 @@ FAMILIES = {
         "bruteforce": _sweep(lambda n, m: cartesian_product(make_path(n), make_path(m)),
                              lambda n, m: n * m),
         "recurrence": (lambda budget, n, m: count_grid_p2(_ladder_length(n, m)),
-                       lambda budget, n, m: (2 * n, _grid_p2_codes(_ladder_length(n, m), budget))),
+                       lambda budget, n, m: (2 * n, itertools.chain.from_iterable(
+                           _ladder_chunks(_ladder_length(n, m), budget)))),
     }),
 }
 

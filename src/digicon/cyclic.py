@@ -251,6 +251,8 @@ def a_count(k: int, n: int) -> int:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     if n < 2 * k:  # two blocks of length >= k do not fit: only the constant strings
         return 2
+    if n < 4 * k:  # four blocks do not fit: the constants, and one run of ones
+        return 2 + n * (n - 2 * k + 1)  # of length k..n - k, starting anywhere
     return eval_recurrence(_a_recurrence(k), n)
 
 

@@ -1,6 +1,16 @@
 """Digitally convex sets of Cartesian products: closed formula for products
-of complete graphs, recurrence plus constructive generation for the n x 2
+of complete graphs, recurrence plus a column automaton stream for the n x 2
 ladder, and the binary-array route for general n x m grids.
+
+The ladder's sets are listed with no sweep and no shorter ladder kept.  A
+cell is free when it lies outside N[S], and S is convex iff every
+non-member has a free cell in its N[v]; whether a cell is free depends only
+on its own column and the two beside it, so the columns, read from the top
+(the most significant bits) down, drive a 35-state automaton (_ladder_step).
+Every way to finish the bottom n // 2 columns is tabulated once per state,
+and each prefix of the top columns that reaches that depth yields its
+state's table as a chunk (_ladder_chunks), the same idiom as the cycle-power
+walk; the automaton's count is checked against the recurrence first.
 
 The grid route rests on the fact that the distinct images of n x m binary
 arrays under the minimum-over-closed-neighbourhood transform are exactly the
@@ -15,13 +25,12 @@ one cell; the per-code min(max(x)) == x stays as its test oracle.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
-from itertools import islice
-from operator import lt
+from itertools import chain
 
 from . import _kernels
 from ._kernels import EnumerationBudget, check_budget
-from .convexity import _closure
 from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotImageError
 from .graphs import VertexSet, cartesian_product, make_path
 from .sequences import LinearRecurrence, eval_recurrence
@@ -153,97 +162,100 @@ def count_grid_p2(n: int) -> int:
     return eval_recurrence(_GRID_P2_RECURRENCE, n)
 
 
-def _vbit(i: int) -> int:
-    # top cell of 1-based column i in the row-major n x 2 labelling
-    return 1 << 2 * (i - 1)
+_SWAP = (0, 2, 1, 3)  # a column's letter with its two cells exchanged
 
 
-def _ubit(i: int) -> int:
-    # bottom cell of 1-based column i
-    return 1 << 2 * (i - 1) + 1
+def _ladder_step(state: tuple[int, int, int, int], letter: int) -> tuple[int, int, int, int] | None:
+    """The ladder automaton's state after the next column down, or None
+    when that column leaves a cell above uncovered.
 
-
-def _column(i: int) -> int:
-    # both cells of 1-based column i
-    return _vbit(i) | _ubit(i)
-
-
-def _grid_p2_families(n: int, a1: list[int], a2: list[int],
-                      a3: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """The three extension families for the n x 2 ladder, as bitmasks, from
-    the convex sets a1, a2, a3 of the (n-1)-, (n-2)- and (n-3)-ladders.
-
-    Every convex set of the n-ladder arises exactly once: from the
-    (n-1)-ladder unchanged or stretched by the full last column; from the
-    (n-2)-ladder with three one-cell extensions picked by which of the two
-    last-column cells are present; or from the (n-3)-ladder with two
-    extensions.  The caller checks disjointness and sizes.
+    The columns are read from the top one (the most significant bits)
+    down, each as a letter of two bits, bit j for row j.  A cell is free
+    when it lies outside N[S], and S is convex iff every non-member has a
+    free cell in its N[v].  After columns n..c the state is (S_{c+1}, S_c,
+    free_{c+1}, pending_{c+1}): pending holds the non-members of column
+    c+1 that no free cell of columns c+2 and c+1 covers, so each needs the
+    free cell below it.  The letter S_{c-1} fixes free_c, the cells of
+    column c outside N[S].
     """
-    v, u = _vbit, _ubit
-    last, stretch = _column(n - 1), _column(n)
-    d1 = [mask | stretch if mask & last else mask for mask in a1]
-    # the (n-2)-ladder extensions, indexed by the cells of columns n-3 and
-    # n-2 (bits v, u, v, u of mask >> 2(n-4)); an empty column n-2 takes
-    # its third extension from column n-3, and none when column n-3 is
-    # full, which no convex set is, so the family size check catches it
-    extensions = []
-    for cells in range(16):
-        v3, u3, v2, u2 = (cells >> bit & 1 for bit in range(4))
-        if v2 or u2:
-            extensions.append((v(n - 1), u(n - 1),
-                               0 if v2 and u2 else v(n) if v2 else u(n)))
-        elif v3 and u3:
-            extensions.append(())
-        else:
-            extensions.append((v(n), u(n),
-                               v(n - 1) if v3 else u(n - 1) if u3 else _column(n)))
-    d2 = [mask | e for mask in a2 for e in extensions[mask >> 2 * (n - 4) & 15]]
-    first, filled, empty = _column(n - 3), (v(n - 2) | v(n), u(n - 2) | u(n)), (v(n - 1), u(n - 1))
-    d3 = [mask | e for mask in a3 for e in (filled if mask & first else empty)]
-    return d1, d2, d3
+    above, column, free_above, pending_above = state
+    free = 3 & ~(column | _SWAP[column] | above | letter)
+    if pending_above & ~free:
+        return None
+    return column, letter, free, 3 & ~column & ~(free_above | free | _SWAP[free])
 
 
-def _grid_p2_codes(n: int, budget: EnumerationBudget | None = None) -> list[int]:
-    """The bitmasks of the digitally convex sets of the n x 2 ladder, ascending.
+def _ladder_automaton() -> tuple[list[list[tuple[int, int]]], list[bool]]:
+    """The reachable states of _ladder_step, numbered from the four start
+    states: state x is (0, x, 0, 0), the top column x under a virtual empty
+    column with no free cells.  Returns steps[i], the (letter, next state)
+    pairs of state i with the letters ascending, and accepting[i]: the
+    virtual empty column below, which has no free cells either, leaves
+    nothing pending."""
+    states = [(0, letter, 0, 0) for letter in range(4)]
+    index = {state: i for i, state in enumerate(states)}
+    steps = []
+    for state in states:  # grows as new states are reached
+        row = []
+        for letter in range(4):
+            after = _ladder_step(state, letter)
+            if after is not None:
+                if after not in index:
+                    index[after] = len(states)
+                    states.append(after)
+                row.append((letter, index[after]))
+        steps.append(row)
+    accepting = [(last := _ladder_step(state, 0)) is not None and not last[3] for state in states]
+    return steps, accepting
 
-    Budgeted by its exact count on the call, before any ladder is built.
-    Ladders up to n = 3 are the codes (at most 64) equal to their closure,
-    tested one at a time with no sweep; each longer one is assembled
-    constructively from the three before it: the three families are
-    concatenated into one list and sorted in place (timsort merges their
-    ascending runs), and one pass over neighbours proves that the sorted
-    list strictly ascends, so no set repeats.  The family sizes (1x, 3x, 2x
-    the three smaller counts), that no set repeats (naming the family that
-    repeats one), and the total against count_grid_p2 are all checked at
-    every length, so a construction bug raises instead of miscounting.
+
+def _ladder_chunks(n: int, budget: EnumerationBudget | None = None) -> Iterator[list[int]]:
+    """The bitmasks of the digitally convex sets of the n x 2 ladder in
+    lists (chunks), each nonempty; flattened, they ascend.
+
+    Budgeted by the exact count on the call.  Then the automaton counts the
+    ways to finish from each state with d columns left, for every d < n,
+    and the count from the four start states must equal count_grid_p2(n),
+    an independent check of the paper's recurrence; both checks come
+    before the first mask.  Every ascending way to finish the bottom
+    n // 2 columns is tabulated once per state, one depth at a time, and
+    the walk returned goes depth first over the top columns, lowest letter
+    first, skipping the prefixes whose state cannot finish; a prefix that
+    reaches that depth yields its state's table, or-ed with the prefix, as
+    one chunk.
     """
     check_budget(count_grid_p2(n), budget, "sets")  # count_grid_p2 checks n >= 1
-    ladders = []
-    for i in range(1, min(n, 3) + 1):
-        g = cartesian_product(make_path(i), make_path(2))
-        ladders.append([c for c in range(1 << 2 * i) if _closure(g, c) == c])
-    for k in range(4, n + 1):
-        a3, a2, a1 = ladders
-        d1, d2, d3 = _grid_p2_families(k, a1, a2, a3)
-        families = ((d1, count_grid_p2(k - 1), "first"),
-                    (d2, 3 * count_grid_p2(k - 2), "second"),
-                    (d3, 2 * count_grid_p2(k - 3), "third"))
-        for family, size, which in families:
-            if len(family) != size:
-                raise AssertionError(f"{which} family miscounted at n={k}")
-        combined = d1 + d2
-        combined += d3
-        combined.sort()
-        if not all(map(lt, combined, islice(combined, 1, None))):
-            # a repeat within one family, or a set in two: name which
-            for family, _, which in families:
-                if len(set(family)) != len(family):
-                    raise AssertionError(f"{which} family miscounted at n={k}")
-            raise AssertionError(f"extension families overlap at n={k}")
-        if len(combined) != count_grid_p2(k):
-            raise AssertionError(f"family total disagrees with the recurrence at n={k}")
-        ladders = [a2, a1, combined]
-    return ladders[-1]
+    steps, accepting = _ladder_automaton()
+    counts = [[int(ok) for ok in accepting]]
+    for _ in range(1, n):
+        below = counts[-1]
+        counts.append([sum(below[after] for _, after in row) for row in steps])
+    if sum(counts[n - 1][:4]) != count_grid_p2(n):
+        raise AssertionError(f"column automaton disagrees with the recurrence at n={n}")
+    # only the last depth is kept: the walk meets no other
+    table = [[0] if ok else [] for ok in accepting]
+    for shift in range(0, 2 * (n // 2), 2):
+        table = [[letter << shift | rest for letter, after in row for rest in table[after]]
+                 for row in steps]
+    return _ladder_walk(n, steps, counts, table)
+
+
+def _ladder_walk(n: int, steps, counts, table) -> Iterator[list[int]]:
+    """The chunks of _ladder_chunks, walked on an explicit stack of
+    (columns left, state, prefix mask), pushed highest letter first so
+    that the lowest is walked first; table[state] finishes the bottom
+    n // 2 columns."""
+    top = n // 2
+    stack = [(n - 1, x, x << 2 * (n - 1)) for x in range(3, -1, -1) if counts[n - 1][x]]
+    while stack:
+        d, state, prefix = stack.pop()
+        if d == top:
+            yield [prefix | rest for rest in table[state]]
+        else:
+            shift = 2 * (d - 1)
+            for letter, after in reversed(steps[state]):
+                if counts[d - 1][after]:
+                    stack.append((d - 1, after, prefix | letter << shift))
 
 
 # maxsize=0 keeps no ladder alive once the caller drops it; the wrapper only
@@ -251,8 +263,8 @@ def _grid_p2_codes(n: int, budget: EnumerationBudget | None = None) -> list[int]
 @lru_cache(maxsize=0)
 def generate_grid_p2(n: int, budget: EnumerationBudget | None = None) -> tuple[VertexSet, ...]:
     """All digitally convex sets of the n x 2 ladder, ascending by bitmask:
-    the sets of _grid_p2_codes(n, budget), budgeted by their count."""
-    return tuple(VertexSet(2 * n, mask) for mask in _grid_p2_codes(n, budget))
+    the sets of _ladder_chunks(n, budget), budgeted by their count."""
+    return tuple(VertexSet(2 * n, mask) for mask in chain.from_iterable(_ladder_chunks(n, budget)))
 
 
 def _closed_codes(n: int, m: int, code: int) -> int:

@@ -8,7 +8,7 @@ independence is the whole point.
 
 from collections import deque
 
-from digicon import BinaryArray, Graph, cartesian_product, make_path
+from digicon import BinaryArray, Graph, cartesian_product, count_grid_p2, make_path
 
 
 def closed_nbhd(g: Graph, v: int) -> set:
@@ -260,3 +260,71 @@ def reverse_bits(n, value):
     position-ordered int (bit p holds position p) to its code (position 0 at
     the top bit), and back."""
     return int(f"{value:0{n}b}"[::-1], 2)
+
+
+def _column_bits(i):
+    """The top cell, the bottom cell and both cells of 1-based column i in
+    the row-major n x 2 labelling."""
+    v, u = 1 << 2 * (i - 1), 1 << 2 * (i - 1) + 1
+    return v, u, v | u
+
+
+def ladder_families(n, a1, a2, a3):
+    """The paper's three extension families for the n x 2 ladder, as
+    bitmasks, from the convex sets a1, a2, a3 of the (n-1)-, (n-2)- and
+    (n-3)-ladders.
+
+    Every convex set of the n-ladder arises exactly once: from the
+    (n-1)-ladder unchanged or stretched by the full last column; from the
+    (n-2)-ladder with three one-cell extensions picked by which of the two
+    last-column cells are present; or from the (n-3)-ladder with two
+    extensions.  ladder_by_families checks disjointness and sizes.
+    """
+    v3, u3, column3 = _column_bits(n - 3)
+    v2, u2, column2 = _column_bits(n - 2)
+    v1, u1, column1 = _column_bits(n - 1)
+    v0, u0, column0 = _column_bits(n)
+    d1 = [mask | column0 if mask & column1 else mask for mask in a1]
+    d2 = []
+    for mask in a2:
+        if mask & column2:
+            # the last column's cells decide: v, u, and the cell of column n
+            # under a one-cell last column (none under a full one)
+            top, bottom = mask & v2, mask & u2
+            third = 0 if top and bottom else v0 if top else u0
+            d2 += [mask | v1, mask | u1, mask | third]
+        elif mask & column3 == column3:
+            pass  # no convex set ends in a full column then an empty one
+        else:
+            third = v1 if mask & v3 else u1 if mask & u3 else column0
+            d2 += [mask | v0, mask | u0, mask | third]
+    filled, empty = (v2 | v0, u2 | u0), (v1, u1)
+    d3 = [mask | e for mask in a3 for e in (filled if mask & column3 else empty)]
+    return d1, d2, d3
+
+
+def ladder_by_families(n):
+    """The bitmasks of the convex sets of the n x 2 ladder, ascending, by
+    the paper's construction: ladders up to n = 3 by the naive sweep, each
+    longer one from ladder_families of the three before it.  At every
+    length the family sizes (1x, 3x, 2x the three smaller counts), that no
+    set repeats (naming the family that repeats one), and the total against
+    count_grid_p2 are checked, so a construction bug raises."""
+    ladders = [all_convex_masks_naive(cartesian_product(make_path(i), make_path(2)))
+               for i in range(1, min(n, 3) + 1)]
+    for k in range(4, n + 1):
+        a3, a2, a1 = ladders
+        d1, d2, d3 = ladder_families(k, a1, a2, a3)
+        families = ((d1, count_grid_p2(k - 1), "first"),
+                    (d2, 3 * count_grid_p2(k - 2), "second"),
+                    (d3, 2 * count_grid_p2(k - 3), "third"))
+        for family, size, which in families:
+            if len(family) != size or len(set(family)) != size:
+                raise AssertionError(f"{which} family miscounted at n={k}")
+        combined = sorted({*d1, *d2, *d3})
+        if len(combined) != len(d1) + len(d2) + len(d3):
+            raise AssertionError(f"extension families overlap at n={k}")
+        if len(combined) != count_grid_p2(k):
+            raise AssertionError(f"family total disagrees with the recurrence at n={k}")
+        ladders = [a2, a1, combined]
+    return ladders[-1]

@@ -39,6 +39,7 @@ from digicon.cyclic import (
     _eroded,
     _q_poly,
 )
+from digicon import cyclic
 from digicon.cli import main
 from digicon.sequences import eval_recurrence
 from oracles import (berkowitz, block_strings_by_bits, dilate_by_rotations, erode_by_rotations,
@@ -416,17 +417,21 @@ def test_string_routes_are_budgeted_by_their_exact_count(route):
 # --- the counting sequence ---
 
 
-def test_count_initial_window():
-    # below the first interesting length everything is the two constants:
-    # a_count returns 2 there with no recurrence, and the recurrence agrees
+def test_count_initial_window(monkeypatch):
+    # below the first interesting length everything is the two constants,
+    # and below 4k the constants and the strings of two blocks: a_count
+    # gives both with no recurrence, and the recurrence agrees
     for k in range(2, 40):
         terms = _a_recurrence(k)
         for i in range(1, 2 * k):
             assert a_count(k, i) == eval_recurrence(terms, i) == 2, (k, i)
-    # the three seeded values beyond the constant window
-    for k in (2, 3, 4, 5):
-        for j in (2 * k, 2 * k + 1, 2 * k + 2):
-            assert a_count(k, j) == 2 + j * (j - 2 * k + 1), (k, j)
+        for j in range(2 * k, 4 * k):
+            assert a_count(k, j) == eval_recurrence(terms, j) == 2 + j * (j - 2 * k + 1), (k, j)
+        # four blocks fit from 4k on, so the two-block count falls short there
+        assert a_count(k, 4 * k) > 2 + 4 * k * (2 * k + 1)
+    # the window is answered without building the order-2k recurrence
+    monkeypatch.setattr(cyclic, "_a_recurrence", None)
+    assert a_count(1_000_001, 2_100_000) == count_cycle_power(1_000_000, 2_100_000) == 209997900002
 
 
 def test_count_known_values():

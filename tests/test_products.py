@@ -33,11 +33,13 @@ from digicon import (
     array_from_set,
 )
 from digicon import convexity, products
-from digicon.products import _antidiagonal_index, _grid_cells, _grid_p2_codes, _image_codes
+import oracles
+from digicon.products import _antidiagonal_index, _grid_cells, _image_codes, _ladder_chunks
 from oracles import (
     all_convex_masks_naive,
     is_convex_naive,
     is_mis_naive,
+    ladder_by_families,
     min_transform_via_graph,
 )
 
@@ -200,34 +202,51 @@ def test_ladder_generation_matches_enumeration():
         assert generated == streamed
 
 
+def _ladder_stream(n, budget=None):
+    return list(itertools.chain.from_iterable(_ladder_chunks(n, budget)))
+
+
 @pytest.mark.parametrize("n", range(8, 13))
 def test_ladder_construction_matches_the_sweep_deep(n):
-    # up to 2^24 subsets swept, against the sets built from the families
+    # up to 2^24 subsets swept, against the sets the column automaton streams
     g = cartesian_product(make_path(n), make_path(2))
-    assert _grid_p2_codes(n) == list(convexity._convex_codes(g))
+    assert _ladder_stream(n) == list(convexity._convex_codes(g))
 
 
-def test_ladder_construction_peaks_below_twice_its_result():
-    # a fresh process, so that the traced peak is this call's alone; the
-    # result's size is what freeing it gives back
-    script = (
-        "import gc, tracemalloc\n"
-        "from digicon.products import _grid_p2_codes\n"
-        "tracemalloc.start()\n"
-        "codes = _grid_p2_codes(12)\n"
-        "held, peak = tracemalloc.get_traced_memory()\n"
-        "assert len(codes) == 61348\n"
-        "del codes\n"
-        "gc.collect()\n"
-        "print(held - tracemalloc.get_traced_memory()[0], peak)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+def test_ladder_stream_is_the_family_construction():
+    # the paper's construction, which checks its family sizes, that no set
+    # repeats and its total against count_grid_p2 at every length
+    for n in range(1, 13):
+        built = ladder_by_families(n)
+        assert len(built) == count_grid_p2(n)
+        assert _ladder_stream(n) == built, n
+        assert all(_ladder_chunks(n))  # no empty chunk
+
+
+def _traced_peak(script):
+    # a fresh process, so that the traced peak is this stream's alone
+    proc = subprocess.run([sys.executable, "-c", "import tracemalloc\n"
+                           "from itertools import chain\n"
+                           "from digicon.products import _ladder_chunks\n"
+                           "tracemalloc.start()\n" + script +
+                           "print(tracemalloc.get_traced_memory()[1])\n"],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    result, peak = map(int, proc.stdout.split())
-    # the 61,348 codes take about 2.45 MB; besides them the construction
-    # holds only the shorter ladders and the families' lists, no hash set
-    assert result > 2_000_000
-    assert peak < 2 * result, (peak, result)
+    return int(proc.stdout)
+
+
+def test_ladder_stream_drained_holds_no_ladder():
+    # the 154,078 sets of the 13-ladder took about 10 MB as a built list;
+    # the stream holds the 35 states' tables of 6 columns and one chunk
+    peak = _traced_peak("assert sum(map(len, _ladder_chunks(13))) == 154078\n")
+    assert peak < 1_000_000, peak
+
+
+def test_ladder_stream_first_mask_needs_only_the_tables():
+    # the 19-ladder has 37,205,230 sets; its first mask needs the tables of
+    # the bottom 9 columns and nothing of the rest
+    peak = _traced_peak("assert next(chain.from_iterable(_ladder_chunks(19))) == 0\n")
+    assert peak < 4_000_000, peak
 
 
 def test_ladder_generation_base_case():
@@ -251,9 +270,26 @@ def test_ladder_generation_keeps_nothing_once_dropped():
 
 
 def test_ladder_generation_internal_assertions_hold_deep():
-    # the construction re-checks disjointness and family cardinalities
-    # (1x, 3x, 2x of the three smaller ladders) on every call
+    # the stream checks the automaton's count against the recurrence on
+    # every call
     assert len(generate_grid_p2(12)) == count_grid_p2(12)
+
+
+def test_a_miscounting_automaton_raises_before_any_mask(monkeypatch):
+    real = products._ladder_automaton
+
+    def one_less_accepting():
+        steps, accepting = real()
+        last = len(accepting) - 1 - accepting[::-1].index(True)
+        return steps, [ok and i != last for i, ok in enumerate(accepting)]
+
+    monkeypatch.setattr(products, "_ladder_automaton", one_less_accepting)
+    for n in (3, 6, 13):
+        # raised on the call, before the walk is returned
+        with pytest.raises(AssertionError, match=f"column automaton disagrees with the recurrence at n={n}"):
+            _ladder_chunks(n)
+    with pytest.raises(AssertionError, match="column automaton disagrees"):
+        generate_grid_p2(6)
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -262,10 +298,10 @@ def test_ladder_generation_internal_assertions_hold_deep():
     (lambda d1, d2, d3: (d1, d2, d3[:-1] + d1[:1]), "extension families overlap"),
 ])
 def test_ladder_construction_checks_catch_a_broken_family(monkeypatch, corrupt, message):
-    real = products._grid_p2_families
-    monkeypatch.setattr(products, "_grid_p2_families", lambda n, *ladders: corrupt(*real(n, *ladders)))
+    real = oracles.ladder_families
+    monkeypatch.setattr(oracles, "ladder_families", lambda n, *ladders: corrupt(*real(n, *ladders)))
     with pytest.raises(AssertionError, match=message):
-        _grid_p2_codes(6)
+        ladder_by_families(6)
 
 
 def test_ladder_validation():
@@ -273,25 +309,26 @@ def test_ladder_validation():
         count_grid_p2(0)
     with pytest.raises(InvalidParameterError):
         generate_grid_p2(-1)
+    with pytest.raises(InvalidParameterError):
+        _ladder_chunks(0)
 
 
 def test_the_ladder_is_budgeted_by_its_count_before_any_ladder_is_built(monkeypatch):
     def no_ladder(*args):
         raise AssertionError("a ladder was built")
 
-    # the short ladders are swept on a built grid, the long ones from the families
-    monkeypatch.setattr(products, "cartesian_product", no_ladder)
-    monkeypatch.setattr(products, "_grid_p2_families", no_ladder)
-    for build in (_grid_p2_codes, generate_grid_p2):
+    # the automaton, its counts and its tables all come after the budget
+    monkeypatch.setattr(products, "_ladder_automaton", no_ladder)
+    for build in (_ladder_chunks, generate_grid_p2):
         with pytest.raises(BudgetExceededError, match="needs 97124758 sets ") as exc:
             build(20)
         assert (exc.value.required, exc.value.limit) == (97124758, kernels.DEFAULT_MAX_SUBSETS)
         with pytest.raises(BudgetExceededError, match="needs 9726 sets "):
             build(10, EnumerationBudget(max_subsets=9725))
     monkeypatch.undo()
-    # a budget of exactly the count builds the ladder
+    # a budget of exactly the count streams the ladder
     fits = EnumerationBudget(max_subsets=count_grid_p2(12))
-    assert len(generate_grid_p2(12, fits)) == len(_grid_p2_codes(12, fits)) == count_grid_p2(12)
+    assert len(generate_grid_p2(12, fits)) == len(_ladder_stream(12, fits)) == count_grid_p2(12)
 
 
 # --- grids via array images ---

@@ -15,8 +15,8 @@ sizes and at each parameter one below its least value; plus
 alone at bounds other than its defaults, ``verify --suite all`` under a
 budget of 1000 subsets, and ``oeis --max-cells 22``; plus single runs of
 ``series --k 2 --terms 6500`` in each format, of ``series --k 1000000
---terms 3`` (a denominator of degree two million), of the 13 x 2 ladder
-stream, and of the bijection streams of ``cycle-power --n 40 --k 6``,
+--terms 3`` (a denominator of degree two million), of the ladder streams
+at 1, 2, 4, 13 and 14 columns, and of the bijection streams of ``cycle-power --n 40 --k 6``,
 ``cycle-power --n 5 --k 7``, ``cycle-power --n 100 --k 20`` (54,352 sets,
 string codes past 62 bits) and ``cycle --n 24``, each in jsonl and plain.
 The sweep-size cap is the default one: ``DIGICON_MAX_SUBSETS`` is unset
@@ -102,13 +102,15 @@ def matrix() -> list[list[str]]:
     for k, fmt in itertools.product((2, 3), (None, "jsonl", "csv", "plain")):
         runs.append(["series", "--k", str(k), "--terms", "40"] + (["--format", fmt] if fmt else []))
     # one run each at a size the loops above do not reach: coefficients past
-    # the bits the CLI converts to decimal directly, a large k, and a stream
-    # of 154,078 ascending sets of 26 vertices
+    # the bits the CLI converts to decimal directly, and a large k
     for fmt in (None, "jsonl", "csv", "plain"):
         runs.append(["series", "--k", "2", "--terms", "6500"] + (["--format", fmt] if fmt else []))
     runs.append(["series", "--k", "1000000", "--terms", "3"])
-    for fmt in ("jsonl", "plain"):
-        runs.append(["enumerate", "--family", "path-grid", "--n", "13", "--m", "2",
+    # ladder streams: 1, 2 and 4 columns, where the prefix walk meets the
+    # tables of the bottom n // 2 columns at once or after a step or two,
+    # and the 13- and 14-ladders (154,078 and 386,974 sets)
+    for n, fmt in itertools.product((1, 2, 4, 13, 14), ("jsonl", "plain")):
+        runs.append(["enumerate", "--family", "path-grid", "--n", str(n), "--m", "2",
                      "--method", "recurrence", "--format", fmt])
     # bijection streams at the edges of its chunks and of the line widths:
     # codes past 32 bits, k >= n, codes past 62 bits in 13-byte masks, and
