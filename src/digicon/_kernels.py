@@ -1,5 +1,6 @@
-"""The sweep layer: the budget, the code width and the bit-sliced block
-kernels behind every exhaustive bitmask sweep.
+"""The sweep and walk layer: the budget, the code width and the bit-sliced
+block kernels behind every exhaustive bitmask sweep, and the one chunk walk
+behind every sweep-free stream.
 
 Every sweep walks the codes 0..2^bits - 1 in aligned blocks of 2^b codes,
 flags each block's codes with one kernel, and counts or lists them in block
@@ -14,6 +15,9 @@ a low vertex v < b has bit i set iff i holds v; a high vertex is in every
 code of the block or in none, as lo says.  The grid arrays sweep is
 convex_bits on the grid's cross masks.  No sweep imports numpy: only the
 bool-vector views convex_flags and mis_flags do.
+
+A stream lists the words of an automaton with no sweep, on walk_chunks:
+the cycle-power strings a run per step, the ladder's sets a column per step.
 """
 
 from __future__ import annotations
@@ -94,6 +98,44 @@ def iter_flagged(bits: int, kernel, masks, budget: EnumerationBudget | None, wha
     closed = _checked_masks(bits, masks, budget, what)
     return itertools.chain.from_iterable(
         scan_blocks(1 << bits, lambda lo, hi: _set_bits(lo, kernel(closed, lo, hi))))
+
+
+def walk_chunks(top: int, reach: int, states: int, steps, accepting, starts):
+    """The words of an automaton in walk order, in chunks (lists, each nonempty).
+
+    steps(state, left) gives the (width, bits, after) triples of a state
+    with left positions still to fill, top down, in walk order; bits is
+    placed for those positions and width is at most reach.  A word ends at
+    left = 0 in an accepting state.  Every ending of left <= top positions
+    is tabulated once per state, a row per left, and a row is dropped once
+    no later row or walk step can reach it.  The walk goes depth first from
+    the (left, state, prefix) starts, in order, on one explicit stack: a
+    prefix that leaves left <= top positions yields its table, or-ed with
+    the prefix, as a chunk, unless the table is empty.  A start needs
+    left > top - reach, so that its row is kept.
+    """
+    empty = []
+    rows = [[[0] if ok else empty for ok in accepting]]
+    for left in range(1, top + 1):
+        row, shared = [], {}  # states with the same steps share one table
+        for state in range(states):
+            step = tuple(steps(state, left))
+            if step not in shared:
+                shared[step] = [bits | rest if bits else rest for width, bits, after in step
+                                for rest in rows[left - width][after]] or empty
+            row.append(shared[step])
+        rows.append(row)
+        if left >= reach:
+            rows[left - reach] = None
+    stack = starts[::-1]
+    while stack:
+        left, state, prefix = stack.pop()
+        if left <= top:
+            if table := rows[left][state]:
+                yield [prefix | rest for rest in table]
+        else:
+            stack += [(left - width, after, prefix | bits)
+                      for width, bits, after in reversed(steps(state, left))]
 
 
 @functools.cache

@@ -15,10 +15,10 @@ The members are listed with no sweep, one run at a time: a string is its
 first run, then alternating runs of length >= k, the last of which wraps
 into the first.  How a string may end depends only on a few numbers (the
 positions left, the run bit, whether it is the first run's bit, and the
-first run's length capped at k), so every ending of at most n // 2
-positions is tabulated once per call (_suffix_tables), and each prefix
-that reaches one yields its whole table as a chunk (_block_chunks).  The
-walk carries one int per string, the position-ordered one (bit p holds
+first run's length capped at k): those are the states of a run automaton
+(_block_chunks), whose walk tabulates every ending of at most n // 2
+positions and yields each prefix's table as a chunk, with no dead end.
+The walk carries one int per string, the position-ordered one (bit p holds
 position p), which is what erosion reads; a string's code, position 0 at
 the top bit, is its reverse.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import chain
 
-from ._kernels import EnumerationBudget, check_budget
+from ._kernels import EnumerationBudget, check_budget, walk_chunks
 from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotMemberError
 from .graphs import VertexSet
 from .sequences import LinearRecurrence, PowerSeries, _long_division, eval_recurrence
@@ -137,82 +137,48 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
         yield CyclicBinaryString(tuple(rev >> i & 1 for i in range(n)))
 
 
-def _suffix_tables(k: int, n: int, top: int) -> list[dict]:
-    """tables[m][c, eq, h] = every way to finish a length-n string whose
-    last m positions start a run of bit c, in increasing code order: the
-    runs from there alternate, each >= k, except that the last one wraps
-    into the first run (bit f, length h capped at k; h < n, so the keys
-    stop at h = min(k, n)).  eq says whether c = f.  If the last run's bit
-    is f, it needs length >= k - h; if not, it needs length >= k and
-    h >= k.  Each way is an int holding the m suffix bits at bits
-    n - m..n - 1, as position p sits at bit p.
-    tables[0] is the empty suffix after a run of length >= k, complete when
-    that run is not f's (not eq) or h >= k.
-
-    Row m is built from the shorter rows only, for m <= top: a 0-suffix is
-    its first run (longest first, so the codes ascend) followed by the
-    1-suffixes of the rest, and a 1-suffix is the complement of the
-    0-suffix with the same eq (so the other f), in reverse order.
-    """
-    hs = range(1, min(k, n) + 1)
-    empty = []
-    tables = [{(c, eq, h): [0] if not eq or h == k else empty
-               for c in (0, 1) for eq in (False, True) for h in hs}]
-    for m in range(1, top + 1):
-        row = {}
-        ones = (1 << m) - 1 << n - m
-        for eq in (False, True):
-            for h in hs:
-                if m < k:  # only one run fits: the last, wrapping into the first
-                    zeros = [0] if eq and m >= k - h else empty
-                else:
-                    zeros = []
-                    for length in range(m, k - 1, -1):
-                        zeros += tables[m - length][1, not eq, h]
-                if not zeros:  # one shared empty table: short rows are mostly empty
-                    row[0, eq, h] = row[1, eq, h] = empty
-                    continue
-                row[0, eq, h] = zeros
-                row[1, eq, h] = [ones ^ rev for rev in reversed(zeros)]
-        tables.append(row)
-    return tables
-
-
 def _block_chunks(k: int, n: int) -> Iterator[list[int]]:
     """Each length-n string whose cyclic blocks are all >= k, as the int
     whose bit p is position p, in lists (chunks), each nonempty.  Flattened,
     the chunks are the members of enumerate_B(k, n) in its order: increasing
     code order, position 0 at the top bit.
 
-    The walk goes one run at a time over the prefixes that leave more than
-    n // 2 positions, on an explicit stack: first the first run (bit f,
-    length h), then alternating runs of length >= k, 0-runs longest first
-    and 1-runs shortest first, so that the codes ascend.  A prefix that
-    leaves m <= n // 2 positions yields its table of _suffix_tables under
-    it as one chunk.  The two constant strings come first and last.
+    The strings are the words of a run automaton on walk_chunks: a first
+    run (bit f, length h) as a start, then alternating runs of length >= k,
+    0-runs longest first and 1-runs shortest first, so that the codes
+    ascend.  State (c, eq, h) starts a run of bit c, eq says whether c = f,
+    and h is capped at k.  The last run wraps into the first: one of f's bit
+    needs only k - h positions (one shorter than k steps to the end state),
+    and one of the other bit needs h = k.  No run leaves a state that
+    cannot finish.  The constant strings are starts at the end state.
     """
-    top = n // 2
-    tables = _suffix_tables(k, n, top)
-    yield [0]
-    # (m, c, eq, h, rev): a prefix that leaves m positions, starting a run of
-    # c; rev holds the prefix bits, position p at bit p
-    stack = [(n - h, 0, False, min(h, k), (1 << h) - 1) for h in range(n - 1, 0, -1)]
-    stack += [(n - h, 1, False, min(h, k), 0) for h in range(1, n)]
-    while stack:
-        m, c, eq, h, rev = stack.pop()
-        if m <= top:
-            if suffixes := tables[m][c, eq, h]:
-                yield [rev | r for r in suffixes]
-        else:
-            # push the runs in reverse order, so that they are walked in order.
-            # None fits when m < k, and none need: a prefix past the tables
-            # with a run after the first leaves m <= n - k - 1, so m >= k,
-            # and one without must end on a run of k or more
-            lengths = range(k, m + 1) if c == 0 else range(m, k - 1, -1)
-            for length in lengths:
-                run = (1 << length) - 1 if c else 0
-                stack.append((m - length, 1 - c, not eq, h, rev | run << n - m))
-    yield [(1 << n) - 1]
+    hk = min(k, n)
+    end = 4 * hk  # state (c, eq, h) is (2c + eq) hk + h - 1
+    # per state: c, eq, the positions that a run before the last must leave
+    # (the next state, eq flipped, needs k - h if eq is then true, else
+    # 2k - h or none), and the next state (1 - c, not eq, h); no run fits
+    # the end state
+    kinds = [(ceq >> 1, ceq & 1, k - h + k * (ceq & 1), (3 - ceq) * hk + h - 1)
+             for ceq in range(4) for h in range(1, hk + 1)] + [(0, 0, n, end)]
+
+    def steps(state, left):
+        ones, eq, rest, after = kinds[state]
+        if left < k:  # only a last run fits, which must merge into the first
+            if eq and left >= rest - k:
+                return [(left, (1 << left) - 1 << n - left if ones else 0, end)]
+            return ()
+        lengths = [*range(k, left - rest + 1), left] if eq else range(k, left - rest + 1)
+        if ones:
+            return [(length, (1 << length) - 1 << n - left, after) for length in lengths]
+        return [(length, 0, after) for length in reversed(lengths)]
+
+    accepting = [not eq or rest == k for _, eq, rest, _ in kinds]  # rest = k when h = k
+    # (positions left, state, bits of the first run); a first run of f leaves
+    # the next run to bit 1 - f, with eq false
+    starts = [(n - h, 2 * hk + min(h, k) - 1, 0) for h in range(n - 1, 0, -1)]
+    starts += [(n - h, min(h, k) - 1, (1 << h) - 1) for h in range(1, n)]
+    return walk_chunks(n // 2, n, end + 1, steps, accepting,
+                       [(0, end, 0), *starts, (0, end, (1 << n) - 1)])
 
 
 def _q_poly(k: int) -> list[tuple[int, int]]:

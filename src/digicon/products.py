@@ -7,10 +7,10 @@ cell is free when it lies outside N[S], and S is convex iff every
 non-member has a free cell in its N[v]; whether a cell is free depends only
 on its own column and the two beside it, so the columns, read from the top
 (the most significant bits) down, drive a 35-state automaton (_ladder_step).
-Every way to finish the bottom n // 2 columns is tabulated once per state,
-and each prefix of the top columns that reaches that depth yields its
-state's table as a chunk (_ladder_chunks), the same idiom as the cycle-power
-walk; the automaton's count is checked against the recurrence first.
+_ladder_chunks checks its count against the recurrence and walks it like
+the cycle-power strings, on walk_chunks, with no step into the 11 states
+that can never finish: each prefix of the top columns yields the table of
+every way to finish the bottom n // 2 columns from its state as a chunk.
 
 The grid route rests on the fact that the distinct images of n x m binary
 arrays under the minimum-over-closed-neighbourhood transform are exactly the
@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import chain
 
 from . import _kernels
-from ._kernels import EnumerationBudget, check_budget
+from ._kernels import EnumerationBudget, check_budget, walk_chunks
 from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotImageError
 from .graphs import VertexSet, cartesian_product, make_path
 from .sequences import LinearRecurrence, eval_recurrence
@@ -213,49 +213,29 @@ def _ladder_chunks(n: int, budget: EnumerationBudget | None = None) -> Iterator[
     """The bitmasks of the digitally convex sets of the n x 2 ladder in
     lists (chunks), each nonempty; flattened, they ascend.
 
-    Budgeted by the exact count on the call.  Then the automaton counts the
-    ways to finish from each state with d columns left, for every d < n,
-    and the count from the four start states must equal count_grid_p2(n),
-    an independent check of the paper's recurrence; both checks come
-    before the first mask.  Every ascending way to finish the bottom
-    n // 2 columns is tabulated once per state, one depth at a time, and
-    the walk returned goes depth first over the top columns, lowest letter
-    first, skipping the prefixes whose state cannot finish; a prefix that
-    reaches that depth yields its state's table, or-ed with the prefix, as
-    one chunk.
+    Budgeted by the exact count on the call.  Then the automaton's count of
+    the words of n columns from the four start states must equal
+    count_grid_p2(n), an independent check of the paper's recurrence; both
+    checks come before the first mask.  No step goes to a state that can
+    never finish, and walk_chunks streams the words, lowest letter first,
+    with every way to finish the bottom n // 2 columns tabulated per state.
     """
     check_budget(count_grid_p2(n), budget, "sets")  # count_grid_p2 checks n >= 1
     steps, accepting = _ladder_automaton()
-    counts = [[int(ok) for ok in accepting]]
+    counts = [int(ok) for ok in accepting]
     for _ in range(1, n):
-        below = counts[-1]
-        counts.append([sum(below[after] for _, after in row) for row in steps])
-    if sum(counts[n - 1][:4]) != count_grid_p2(n):
+        counts = [sum(counts[after] for _, after in row) for row in steps]
+    if sum(counts[:4]) != count_grid_p2(n):
         raise AssertionError(f"column automaton disagrees with the recurrence at n={n}")
-    # only the last depth is kept: the walk meets no other
-    table = [[0] if ok else [] for ok in accepting]
-    for shift in range(0, 2 * (n // 2), 2):
-        table = [[letter << shift | rest for letter, after in row for rest in table[after]]
-                 for row in steps]
-    return _ladder_walk(n, steps, counts, table)
-
-
-def _ladder_walk(n: int, steps, counts, table) -> Iterator[list[int]]:
-    """The chunks of _ladder_chunks, walked on an explicit stack of
-    (columns left, state, prefix mask), pushed highest letter first so
-    that the lowest is walked first; table[state] finishes the bottom
-    n // 2 columns."""
-    top = n // 2
-    stack = [(n - 1, x, x << 2 * (n - 1)) for x in range(3, -1, -1) if counts[n - 1][x]]
-    while stack:
-        d, state, prefix = stack.pop()
-        if d == top:
-            yield [prefix | rest for rest in table[state]]
-        else:
-            shift = 2 * (d - 1)
-            for letter, after in reversed(steps[state]):
-                if counts[d - 1][after]:
-                    stack.append((d - 1, after, prefix | letter << shift))
+    live, grown = None, accepting  # the states that can finish within d columns, d = 0, 1, ...
+    while grown != live:
+        live, grown = grown, [ok or any(grown[after] for _, after in row)
+                              for ok, row in zip(accepting, steps)]
+    # the steps that can still finish with d columns left, each letter placed in column d - 1
+    placed = [None] + [[[(1, letter << 2 * d - 2, after) for letter, after in row if live[after]]
+                        for row in steps] for d in range(1, n)]
+    return walk_chunks(n // 2, 1, len(steps), lambda state, d: placed[d][state], accepting,
+                       [(n - 1, x, x << 2 * n - 2) for x in range(4) if live[x]])
 
 
 # maxsize=0 keeps no ladder alive once the caller drops it; the wrapper only

@@ -335,6 +335,19 @@ def test_set_codes_stream_in_bounded_memory():
     assert peak < 2_000_000, peak
 
 
+def test_dense_k_walk_streams_in_bounded_memory():
+    # 49,502 strings of 500 positions, every block >= 201: the tables of
+    # 250 positions, 805 states each, once took 30.9 MiB traced
+    peak = int(_fresh_python(
+        "import tracemalloc\n"
+        "from collections import deque\n"
+        "from digicon.cyclic import _block_chunks\n"
+        "tracemalloc.start()\n"
+        "deque(_block_chunks(201, 500), 0)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"))
+    assert peak < 16_000_000, peak
+
+
 def test_cycle_power_work_is_bounded_by_n_not_k():
     # at n = 5 only the two constant strings have every block >= k + 1, and
     # neither the count nor the walk's tables may grow with k (at k = 10^5

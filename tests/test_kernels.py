@@ -1,6 +1,7 @@
 """The bit-sliced block kernels against the per-code definitions, at the
 edges of a 64-bit word, of one block and of two, and on spans that hold
-the top vertex; and the bounded block scheduler."""
+the top vertex; the bounded block scheduler; and the chunk walk against
+filters of all codes."""
 
 import functools
 import itertools
@@ -313,3 +314,46 @@ def test_counts_over_several_blocks_are_the_same_for_any_workers():
         runs.append((count_grid_via_arrays(4, 5, budget), count_digitally_convex(ring, budget)))
     assert runs[0] == (8706, a_count(3, 20))
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+# --- the chunk walk, on automata that no route uses ---
+
+
+def _no_adjacent_ones(n):
+    """One position per step, the top one first: state 1 follows a one."""
+    def steps(state, left):
+        return [(1, 0, 0)] + ([(1, 1 << left - 1, 1)] if state == 0 else [])
+
+    return 1, 2, steps, [True, True], [(n, 0, 0)]
+
+
+def _runs_of_three(n):
+    """One run of 3 or more per step, read as a plain (not cyclic) string:
+    state b starts a run of b, state 2 the first run, of either bit."""
+    def steps(state, left):
+        zeros = [(length, 0, 1) for length in range(left, 2, -1)] if state != 1 else []
+        ones = [(length, (1 << length) - 1 << left - length, 0)
+                for length in range(3, left + 1)] if state != 0 else []
+        return zeros + ones  # ascending: 0-runs longest first, 1-runs shortest first
+
+    return n, 3, steps, [True] * 3, [(n, 2, 0)]
+
+
+def _runs_at_least_three(n, code):
+    return all(len(list(run)) >= 3 for _, run in itertools.groupby(f"{code:0{n}b}"))
+
+
+@pytest.mark.parametrize("automaton, keep", [
+    (_no_adjacent_ones, lambda n, code: code & code >> 1 == 0),
+    (_runs_of_three, _runs_at_least_three),
+])
+def test_walk_chunks_is_the_filter(automaton, keep):
+    # every table depth from none to the whole word, steps of one position
+    # and of many; the filter ascends, so the stream must too
+    for n in range(1, 17):
+        expected = [code for code in range(1 << n) if keep(n, code)]
+        reach, states, steps, accepting, starts = automaton(n)
+        for top in {0, n // 2, n}:
+            chunks = list(kernels.walk_chunks(top, reach, states, steps, accepting, starts))
+            assert all(chunks), (n, top)  # no empty chunk
+            assert list(itertools.chain.from_iterable(chunks)) == expected, (n, top)

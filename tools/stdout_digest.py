@@ -16,9 +16,11 @@ alone at bounds other than its defaults, ``verify --suite all`` under a
 budget of 1000 subsets, and ``oeis --max-cells 22``; plus single runs of
 ``series --k 2 --terms 6500`` in each format, of ``series --k 1000000
 --terms 3`` (a denominator of degree two million), of the ladder streams
-at 1, 2, 4, 13 and 14 columns, and of the bijection streams of ``cycle-power --n 40 --k 6``,
-``cycle-power --n 5 --k 7``, ``cycle-power --n 100 --k 20`` (54,352 sets,
-string codes past 62 bits) and ``cycle --n 24``, each in jsonl and plain.
+at 1, 2, 3, 4, 13 and 14 columns, and of the bijection streams of
+``cycle-power --k 4`` at 9, 10, 19 and 20 positions, ``cycle-power --n 40
+--k 6``, ``cycle-power --n 5 --k 7``, ``cycle-power --n 60 --k 25``,
+``cycle-power --n 100 --k 20`` (54,352 sets, string codes past 62 bits)
+and ``cycle --n 24``, each in jsonl and plain.
 The sweep-size cap is the default one: ``DIGICON_MAX_SUBSETS`` is unset
 while the matrix runs.
 
@@ -106,17 +108,20 @@ def matrix() -> list[list[str]]:
     for fmt in (None, "jsonl", "csv", "plain"):
         runs.append(["series", "--k", "2", "--terms", "6500"] + (["--format", fmt] if fmt else []))
     runs.append(["series", "--k", "1000000", "--terms", "3"])
-    # ladder streams: 1, 2 and 4 columns, where the prefix walk meets the
+    # ladder streams: 1, 2, 3 and 4 columns, where the prefix walk meets the
     # tables of the bottom n // 2 columns at once or after a step or two,
     # and the 13- and 14-ladders (154,078 and 386,974 sets)
-    for n, fmt in itertools.product((1, 2, 4, 13, 14), ("jsonl", "plain")):
+    for n, fmt in itertools.product((1, 2, 3, 4, 13, 14), ("jsonl", "plain")):
         runs.append(["enumerate", "--family", "path-grid", "--n", str(n), "--m", "2",
                      "--method", "recurrence", "--format", fmt])
     # bijection streams at the edges of its chunks and of the line widths:
-    # codes past 32 bits, k >= n, codes past 62 bits in 13-byte masks, and
-    # 103,684 strings of 24 positions
+    # blocks of 5 where two and four of them just fit or just do not, codes
+    # past 32 bits, k >= n, a dense k, codes past 62 bits in 13-byte masks,
+    # and 103,684 strings of 24 positions
+    block_edges = [("cycle-power", "--n", str(n), "--k", "4") for n in (9, 10, 19, 20)]
     for params, fmt in itertools.product(
-            (("cycle-power", "--n", "40", "--k", "6"), ("cycle-power", "--n", "5", "--k", "7"),
+            (*block_edges, ("cycle-power", "--n", "40", "--k", "6"),
+             ("cycle-power", "--n", "5", "--k", "7"), ("cycle-power", "--n", "60", "--k", "25"),
              ("cycle-power", "--n", "100", "--k", "20"), ("cycle", "--n", "24")),
             ("jsonl", "plain")):
         runs.append(["enumerate", "--family", *params, "--method", "bijection", "--format", fmt])
