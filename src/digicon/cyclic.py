@@ -13,14 +13,14 @@ contributing ones at positions x..x+k (mod n).
 
 The members are listed with no sweep, one run at a time: a string is its
 first run, then alternating runs of length >= k, the last of which wraps
-into the first.  How a string may end depends only on a few numbers (the
-positions left, the run bit, whether it is the first run's bit, and the
-first run's length capped at k): those are the states of a run automaton
-(_block_chunks), whose walk tabulates every ending of at most n // 2
-positions and yields each prefix's table as a chunk, with no dead end.
-The walk carries one int per string, the position-ordered one (bit p holds
-position p), which is what erosion reads; a string's code, position 0 at
-the top bit, is its reverse.
+into the first.  A first run shorter than k is a rotation of one of
+length k, so only first runs >= k are walked, and how a string may end
+depends only on the positions left, the run bit and whether it is the
+first run's bit: the four states of a run automaton (_block_chunks), whose
+walk tabulates every ending of at most n // 2 positions and yields each
+prefix's table as a chunk, with no dead end.  The walk carries one int per
+string, the position-ordered one (bit p holds position p), which is what
+erosion reads; a string's code, position 0 at the top bit, is its reverse.
 
 The same window passes map strings to sets and back (_eroded, _dilated)
 and test the blocks (_blocks_ok): the opening of a string's ones by a
@@ -32,7 +32,8 @@ survive their opening.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, starmap
+from math import comb
 
 from ._kernels import EnumerationBudget, check_budget, walk_chunks
 from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotMemberError
@@ -143,42 +144,34 @@ def _block_chunks(k: int, n: int) -> Iterator[list[int]]:
     the chunks are the members of enumerate_B(k, n) in its order: increasing
     code order, position 0 at the top bit.
 
-    The strings are the words of a run automaton on walk_chunks: a first
-    run (bit f, length h) as a start, then alternating runs of length >= k,
-    0-runs longest first and 1-runs shortest first, so that the codes
-    ascend.  State (c, eq, h) starts a run of bit c, eq says whether c = f,
-    and h is capped at k.  The last run wraps into the first: one of f's bit
-    needs only k - h positions (one shorter than k steps to the end state),
-    and one of the other bit needs h = k.  No run leaves a state that
-    cannot finish.  The constant strings are starts at the end state.
+    A string is a first run (bit f, length h), then alternating runs.  For
+    h < k the strings with first run f^h are those with first run f^k
+    rotated left by r = k - h: the same r f's move to the end of each, so
+    the order holds, and only first runs of length >= k are walked.  They
+    are the words of a run automaton on walk_chunks: state 2c + eq starts
+    a run of bit c, and eq says c = f.  A run of f is k..left - k long, or
+    the last, taking all of left and merging into the first run; a run of
+    the other bit is k..left long.  Only a last run reaches left = 0, so
+    every state accepts.  0-runs go longest first and 1-runs shortest
+    first, so that the codes ascend; the constant strings are the ends.
     """
-    hk = min(k, n)
-    end = 4 * hk  # state (c, eq, h) is (2c + eq) hk + h - 1
-    # per state: c, eq, the positions that a run before the last must leave
-    # (the next state, eq flipped, needs k - h if eq is then true, else
-    # 2k - h or none), and the next state (1 - c, not eq, h); no run fits
-    # the end state
-    kinds = [(ceq >> 1, ceq & 1, k - h + k * (ceq & 1), (3 - ceq) * hk + h - 1)
-             for ceq in range(4) for h in range(1, hk + 1)] + [(0, 0, n, end)]
-
     def steps(state, left):
-        ones, eq, rest, after = kinds[state]
-        if left < k:  # only a last run fits, which must merge into the first
-            if eq and left >= rest - k:
-                return [(left, (1 << left) - 1 << n - left if ones else 0, end)]
-            return ()
-        lengths = [*range(k, left - rest + 1), left] if eq else range(k, left - rest + 1)
-        if ones:
-            return [(length, (1 << length) - 1 << n - left, after) for length in lengths]
-        return [(length, 0, after) for length in reversed(lengths)]
+        lengths = [*range(k, left - k + 1), left] if state & 1 else range(k, left + 1)
+        if state >> 1:
+            return [(length, (1 << length) - 1 << n - left, 3 - state) for length in lengths]
+        return [(length, 0, 3 - state) for length in reversed(lengths)]
 
-    accepting = [not eq or rest == k for _, eq, rest, _ in kinds]  # rest = k when h = k
-    # (positions left, state, bits of the first run); a first run of f leaves
-    # the next run to bit 1 - f, with eq false
-    starts = [(n - h, 2 * hk + min(h, k) - 1, 0) for h in range(n - 1, 0, -1)]
-    starts += [(n - h, min(h, k) - 1, (1 << h) - 1) for h in range(1, n)]
-    return walk_chunks(n // 2, n, end + 1, steps, accepting,
-                       [(0, end, 0), *starts, (0, end, (1 << n) - 1)])
+    walk = walk_chunks(n // 2, n, steps, [True] * 4)
+
+    def first_run(f, h):  # the chunks of the strings whose first run is f^h
+        r = max(k - h, 0)
+        chunks = walk((n - h - r, 2 - 2 * f, f * ((1 << h + r) - 1)))
+        fill = f * ((1 << r) - 1 << n - r)
+        return ([x >> r | fill for x in chunk] for chunk in chunks) if r else chunks
+
+    # a first run past n - k leaves no room for the next block; one of f starts state 2 - 2f
+    firsts = [(0, h) for h in range(n - k, 0, -1)] + [(1, h) for h in range(1, n - k + 1)]
+    return chain([[0]], chain.from_iterable(starmap(first_run, firsts)), [[(1 << n) - 1]])
 
 
 def _q_poly(k: int) -> list[tuple[int, int]]:
@@ -210,16 +203,17 @@ def _a_recurrence(k: int) -> LinearRecurrence:
 
 
 def a_count(k: int, n: int) -> int:
-    """Number of length-n cyclic strings with all blocks >= k, via recurrence."""
+    """Number of length-n cyclic strings with all blocks >= k, by blocks or recurrence."""
     if k < 2:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if n < 2 * k:  # two blocks of length >= k do not fit: only the constant strings
-        return 2
-    if n < 4 * k:  # four blocks do not fit: the constants, and one run of ones
-        return 2 + n * (n - 2 * k + 1)  # of length k..n - k, starting anywhere
-    return eval_recurrence(_a_recurrence(k), n)
+    pairs = n // (2 * k)  # the most pairs of blocks that fit
+    if pairs > 2 * k:  # more terms than the recurrence's order
+        return eval_recurrence(_a_recurrence(k), n)
+    # the constants, and for each j the strings of 2j blocks: a start, a bit
+    # and 2j block lengths >= k summing to n, per the 2j starts of a string
+    return 2 + sum(n * comb(n - 2 * j * (k - 1) - 1, 2 * j - 1) // j for j in range(1, pairs + 1))
 
 
 def _series_fraction(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:

@@ -234,8 +234,8 @@ def _ladder_chunks(n: int, budget: EnumerationBudget | None = None) -> Iterator[
     # the steps that can still finish with d columns left, each letter placed in column d - 1
     placed = [None] + [[[(1, letter << 2 * d - 2, after) for letter, after in row if live[after]]
                         for row in steps] for d in range(1, n)]
-    return walk_chunks(n // 2, 1, len(steps), lambda state, d: placed[d][state], accepting,
-                       [(n - 1, x, x << 2 * n - 2) for x in range(4) if live[x]])
+    walk = walk_chunks(n // 2, 1, lambda state, d: placed[d][state], accepting)
+    return chain.from_iterable(map(walk, [(n - 1, x, x << 2 * n - 2) for x in range(4) if live[x]]))
 
 
 # maxsize=0 keeps no ladder alive once the caller drops it; the wrapper only

@@ -253,8 +253,11 @@ def test_run_walk_is_the_per_bit_walk(k):
         assert walked(k, n) == oracle_revs(k, n), n
 
 
-@pytest.mark.parametrize("k, n", [(21, 100), (34, 100)])
-def test_run_walk_past_62_bits_is_the_per_bit_walk(k, n):
+@pytest.mark.parametrize("k, n", [(21, 100), (34, 100), (30, 59), (30, 60), (30, 61), (15, 60),
+                                  (15, 61)])
+def test_run_walk_at_dense_k_and_past_62_bits_is_the_per_bit_walk(k, n):
+    # n = 2k - 1, 2k and 2k + 1, where 29 first runs of each bit are shorter
+    # than k and walked as rotations, and n = 4k, where four blocks just fit
     assert walked(k, n) == oracle_revs(k, n)
 
 
@@ -337,7 +340,8 @@ def test_set_codes_stream_in_bounded_memory():
 
 def test_dense_k_walk_streams_in_bounded_memory():
     # 49,502 strings of 500 positions, every block >= 201: the tables of
-    # 250 positions, 805 states each, once took 30.9 MiB traced
+    # 250 positions, 4 states each, take about 0.3 MiB traced (7.4 MiB
+    # when the states held the first run's length)
     peak = int(_fresh_python(
         "import tracemalloc\n"
         "from collections import deque\n"
@@ -345,7 +349,7 @@ def test_dense_k_walk_streams_in_bounded_memory():
         "tracemalloc.start()\n"
         "deque(_block_chunks(201, 500), 0)\n"
         "print(tracemalloc.get_traced_memory()[1])\n"))
-    assert peak < 16_000_000, peak
+    assert peak < 2_000_000, peak
 
 
 def test_cycle_power_work_is_bounded_by_n_not_k():
@@ -442,9 +446,15 @@ def test_count_initial_window(monkeypatch):
             assert a_count(k, j) == eval_recurrence(terms, j) == 2 + j * (j - 2 * k + 1), (k, j)
         # four blocks fit from 4k on, so the two-block count falls short there
         assert a_count(k, 4 * k) > 2 + 4 * k * (2 * k + 1)
-    # the window is answered without building the order-2k recurrence
+    # the sum over block counts against the recurrence, on both sides of
+    # the switch to the recurrence at n = 2k(2k + 1), where n // 2k > 2k
+    for k, ns in ((2, range(12, 40)), (3, range(30, 60)), (5, (100, 109, 110, 130))):
+        terms = _a_recurrence(k)
+        assert [a_count(k, n) for n in ns] == [eval_recurrence(terms, n) for n in ns], k
+    # the sum is answered without building the order-2k recurrence
     monkeypatch.setattr(cyclic, "_a_recurrence", None)
     assert a_count(1_000_001, 2_100_000) == count_cycle_power(1_000_000, 2_100_000) == 209997900002
+    assert a_count(1_000_001, 4_000_004) == count_cycle_power(1_000_000, 4_000_004) == 8000022000016
 
 
 def test_count_known_values():

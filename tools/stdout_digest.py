@@ -17,7 +17,8 @@ budget of 1000 subsets, and ``oeis --max-cells 22``; plus single runs of
 ``series --k 2 --terms 6500`` in each format, of ``series --k 1000000
 --terms 3`` (a denominator of degree two million), of the ladder streams
 at 1, 2, 3, 4, 13 and 14 columns, and of the bijection streams of
-``cycle-power --k 4`` at 9, 10, 19 and 20 positions, ``cycle-power --n 40
+``cycle-power --k 4`` at 9, 10, 19 and 20 positions, ``cycle-power --k
+29`` at 59, 60 and 61, ``cycle-power --n 60 --k 14``, ``cycle-power --n 40
 --k 6``, ``cycle-power --n 5 --k 7``, ``cycle-power --n 60 --k 25``,
 ``cycle-power --n 100 --k 20`` (54,352 sets, string codes past 62 bits)
 and ``cycle --n 24``, each in jsonl and plain.
@@ -115,10 +116,14 @@ def matrix() -> list[list[str]]:
         runs.append(["enumerate", "--family", "path-grid", "--n", str(n), "--m", "2",
                      "--method", "recurrence", "--format", fmt])
     # bijection streams at the edges of its chunks and of the line widths:
-    # blocks of 5 where two and four of them just fit or just do not, codes
-    # past 32 bits, k >= n, a dense k, codes past 62 bits in 13-byte masks,
-    # and 103,684 strings of 24 positions
+    # blocks of 5 where two and four of them just fit or just do not, blocks
+    # of 30 where two just do not, just fit and fit with one to spare (29
+    # first runs of each bit walked as rotations), blocks of 15 where four
+    # just fit, codes past 32 bits, k >= n, a dense k, codes past 62 bits in
+    # 13-byte masks, and 103,684 strings of 24 positions
     block_edges = [("cycle-power", "--n", str(n), "--k", "4") for n in (9, 10, 19, 20)]
+    block_edges += [("cycle-power", "--n", str(n), "--k", "29") for n in (59, 60, 61)]
+    block_edges.append(("cycle-power", "--n", "60", "--k", "14"))
     for params, fmt in itertools.product(
             (*block_edges, ("cycle-power", "--n", "40", "--k", "6"),
              ("cycle-power", "--n", "5", "--k", "7"), ("cycle-power", "--n", "60", "--k", "25"),
