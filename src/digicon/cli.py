@@ -313,8 +313,8 @@ def _suite_cycle_power(max_k: int, max_n: int, budget) -> list:
         values = {"bruteforce": brute,
                   "recurrence": _run("count", "cycle-power", "recurrence", budget, n=n, k=k),
                   "strings": _run("enumerate", "cycle-power", "bijection", budget, n=n, k=k)}
-        [ones] = _dilated(k, n, [brute])
-        round_trip = all(_blocks_ok(k + 1, n, ones)) and next(_eroded(k, n, [ones])) == brute
+        ones = _dilated(k, n, brute)
+        round_trip = all(_blocks_ok(k + 1, n, ones)) and _eroded(k, n, ones) == brute
         cases.append(_case(f"cycle-power k={k} n={n}", values,
                            (sorted(values["strings"]) == brute, ", sets differ"),
                            (round_trip, ", round trip failed")))

@@ -19,10 +19,11 @@ depends only on the positions left, the run bit and whether it is the
 first run's bit: the four states of a run automaton (_block_chunks), whose
 walk tabulates every ending of at most n // 2 positions and yields each
 prefix's table as a chunk, with no dead end.  The walk carries one int per
-string, the position-ordered one (bit p holds position p), which is what
-erosion reads; a string's code, position 0 at the top bit, is its reverse.
+string, the position-ordered one (bit p holds position p); its code,
+position 0 at the top bit, is its reverse.  The walk places the convex sets
+too, a block of L ones at p as the vertices p..p+L-k-1 (_convex_set_codes).
 
-The same window passes map strings to sets and back (_eroded, _dilated)
+Window passes map single strings to sets and back (_eroded, _dilated)
 and test the blocks (_blocks_ok): the opening of a string's ones by a
 window of k positions, its erosion dilated back, keeps just the ones in
 runs of k or more, so every block is >= k when the ones and the zeros each
@@ -138,11 +139,12 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
         yield CyclicBinaryString(tuple(rev >> i & 1 for i in range(n)))
 
 
-def _block_chunks(k: int, n: int) -> Iterator[list[int]]:
+def _block_chunks(k: int, n: int, trim: int = 0) -> Iterator[list[int]]:
     """Each length-n string whose cyclic blocks are all >= k, as the int
     whose bit p is position p, in lists (chunks), each nonempty.  Flattened,
     the chunks are the members of enumerate_B(k, n) in its order: increasing
-    code order, position 0 at the top bit.
+    code order, position 0 at the top bit.  A block of L ones at p places
+    bits p..p+L-trim-1, with trim = k - 1 the string's convex set.
 
     A string is a first run (bit f, length h), then alternating runs.  For
     h < k the strings with first run f^h are those with first run f^k
@@ -157,16 +159,18 @@ def _block_chunks(k: int, n: int) -> Iterator[list[int]]:
     """
     def steps(state, left):
         lengths = [*range(k, left - k + 1), left] if state & 1 else range(k, left + 1)
-        if state >> 1:
-            return [(length, (1 << length) - 1 << n - left, 3 - state) for length in lengths]
+        if state >> 1:  # a last run of f = 1 merges into the first block: it keeps all
+            return [(length, (1 << length - (0 if state == 3 and length == left else trim)) - 1
+                     << n - left, 3 - state) for length in lengths]
         return [(length, 0, 3 - state) for length in reversed(lengths)]
 
     walk = walk_chunks(n // 2, n, steps, [True] * 4)
 
     def first_run(f, h):  # the chunks of the strings whose first run is f^h
         r = max(k - h, 0)
-        chunks = walk((n - h - r, 2 - 2 * f, f * ((1 << h + r) - 1)))
-        fill = f * ((1 << r) - 1 << n - r)
+        prefix = f * ((1 << h + r - trim) - 1)
+        chunks = walk((n - h - r, 2 - 2 * f, prefix))
+        fill = (prefix & (1 << r) - 1) << n - r  # no later run places a bit below k
         return ([x >> r | fill for x in chunk] for chunk in chunks) if r else chunks
 
     # a first run past n - k leaves no room for the next block; one of f starts state 2 - 2f
@@ -254,31 +258,27 @@ def _window_steps(k: int, n: int) -> list[int]:
     return steps
 
 
-def _eroded(k: int, n: int, chunks) -> Iterator[list[int]]:
-    """For each list of ones (bit p holding position p), the list of the
+def _eroded(k: int, n: int, masks: list[int]) -> list[int]:
+    """For a list of ones (bit p holding position p), the list of the
     vertices x whose positions x..x+k (mod n) are all ones.  Bit x of a mask
     says that the window of positions x..x+w-1 is all ones; a pass ands each
     mask with itself rotated by -s, which widens the window to w + s."""
     full = (1 << n) - 1
-    steps = _window_steps(k, n)
-    for masks in chunks:
-        for step in steps:
-            up = n - step  # a rotation by -step, mod n
-            masks = [mask & (mask << up & full | mask >> step) for mask in masks]
-        yield masks
+    for step in _window_steps(k, n):
+        up = n - step  # a rotation by -step, mod n
+        masks = [mask & (mask << up & full | mask >> step) for mask in masks]
+    return masks
 
 
-def _dilated(k: int, n: int, chunks) -> Iterator[list[int]]:
-    """For each list of vertex sets, the list of their ones: position p is
-    one when a member x has p among x..x+k (mod n).  The mirror of _eroded:
-    a pass ors each mask with itself rotated by +s."""
+def _dilated(k: int, n: int, masks: list[int]) -> list[int]:
+    """For a list of vertex sets, the list of their ones: position p is one
+    when a member x has p among x..x+k (mod n).  The mirror of _eroded: a
+    pass ors each mask with itself rotated by +s."""
     full = (1 << n) - 1
-    steps = _window_steps(k, n)
-    for masks in chunks:
-        for step in steps:
-            down = n - step  # bit n - step wraps to bit 0
-            masks = [mask | (mask << step & full | mask >> down) for mask in masks]
-        yield masks
+    for step in _window_steps(k, n):
+        down = n - step  # bit n - step wraps to bit 0
+        masks = [mask | (mask << step & full | mask >> down) for mask in masks]
+    return masks
 
 
 def _blocks_ok(k: int, n: int, masks: list[int]) -> list[bool]:
@@ -290,8 +290,8 @@ def _blocks_ok(k: int, n: int, masks: list[int]) -> list[bool]:
     bit order does not matter, as reversal keeps the blocks.  For n <= k the
     window covers all n positions, so only the constant strings pass."""
     full = (1 << n) - 1
-    opened = _dilated(k - 1, n, _eroded(k - 1, n, [masks, [full ^ mask for mask in masks]]))
-    return [ones | zeros == full for ones, zeros in zip(*opened)]
+    opened = _dilated(k - 1, n, _eroded(k - 1, n, masks + [full ^ mask for mask in masks]))
+    return [ones | zeros == full for ones, zeros in zip(opened, opened[len(masks):])]
 
 
 def string_from_convex_set(k: int, n: int, s: VertexSet) -> CyclicBinaryString:
@@ -305,9 +305,9 @@ def string_from_convex_set(k: int, n: int, s: VertexSet) -> CyclicBinaryString:
     _check_power(k, n)
     if s.universe != n:
         raise InvalidParameterError(f"set universe {s.universe} != cycle length {n}")
-    [[ones]] = _dilated(k, n, [[s.mask]])
+    [ones] = _dilated(k, n, [s.mask])
     [ok] = _blocks_ok(k + 1, n, [ones])
-    if not (ok and next(_eroded(k, n, [[ones]])) == [s.mask]):
+    if not (ok and _eroded(k, n, [ones]) == [s.mask]):
         raise NotConvexError(
             f"set {list(s.indices())} is not digitally convex in the power-{k} {n}-cycle"
         )
@@ -330,18 +330,18 @@ def convex_set_from_string(k: int, n: int, s: CyclicBinaryString) -> VertexSet:
         raise NotMemberError(
             f"string {s} has a cyclic block shorter than {k + 1}; it matches no convex set"
         )
-    [[mask]] = _eroded(k, n, [[ones]])
+    [mask] = _eroded(k, n, [ones])
     return VertexSet(n, mask)
 
 
 def _convex_set_codes(k: int, n: int, budget: EnumerationBudget | None = None) -> Iterator[int]:
     """The bitmasks of the digitally convex sets of the k-th power of C_n,
     in the order enumerate_B(k + 1, n) yields their strings: the map of
-    convex_set_from_string, with no string or set built: each chunk of the
-    walk is eroded as it comes.  The budget is checked on the call, before
+    convex_set_from_string, placed by the string walk with no window pass
+    and no string or set built.  The budget is checked on the call, before
     the first code is asked for."""
     check_budget(a_count(k + 1, n), budget, "strings")
-    return chain.from_iterable(_eroded(k, n, _block_chunks(k + 1, n)))
+    return chain.from_iterable(_block_chunks(k + 1, n, k))
 
 
 def count_cycle_power(k: int, n: int) -> int:

@@ -6,11 +6,11 @@ The ladder's sets are listed with no sweep and no shorter ladder kept.  A
 cell is free when it lies outside N[S], and S is convex iff every
 non-member has a free cell in its N[v]; whether a cell is free depends only
 on its own column and the two beside it, so the columns, read from the top
-(the most significant bits) down, drive a 35-state automaton (_ladder_step).
-_ladder_chunks checks its count against the recurrence and walks it like
-the cycle-power strings, on walk_chunks, with no step into the 11 states
-that can never finish: each prefix of the top columns yields the table of
-every way to finish the bottom n // 2 columns from its state as a chunk.
+(the most significant bits) down, drive a 24-state automaton (_ladder_step),
+every state of which can finish in any number of columns.  _ladder_chunks
+checks its count against the recurrence and walks it like the cycle-power
+strings, on walk_chunks: each prefix of the top columns yields the table
+of every way to finish the bottom n // 2 columns from its state as a chunk.
 
 The grid route rests on the fact that the distinct images of n x m binary
 arrays under the minimum-over-closed-neighbourhood transform are exactly the
@@ -167,7 +167,7 @@ _SWAP = (0, 2, 1, 3)  # a column's letter with its two cells exchanged
 
 def _ladder_step(state: tuple[int, int, int, int], letter: int) -> tuple[int, int, int, int] | None:
     """The ladder automaton's state after the next column down, or None
-    when that column leaves a cell above uncovered.
+    when that column leaves a cell above uncovered or can never finish.
 
     The columns are read from the top one (the most significant bits)
     down, each as a letter of two bits, bit j for row j.  A cell is free
@@ -176,13 +176,15 @@ def _ladder_step(state: tuple[int, int, int, int], letter: int) -> tuple[int, in
     free_{c+1}, pending_{c+1}): pending holds the non-members of column
     c+1 that no free cell of columns c+2 and c+1 covers, so each needs the
     free cell below it.  The letter S_{c-1} fixes free_c, the cells of
-    column c outside N[S].
+    column c outside N[S].  A member in column c-1 frees neither of its
+    cells, so a pending cell and a nonzero letter can never finish.
     """
     above, column, free_above, pending_above = state
     free = 3 & ~(column | _SWAP[column] | above | letter)
-    if pending_above & ~free:
+    pending = 3 & ~column & ~(free_above | free | _SWAP[free])
+    if pending_above & ~free or pending and letter:
         return None
-    return column, letter, free, 3 & ~column & ~(free_above | free | _SWAP[free])
+    return column, letter, free, pending
 
 
 def _ladder_automaton() -> tuple[list[list[tuple[int, int]]], list[bool]]:
@@ -216,9 +218,9 @@ def _ladder_chunks(n: int, budget: EnumerationBudget | None = None) -> Iterator[
     Budgeted by the exact count on the call.  Then the automaton's count of
     the words of n columns from the four start states must equal
     count_grid_p2(n), an independent check of the paper's recurrence; both
-    checks come before the first mask.  No step goes to a state that can
-    never finish, and walk_chunks streams the words, lowest letter first,
-    with every way to finish the bottom n // 2 columns tabulated per state.
+    checks come before the first mask.  Every state can finish, and
+    walk_chunks streams the words, lowest letter first, with every way to
+    finish the bottom n // 2 columns tabulated per state.
     """
     check_budget(count_grid_p2(n), budget, "sets")  # count_grid_p2 checks n >= 1
     steps, accepting = _ladder_automaton()
@@ -227,15 +229,11 @@ def _ladder_chunks(n: int, budget: EnumerationBudget | None = None) -> Iterator[
         counts = [sum(counts[after] for _, after in row) for row in steps]
     if sum(counts[:4]) != count_grid_p2(n):
         raise AssertionError(f"column automaton disagrees with the recurrence at n={n}")
-    live, grown = None, accepting  # the states that can finish within d columns, d = 0, 1, ...
-    while grown != live:
-        live, grown = grown, [ok or any(grown[after] for _, after in row)
-                              for ok, row in zip(accepting, steps)]
-    # the steps that can still finish with d columns left, each letter placed in column d - 1
-    placed = [None] + [[[(1, letter << 2 * d - 2, after) for letter, after in row if live[after]]
+    # the steps with d columns left, each letter placed in column d - 1
+    placed = [None] + [[[(1, letter << 2 * d - 2, after) for letter, after in row]
                         for row in steps] for d in range(1, n)]
     walk = walk_chunks(n // 2, 1, lambda state, d: placed[d][state], accepting)
-    return chain.from_iterable(map(walk, [(n - 1, x, x << 2 * n - 2) for x in range(4) if live[x]]))
+    return chain.from_iterable(map(walk, [(n - 1, x, x << 2 * n - 2) for x in range(4)]))
 
 
 # maxsize=0 keeps no ladder alive once the caller drops it; the wrapper only

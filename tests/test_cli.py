@@ -701,9 +701,9 @@ def test_verify_cycle_power_round_trip_fails_a_set_that_is_not_convex(monkeypatc
 
 def test_verify_cycle_power_round_trip_catches_a_short_dilation(monkeypatch, capsys):
     # the suite's dilation one position short (at k = 1, no pass at all):
-    # the strings column runs on the stream's own erosion and still agrees
+    # the strings column, placed by the string walk, still agrees
     real = cli._dilated
-    monkeypatch.setattr(cli, "_dilated", lambda k, n, chunks: real(k - 1, n, chunks))
+    monkeypatch.setattr(cli, "_dilated", lambda k, n, masks: real(k - 1, n, masks))
     code, out, _ = run_cli(capsys, "verify", "--suite", "cycle-power-bijection",
                            "--max-k", "1", "--max-n", "5")
     assert code == 1

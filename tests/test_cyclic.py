@@ -286,25 +286,39 @@ def test_string_routes_with_k_at_least_n():
                 assert [s.code for s in enumerate_B(k, n)] == [0, (1 << n) - 1]
 
 
-@pytest.mark.parametrize("n, ks", [(22, range(1, 23)), (40, (6, 7, 15)), (100, (20, 31, 33))])
+@pytest.mark.parametrize("n, ks", [(22, range(1, 23)), (40, (6, 7, 15)), (100, (20, 31, 33)),
+                                   (60, (14, 29)), (61, (29,)), (90, (44,)), (200, (90,)),
+                                   (201, (99,))])
 def test_set_codes_erode_like_the_per_string_map(n, ks):
-    # the chunk erosion doubles its window; the oracle ands in one rotation per j
+    # the walk places each block's vertices; the oracle ands in one rotation
+    # per j.  Past n = 2k + 1 the first runs shorter than k + 1 are rotations,
+    # and the last run of ones merges into the first
     for k in ks:
         expected = [erode_by_rotations(n, k, rev) for _, rev in block_strings_by_bits(k + 1, n)]
         assert list(_convex_set_codes(k, n)) == expected, k
 
 
+def test_set_codes_run_no_window_pass(monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("a window pass ran")
+
+    monkeypatch.setattr(cyclic, "_eroded", no_pass)
+    monkeypatch.setattr(cyclic, "_dilated", no_pass)
+    for k in range(1, 5):
+        for n in range(3, 15):
+            expected = [erode_by_rotations(n, k, rev) for _, rev in block_strings_by_bits(k + 1, n)]
+            assert list(_convex_set_codes(k, n)) == expected, (k, n)
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_window_passes_agree_with_the_per_rotation_oracles(n):
     # every mask, and every k up to 2n + 2, so that the windows wrap mod n
-    # and reach past all n positions; one list comes out per chunk, in order
+    # and reach past all n positions
     masks = list(range(1 << n))
-    chunks = [masks[:5], [], masks[5:]]
     for k in range(1, 2 * n + 3):
-        eroded = [erode_by_rotations(n, k, mask) for mask in masks]
-        dilated = [dilate_by_rotations(n, k, mask) for mask in masks]
-        assert list(_eroded(k, n, chunks)) == [eroded[:5], [], eroded[5:]], k
-        assert list(_dilated(k, n, chunks)) == [dilated[:5], [], dilated[5:]], k
+        assert _eroded(k, n, masks) == [erode_by_rotations(n, k, mask) for mask in masks], k
+        assert _dilated(k, n, masks) == [dilate_by_rotations(n, k, mask) for mask in masks], k
+        assert _eroded(k, n, []) == _dilated(k, n, []) == []
 
 
 @pytest.mark.parametrize("k", [20, 31, 33])
@@ -314,9 +328,9 @@ def test_window_passes_agree_with_the_oracles_past_62_bits(k):
     sparse = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(40)]
     dense = [dilate_by_rotations(n, k, mask) for mask in sparse] + [rng.getrandbits(n)
                                                                     for _ in range(40)]
-    assert next(_dilated(k, n, [sparse])) == dense[:40]
-    assert next(_eroded(k, n, [dense])) == [erode_by_rotations(n, k, mask) for mask in dense]
-    assert any(next(_eroded(k, n, [dense[:40]])))  # the windows do find all-one runs
+    assert _dilated(k, n, sparse) == dense[:40]
+    assert _eroded(k, n, dense) == [erode_by_rotations(n, k, mask) for mask in dense]
+    assert any(_eroded(k, n, dense[:40]))  # the windows do find all-one runs
 
 
 def _fresh_python(script: str) -> str:
@@ -571,8 +585,8 @@ def test_bijection_round_trips_and_image():
 def test_string_maps_keep_their_input_lists():
     n, k = 11, 2
     codes = list(range(1 << n))
-    assert next(_eroded(k, n, [codes])) == [erode_by_rotations(n, k, c) for c in codes]
-    next(_dilated(k, n, [codes]))
+    assert _eroded(k, n, codes) == [erode_by_rotations(n, k, c) for c in codes]
+    _dilated(k, n, codes)
     _blocks_ok(k + 1, n, codes)
     assert codes == list(range(1 << n))
 
@@ -586,7 +600,7 @@ def test_string_maps_near_the_top_code_agree_with_the_oracles(n, k, back):
     runs = [_cyclic_runs(CyclicBinaryString.from_code(n, c).bits) for c in span]
     members = [all(length >= k + 1 for _, _, length in r) for r in runs]
     assert _blocks_ok(k + 1, n, span) == members
-    assert next(_eroded(k, n, [span])) == [erode_by_rotations(n, k, c) for c in span]
+    assert _eroded(k, n, span) == [erode_by_rotations(n, k, c) for c in span]
 
 
 def test_set_codes_are_the_bijection_for_any_workers():

@@ -237,7 +237,7 @@ def _traced_peak(script):
 
 def test_ladder_stream_drained_holds_no_ladder():
     # the 154,078 sets of the 13-ladder took about 10 MB as a built list;
-    # the stream holds the 35 states' tables of 6 columns and one chunk
+    # the stream holds the 24 states' tables of 6 columns and one chunk
     peak = _traced_peak("assert sum(map(len, _ladder_chunks(13))) == 154078\n")
     assert peak < 1_000_000, peak
 
@@ -247,6 +247,16 @@ def test_ladder_stream_first_mask_needs_only_the_tables():
     # the bottom 9 columns and nothing of the rest
     peak = _traced_peak("assert next(chain.from_iterable(_ladder_chunks(19))) == 0\n")
     assert peak < 4_000_000, peak
+
+
+def test_every_ladder_state_can_finish_in_any_number_of_columns():
+    # the states that can finish in d + 1 columns are those with a step into
+    # one that can finish in d; when every state has a step and each can
+    # finish in one column, by induction each can finish in every d >= 1
+    steps, accepting = products._ladder_automaton()
+    assert len(steps) == len(accepting) == 24
+    assert all(steps)
+    assert all(any(accepting[after] for _, after in row) for row in steps)
 
 
 def test_ladder_generation_base_case():

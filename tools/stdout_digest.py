@@ -20,8 +20,10 @@ at 1, 2, 3, 4, 13 and 14 columns, and of the bijection streams of
 ``cycle-power --k 4`` at 9, 10, 19 and 20 positions, ``cycle-power --k
 29`` at 59, 60 and 61, ``cycle-power --n 60 --k 14``, ``cycle-power --n 40
 --k 6``, ``cycle-power --n 5 --k 7``, ``cycle-power --n 60 --k 25``,
-``cycle-power --n 100 --k 20`` (54,352 sets, string codes past 62 bits)
-and ``cycle --n 24``, each in jsonl and plain.
+``cycle-power --n 100 --k 20`` (54,352 sets, string codes past 62 bits),
+``cycle-power --n 201 --k 99`` and ``cycle-power --n 300 --k 140`` (codes
+past 62 bits, a last run of ones merging into the first run and first
+runs walked as rotations) and ``cycle --n 24``, each in jsonl and plain.
 The sweep-size cap is the default one: ``DIGICON_MAX_SUBSETS`` is unset
 while the matrix runs.
 
@@ -120,14 +122,16 @@ def matrix() -> list[list[str]]:
     # of 30 where two just do not, just fit and fit with one to spare (29
     # first runs of each bit walked as rotations), blocks of 15 where four
     # just fit, codes past 32 bits, k >= n, a dense k, codes past 62 bits in
-    # 13-byte masks, and 103,684 strings of 24 positions
+    # 13-byte masks, dense k past 62 bits with rotated first runs and merging
+    # last runs, and 103,684 strings of 24 positions
     block_edges = [("cycle-power", "--n", str(n), "--k", "4") for n in (9, 10, 19, 20)]
     block_edges += [("cycle-power", "--n", str(n), "--k", "29") for n in (59, 60, 61)]
     block_edges.append(("cycle-power", "--n", "60", "--k", "14"))
     for params, fmt in itertools.product(
             (*block_edges, ("cycle-power", "--n", "40", "--k", "6"),
              ("cycle-power", "--n", "5", "--k", "7"), ("cycle-power", "--n", "60", "--k", "25"),
-             ("cycle-power", "--n", "100", "--k", "20"), ("cycle", "--n", "24")),
+             ("cycle-power", "--n", "100", "--k", "20"), ("cycle-power", "--n", "201", "--k", "99"),
+             ("cycle-power", "--n", "300", "--k", "140"), ("cycle", "--n", "24")),
             ("jsonl", "plain")):
         runs.append(["enumerate", "--family", *params, "--method", "bijection", "--format", fmt])
     return runs
