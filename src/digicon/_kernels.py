@@ -7,7 +7,7 @@ flags each block's codes with one kernel, and counts or lists them in block
 order: count_flagged or iter_flagged, the one place that refuses a sweep,
 checks the code width, then the budget, and only then builds the closed
 masks, so a refused sweep builds nothing.  Every block runs on the calling
-thread; the budget's workers are checked and select nothing.
+thread.
 
 A kernel returns an int whose bit i stands for the code lo + i,
 so one AND or OR tests all 2^b subsets of a block at once.  The plane of
@@ -40,18 +40,14 @@ _MAX_SWEEP_BITS = 62
 
 class EnumerationBudget(FrozenRecord):
     """Cap on exhaustive sweep size (on the exact count for the string walk
-    and the ladder stream), plus a worker count that is checked and kept
-    for compatibility: every sweep runs on the calling thread."""
+    and the ladder stream)."""
 
-    _fields = ("max_subsets", "workers")
+    _fields = ("max_subsets",)
 
-    def __init__(self, max_subsets: int = DEFAULT_MAX_SUBSETS, workers: int = 1):
+    def __init__(self, max_subsets: int = DEFAULT_MAX_SUBSETS):
         if max_subsets < 1:
             raise InvalidParameterError(f"max_subsets must be >= 1, got {max_subsets}")
-        if workers < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {workers}")
         object.__setattr__(self, "max_subsets", max_subsets)
-        object.__setattr__(self, "workers", workers)
 
 
 def check_budget(required: int, budget: EnumerationBudget | None, what: str) -> None:
@@ -80,8 +76,8 @@ def iter_blocks(total: int, block_size: int = BLOCK_SIZE):
 
 def scan_blocks(total: int, block_fn, workers: int = 1, block_size: int = BLOCK_SIZE):
     """Yield block_fn(lo, hi) for consecutive blocks, in block order, each
-    run on the calling thread when it is asked for.  workers is accepted
-    and ignored: the int kernels hold the GIL, so threads cannot pay."""
+    run on the calling thread when it is asked for.  workers is unused; it
+    stays because perfbench/tracer.py calls this with four arguments."""
     for lo, hi in iter_blocks(total, block_size):
         yield block_fn(lo, hi)
 

@@ -151,7 +151,10 @@ def _budget_from(args) -> EnumerationBudget:
         except ValueError:
             raise InvalidParameterError(
                 f"DIGICON_MAX_SUBSETS must be an integer, got {env!r}") from None
-    return EnumerationBudget(DEFAULT_MAX_SUBSETS if cap is None else cap, args.workers)
+    budget = EnumerationBudget(DEFAULT_MAX_SUBSETS if cap is None else cap)
+    if args.workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {args.workers}")
+    return budget
 
 
 def _cmd_count(args) -> int:
@@ -202,20 +205,20 @@ def _format_lines(universe: int, fmt: str, masks):
     1-based plain form prints VertexSet(universe, mask): frag[j][byte] holds
     the joined labels of the set bits of byte j, and the low byte's
     fragments carry the left bracket.  A line is the low byte's fragment
-    before the joined fragments of mask >> 8.  Those line pieces are made
-    again only when the high part differs from the previous mask's, so an
-    ascending stream pays nothing per line and joins each high part once.
-    Once the stream goes down (the bijection's string order does), a high
-    part can come back, so from then on the pieces are kept in a dict and
-    looked up before joining; the dict is cleared at _JOINED_HIGH_PARTS
-    entries, so that it stays small."""
+    before the joined fragments of the nonzero bytes of mask >> 8.  Those
+    line pieces are made again only when the high part differs from the
+    previous mask's, so an ascending stream pays nothing per line and joins
+    each high part once.  Once the stream goes down (the bijection's string
+    order does), a high part can come back, so from then on the pieces are
+    kept in a dict and looked up before joining; the dict is cleared at
+    _JOINED_HIGH_PARTS entries, so that it stays small."""
     first, sep, left, right = (1, " ", "", "") if fmt == "plain" else (0, ", ", "[", "]")
     width = max(1, (universe + 7) // 8)
     frag = [[sep.join(str(8 * j + bit + first) for bit in range(8) if byte >> bit & 1)
              for byte in range(256)] for j in range(width)]
     low_frag = [left + text for text in frag[0]]
     high_frag = frag[1:]
-    join = sep.join
+    join, compress = sep.join, itertools.compress
     joined = None  # high part -> (tail, bare), from the stream's first descent on
     last = -1  # the previous mask's high part; tail and bare are its line pieces
     for mask in masks:
@@ -225,7 +228,8 @@ def _format_lines(universe: int, fmt: str, masks):
                 joined = {}
             pieces = joined and joined.get(high)
             if not pieces:
-                text = join(filter(None, map(getitem, high_frag, high.to_bytes(width - 1, "little"))))
+                data = high.to_bytes(width - 1, "little")
+                text = join(map(getitem, compress(high_frag, data), compress(data, data)))
                 pieces = (f"{sep}{text}{right}" if text else right, f"{left}{text}{right}")
                 if joined is not None:
                     if len(joined) == _JOINED_HIGH_PARTS:
@@ -427,7 +431,7 @@ def _cmd_oeis(args) -> int:
 
 def _add_budget(sub):
     sub.add_argument("--workers", type=int, default=1,
-                     help="accepted for compatibility (>= 1); every sweep runs on one thread")
+                     help="accepted (>= 1) and ignored: every sweep runs on one thread")
     sub.add_argument("--max-subsets", type=int, default=None,
                      help="cap on the subsets a sweep visits, or on the exact count for --method "
                           "bijection and the path-grid recurrence stream "

@@ -72,9 +72,8 @@ def enumerate_digitally_convex(g: Graph, budget: EnumerationBudget | None = None
     """Yield every digitally convex subset of g in increasing bitmask order.
 
     The sweep tests all 2^order subset codes a block at a time, one bit per
-    code; survivors are emitted in numeric order, so the stream is identical
-    for any worker count.  Raises a budget error (never truncates) when
-    2^order exceeds the cap.
+    code; survivors are emitted in numeric order.  Raises a budget error
+    (never truncates) when 2^order exceeds the cap.
     """
     for code in _convex_codes(g, budget):
         yield VertexSet(g.order, code)

@@ -164,7 +164,8 @@ def _block_chunks(k: int, n: int, trim: int = 0) -> Iterator[list[int]]:
                      << n - left, 3 - state) for length in lengths]
         return [(length, 0, 3 - state) for length in reversed(lengths)]
 
-    walk = walk_chunks(n // 2, n, steps, [True] * 4)
+    # a start's first step places two runs of >= k, so a step leaves <= n - 2k positions
+    walk = walk_chunks(max(0, min(n // 2, n - 2 * k)), n, steps, [True] * 4)
 
     def first_run(f, h):  # the chunks of the strings whose first run is f^h
         r = max(k - h, 0)

@@ -254,7 +254,8 @@ def test_criterion_09_maximal_independent_set_cross_check():
 
 
 def test_criterion_10_worker_determinism(capsys):
-    """Counts and enumerations are byte-identical for 1 and 8 workers."""
+    """Counts and enumerations are byte-identical for 1 and 8 workers, and
+    the library streams the bytes of the CLI."""
     bad = []
     streams = []
     for workers in ("1", "8"):
@@ -280,15 +281,13 @@ def test_criterion_10_worker_determinism(capsys):
         counts.append(out)
     if counts[0] != counts[1]:
         bad.append(("count-bytes",))
+    # the library, which takes no worker count, prints what the CLI does
     g = graph_power(make_cycle(19), 1)
-    texts = [
-        "\n".join(
-            set_to_json(s)
-            for s in enumerate_digitally_convex(g, EnumerationBudget(workers=w))
-        )
-        for w in (1, 8)
-    ]
-    if texts[0] != texts[1]:
-        bad.append(("library-bytes",))
+    sets = enumerate_digitally_convex(g, EnumerationBudget())
+    text = "".join(set_to_json(s) + "\n" for s in sets)
+    code = cli_main(["enumerate", "--family", "cycle", "--n", "19", "--format", "jsonl",
+                     "--workers", "8"])
+    if code != 0 or capsys.readouterr().out != text:
+        bad.append(("library-bytes", code))
     lines = streams[0].count("\n")
-    report(10, not bad, f"2^20 grid stream ({lines} sets) and C_19 stream byte-stable; failures: {bad or 'none'}")
+    report(10, not bad, f"2^20 grid stream ({lines} sets) and C_19 library stream byte-stable; failures: {bad or 'none'}")

@@ -226,6 +226,18 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err != ""
 
 
+@pytest.mark.parametrize("argv", [("count", "--family", "path", "--n", "3"),
+                                  ("enumerate", "--family", "path", "--n", "3"),
+                                  ("verify", "--suite", "grid-p2"), ("oeis",)],
+                         ids=["count", "enumerate", "verify", "oeis"])
+def test_workers_below_one_exit_2(capsys, argv):
+    # the CLI checks --workers, which reaches no library call, after the cap
+    assert run_cli(capsys, *argv, "--workers", "0") == (
+        2, "", "error: workers must be >= 1, got 0\n")
+    assert run_cli(capsys, *argv, "--max-subsets", "0", "--workers", "0") == (
+        2, "", "error: max_subsets must be >= 1, got 0\n")
+
+
 def test_unknown_family_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--family", "hypercube", "--n", "3"])
@@ -313,17 +325,23 @@ def test_line_format_matches_the_set_serialisers(case):
 
 def _stream_masks(universe: int, rng) -> list[int]:
     """Masks of the universe, ascending, with runs that share a high part
-    (mask >> 8), masks with an empty low byte or an empty high part, and
-    the empty and full sets."""
+    (mask >> 8), masks with an empty low byte or an empty high part, sparse
+    masks of one to three runs (mostly zero bytes, as at dense k), and the
+    empty and full sets."""
     full = (1 << universe) - 1
     picks = {0, full, full & 0xFF, full & ~0xFF, full & 0x81}
     for _ in range(40):
         mask = rng.getrandbits(max(universe, 1)) & full
         picks |= {mask, mask & ~0xFF, mask & 0xFF, mask ^ (1 & full), mask | (0xFF & full)}
+    for _ in range(40):
+        mask = 0
+        for _ in range(rng.randint(1, 3)):
+            mask |= (1 << rng.randint(1, universe // 20 + 1)) - 1 << rng.randrange(universe)
+        picks.add(mask & full)
     return sorted(picks)
 
 
-@pytest.mark.parametrize("universe", [*range(1, 18), 24, 26, 70])
+@pytest.mark.parametrize("universe", [*range(1, 18), 24, 26, 70, 3000])
 def test_line_format_streams_match_the_set_serialisers(universe):
     rng = random.Random(universe)
     ascending = _stream_masks(universe, rng)

@@ -214,6 +214,56 @@ def test_known_counts(g, expected):
     assert count_digitally_convex(g) == expected
 
 
+# --- the closed double cover ---
+
+
+def _closed_double_cover(g):
+    """D(g): two copies of V, with v in the first adjacent to u in the
+    second iff u is in N[v]."""
+    n = g.order
+    return Graph.from_edges(2 * n, [(v, n + u) for v in range(n) for u in range(n)
+                                    if g.closed_masks[v] >> u & 1])
+
+
+def _mis_count(g):
+    return kernels.count_flagged(g.order, kernels.mis_bits, lambda: g.closed_masks, None, "sets")
+
+
+def _is_bipartite(g):
+    side = {}
+    for root in range(g.order):
+        stack = [root] if root not in side else []
+        side.setdefault(root, 0)
+        while stack:
+            v = stack.pop()
+            for u in g.adjacency[v]:
+                if u not in side:
+                    side[u] = 1 - side[v]
+                    stack.append(u)
+                elif side[u] == side[v]:
+                    return False
+    return True
+
+
+def test_convex_sets_are_the_maximal_independent_sets_of_the_closed_double_cover():
+    # S is convex iff (S, V \ N[S]) is a maximal independent set of D(g);
+    # for a bipartite g, swapping the copies of one side maps D(g) onto g x P_2
+    rng = random.Random(2027)
+    bipartite = 0
+    for i in range(200):
+        g = random_graph(rng, rng.randint(1, 8), i % 11 / 10)
+        convex = count_digitally_convex(g)
+        assert _mis_count(_closed_double_cover(g)) == convex, g
+        if _is_bipartite(g):
+            bipartite += 1
+            assert _mis_count(cartesian_product(g, make_path(2))) == convex, g
+    assert bipartite > 50
+    # the product form fails off the bipartite graphs
+    for g, convex, product in ((make_cycle(7), 30, 28), (make_complete(4), 2, 12)):
+        assert count_digitally_convex(g) == _mis_count(_closed_double_cover(g)) == convex
+        assert _mis_count(cartesian_product(g, make_path(2))) == product
+
+
 # --- budgets ---
 
 
@@ -236,22 +286,21 @@ def test_default_budget_refuses_a_thirty_vertex_sweep():
 def test_budget_validation():
     with pytest.raises(InvalidParameterError):
         EnumerationBudget(max_subsets=0)
-    with pytest.raises(InvalidParameterError):
-        EnumerationBudget(workers=0)
+    # the budget holds the cap alone: worker counts stop at the CLI
+    with pytest.raises(TypeError):
+        EnumerationBudget(workers=2)
 
 
-# --- worker determinism ---
+# --- block determinism ---
 
 
-def test_workers_do_not_change_the_stream(monkeypatch):
+def test_small_blocks_do_not_change_the_stream(monkeypatch):
+    g = graph_power(make_cycle(12), 2)
+    whole = [s.mask for s in enumerate_digitally_convex(g)]
     real_iter = kernels.iter_blocks
     monkeypatch.setattr(
         kernels, "iter_blocks", lambda total, block_size=0: real_iter(total, 1 << 7)
     )
-    g = graph_power(make_cycle(12), 2)
-    lone = [s.mask for s in enumerate_digitally_convex(g, EnumerationBudget(workers=1))]
-    pooled = [
-        s.mask for s in enumerate_digitally_convex(g, EnumerationBudget(workers=4))
-    ]
-    assert lone == pooled
-    assert count_digitally_convex(g, EnumerationBudget(workers=4)) == len(lone)
+    budget = EnumerationBudget()
+    assert [s.mask for s in enumerate_digitally_convex(g, budget)] == whole
+    assert count_digitally_convex(g, budget) == len(whole) == 92

@@ -366,6 +366,19 @@ def test_dense_k_walk_streams_in_bounded_memory():
     assert peak < 2_000_000, peak
 
 
+def test_dense_k_first_mask_needs_no_rows_past_two_blocks():
+    # every block >= 2000 of 6000 positions: a start's first step leaves at
+    # most 6000 - 2 * 2000 positions, so no table is deeper (tabulating down
+    # to n // 2 took about 5 s and 259 MiB traced before the first mask)
+    peak = int(_fresh_python(
+        "import tracemalloc\n"
+        "from digicon.cyclic import _convex_set_codes\n"
+        "tracemalloc.start()\n"
+        "next(_convex_set_codes(1999, 6000))\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"))
+    assert peak < 16 << 20, peak
+
+
 def test_cycle_power_work_is_bounded_by_n_not_k():
     # at n = 5 only the two constant strings have every block >= k + 1, and
     # neither the count nor the walk's tables may grow with k (at k = 10^5
@@ -603,12 +616,11 @@ def test_string_maps_near_the_top_code_agree_with_the_oracles(n, k, back):
     assert _eroded(k, n, span) == [erode_by_rotations(n, k, c) for c in span]
 
 
-def test_set_codes_are_the_bijection_for_any_workers():
+def test_set_codes_are_the_bijection():
     for k in (1, 2, 3):
         for n in range(3, 13):
             expected = [convex_set_from_string(k, n, w).mask for w in enumerate_B(k + 1, n)]
-            for workers in (1, 3):
-                assert list(_convex_set_codes(k, n, EnumerationBudget(workers=workers))) == expected
+            assert list(_convex_set_codes(k, n, EnumerationBudget())) == expected
 
 
 def test_bijection_streams_are_the_same_for_any_workers(capsys):
@@ -621,9 +633,8 @@ def test_bijection_streams_are_the_same_for_any_workers(capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0].count("\n") == a_count(2, 20)
     assert outs[1] == outs[0] and outs[2] == outs[0]
-    for workers in (1, 4):
-        strings = [s.code for s in enumerate_B(3, 12, EnumerationBudget(workers=workers))]
-        assert strings == sorted(strings) and len(strings) == a_count(3, 12) == 92
+    strings = [s.code for s in enumerate_B(3, 12, EnumerationBudget())]
+    assert strings == sorted(strings) and len(strings) == a_count(3, 12) == 92
 
 
 def test_bijection_commutes_with_rotation():

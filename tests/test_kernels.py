@@ -147,17 +147,16 @@ def test_cross_masks_are_the_grid_closed_neighbourhoods():
         assert _cross_masks(n, m) == cartesian_product(make_path(n), make_path(m)).closed_masks
 
 
-def test_small_blocks_and_workers_keep_the_counts(monkeypatch):
+def test_small_blocks_keep_the_counts(monkeypatch):
     real_iter = kernels.iter_blocks
     monkeypatch.setattr(
         kernels, "iter_blocks", lambda total, block_size=0: real_iter(total, 1 << 7)
     )
     ring = graph_power(make_cycle(12), 2)
-    for workers in (1, 4):
-        budget = EnumerationBudget(workers=workers)
-        assert count_mis_grid3(3, 3, budget) == 66
-        assert count_digitally_convex(ring, budget) == 92
-        assert count_grid_via_arrays(3, 4, budget) == 244
+    budget = EnumerationBudget()
+    assert count_mis_grid3(3, 3, budget) == 66
+    assert count_digitally_convex(ring, budget) == 92
+    assert count_grid_via_arrays(3, 4, budget) == 244
 
 
 def test_scan_runs_a_bounded_window_ahead(monkeypatch):
@@ -305,15 +304,12 @@ def test_blocks_lie_inside_one_table_window():
     assert all(p.bit_length() == 1 << 16 for p in kernels.planes(16))
 
 
-def test_counts_over_several_blocks_are_the_same_for_any_workers():
+def test_counts_over_several_blocks():
     # 2^20 codes: sixteen blocks
     ring = graph_power(make_cycle(20), 2)
-    runs = []
-    for workers in (1, 2, 8):
-        budget = EnumerationBudget(workers=workers)
-        runs.append((count_grid_via_arrays(4, 5, budget), count_digitally_convex(ring, budget)))
-    assert runs[0] == (8706, a_count(3, 20))
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+    budget = EnumerationBudget()
+    assert count_grid_via_arrays(4, 5, budget) == 8706
+    assert count_digitally_convex(ring, budget) == a_count(3, 20)
 
 
 # --- the chunk walk, on automata that no route uses ---

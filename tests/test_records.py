@@ -27,8 +27,8 @@ FROZEN = [
      "VertexSet(universe=3, mask=5)"),
     (Graph(2, PATH_2, "P_2"), Graph(2, PATH_2), Graph(2, ((), ())), (2, PATH_2),
      "Graph(order=2, adjacency=((1,), (0,)), family='P_2')"),
-    (EnumerationBudget(1 << 26, 1), EnumerationBudget(), EnumerationBudget(5, 1), (1 << 26, 1),
-     "EnumerationBudget(max_subsets=67108864, workers=1)"),
+    (EnumerationBudget(1 << 26), EnumerationBudget(), EnumerationBudget(5), (1 << 26,),
+     "EnumerationBudget(max_subsets=67108864)"),
     (CyclicBinaryString((1, 0, 1)), CyclicBinaryString([1, 0, 1]), CyclicBinaryString((1, 1, 0)),
      ((1, 0, 1),), "CyclicBinaryString(bits=(1, 0, 1))"),
     (BlockProfile(((1, 2), (0, 1))), BlockProfile(runs=((1, 2), (0, 1))),
@@ -72,9 +72,8 @@ def test_record_defaults():
     assert VertexSet(4) == VertexSet(4, 0)
     assert VertexSet(4).mask == 0
     assert Graph(2, PATH_2).family is None
-    budget = EnumerationBudget()
-    assert (budget.max_subsets, budget.workers) == (1 << 26, 1)
-    assert EnumerationBudget(workers=2) == EnumerationBudget(1 << 26, 2)
+    assert EnumerationBudget().max_subsets == 1 << 26
+    assert EnumerationBudget._fields == ("max_subsets",)
 
 
 def test_graph_family_and_closed_masks_are_not_compared_or_shown():

@@ -9,8 +9,10 @@ The first form runs every invocation of the matrix in this process through
 ``src`` directory of this checkout), and writes to FILE, as JSON,
 ``{argv: [exit code, stdout sha256, last stderr line]}``.  The matrix is
 every family x method (and the default method) x format (and the default
-format) x ``--workers`` 1, 2 and 8, for ``count`` and ``enumerate``, at small
-sizes and at each parameter one below its least value; plus
+format), for ``count`` and ``enumerate``, at small sizes and at each
+parameter one below its least value; plus, per family, ``count`` and
+``enumerate`` at the first size with ``--workers`` 2, 8 and 0 (accepted and
+ignored, then a usage error); plus
 ``verify --suite all``, ``oeis`` and ``series``; plus each verify suite
 alone at bounds other than its defaults, ``verify --suite all`` under a
 budget of 1000 subsets, and ``oeis --max-cells 22``; plus single runs of
@@ -23,7 +25,9 @@ at 1, 2, 3, 4, 13 and 14 columns, and of the bijection streams of
 ``cycle-power --n 100 --k 20`` (54,352 sets, string codes past 62 bits),
 ``cycle-power --n 201 --k 99`` and ``cycle-power --n 300 --k 140`` (codes
 past 62 bits, a last run of ones merging into the first run and first
-runs walked as rotations) and ``cycle --n 24``, each in jsonl and plain.
+runs walked as rotations), ``cycle-power --n 100 --k 30`` and ``cycle-power
+--n 1000 --k 500`` (dense k, walk tables shallower than n // 2) and
+``cycle --n 24``, each in jsonl and plain.
 The sweep-size cap is the default one: ``DIGICON_MAX_SUBSETS`` is unset
 while the matrix runs.
 
@@ -85,9 +89,9 @@ def matrix() -> list[list[str]]:
     runs = []
     for family, methods in METHODS.items():
         flags = PARAMS.get(family, ("--n", "--m"))
-        for size, command, method, fmt, workers in itertools.product(
+        for size, command, method, fmt in itertools.product(
                 SIZES[family], ("count", "enumerate"), (None, *methods),
-                (None, "jsonl", "csv", "plain"), (1, 2, 8)):
+                (None, "jsonl", "csv", "plain")):
             argv = [command, "--family", family]
             for flag, value in zip(flags, size):
                 argv += [flag, str(value)]
@@ -95,7 +99,11 @@ def matrix() -> list[list[str]]:
                 argv += ["--method", method]
             if fmt:
                 argv += ["--format", fmt]
-            runs.append(argv + ["--workers", str(workers)])
+            runs.append(argv)
+        # --workers is accepted and ignored, and below 1 it exits 2
+        first = [arg for flag, value in zip(flags, SIZES[family][0]) for arg in (flag, str(value))]
+        for command, workers in itertools.product(("count", "enumerate"), (2, 8, 0)):
+            runs.append([command, "--family", family, *first, "--workers", str(workers)])
     runs.append(["verify", "--suite", "all"])
     runs.append(["oeis"])
     # each suite alone at bounds other than its defaults, a budget that one
@@ -113,8 +121,9 @@ def matrix() -> list[list[str]]:
     runs.append(["series", "--k", "1000000", "--terms", "3"])
     # ladder streams: 1, 2, 3 and 4 columns, where the prefix walk meets the
     # tables of the bottom n // 2 columns at once or after a step or two,
-    # and the 13- and 14-ladders (154,078 and 386,974 sets)
-    for n, fmt in itertools.product((1, 2, 3, 4, 13, 14), ("jsonl", "plain")):
+    # and the 13- and 14-ladders (154,078 and 386,974 sets); 3 columns is a
+    # path-grid size above
+    for n, fmt in itertools.product((1, 2, 4, 13, 14), ("jsonl", "plain")):
         runs.append(["enumerate", "--family", "path-grid", "--n", str(n), "--m", "2",
                      "--method", "recurrence", "--format", fmt])
     # bijection streams at the edges of its chunks and of the line widths:
@@ -123,7 +132,9 @@ def matrix() -> list[list[str]]:
     # first runs of each bit walked as rotations), blocks of 15 where four
     # just fit, codes past 32 bits, k >= n, a dense k, codes past 62 bits in
     # 13-byte masks, dense k past 62 bits with rotated first runs and merging
-    # last runs, and 103,684 strings of 24 positions
+    # last runs, dense k whose tables stop short of n // 2 (at 100 - 2 * 31
+    # positions) or hold only the empty ending (the two constant strings of
+    # 1000 positions), and 103,684 strings of 24 positions
     block_edges = [("cycle-power", "--n", str(n), "--k", "4") for n in (9, 10, 19, 20)]
     block_edges += [("cycle-power", "--n", str(n), "--k", "29") for n in (59, 60, 61)]
     block_edges.append(("cycle-power", "--n", "60", "--k", "14"))
@@ -131,7 +142,8 @@ def matrix() -> list[list[str]]:
             (*block_edges, ("cycle-power", "--n", "40", "--k", "6"),
              ("cycle-power", "--n", "5", "--k", "7"), ("cycle-power", "--n", "60", "--k", "25"),
              ("cycle-power", "--n", "100", "--k", "20"), ("cycle-power", "--n", "201", "--k", "99"),
-             ("cycle-power", "--n", "300", "--k", "140"), ("cycle", "--n", "24")),
+             ("cycle-power", "--n", "300", "--k", "140"), ("cycle-power", "--n", "100", "--k", "30"),
+             ("cycle-power", "--n", "1000", "--k", "500"), ("cycle", "--n", "24")),
             ("jsonl", "plain")):
         runs.append(["enumerate", "--family", *params, "--method", "bijection", "--format", fmt])
     return runs
