@@ -16,9 +16,9 @@ code of the block or in none, as lo says.  The grid arrays sweep is
 convex_bits on the grid's cross masks.  No sweep imports numpy: only the
 bool-vector views convex_flags and mis_flags do.
 
-A stream lists the words of an automaton with no sweep, on walk_chunks (one
-tabulation, then a walk per start): the cycle-power strings a run per step,
-the ladder's sets a column per step.
+A stream lists the words of an automaton with no sweep, on walk_chunks (a
+walk per start, on tables of endings built as the walks first read them):
+the cycle-power strings a run per step, the ladder's sets a column per step.
 """
 
 from __future__ import annotations
@@ -97,44 +97,47 @@ def iter_flagged(bits: int, kernel, masks, budget: EnumerationBudget | None, wha
         scan_blocks(1 << bits, lambda lo, hi: _set_bits(lo, kernel(closed, lo, hi))))
 
 
-def walk_chunks(top: int, reach: int, steps, accepting):
+def walk_chunks(top: int, steps, accepting):
     """walk(start): the words of an automaton from a (left, state, prefix)
     start, in walk order, in chunks (lists, each nonempty).
 
     steps(state, left) gives the (width, bits, after) triples of a state
     with left positions still to fill, top down, in walk order; bits is
-    placed for those positions and width is at most reach.  A word ends at
-    left = 0 in an accepting state.  Every ending of left <= top positions
-    is tabulated here, once for every walk, a row per left and a table per
-    state; a row is dropped once no later row or walk step can reach it,
-    so a start needs left > top - reach.  walk goes depth first on one
-    stack: a prefix that leaves left <= top positions yields its nonempty
-    table, or-ed with the prefix, as a chunk.
+    placed for those positions.  A word ends at left = 0 in an accepting
+    state.  The endings of left <= top positions are tabulated, a row per
+    left and a table per state, shared by every walk: a row is built from
+    the rows under it the first time a walk reads it, and then kept.  walk
+    goes depth first on one stack: a prefix that leaves left <= top
+    positions yields its nonempty table, or-ed with the prefix, as a chunk.
     """
     empty = []
     rows = [[[0] if ok else empty for ok in accepting]]
-    for left in range(1, top + 1):
-        row, shared = [], {}  # states with the same steps share one table
-        for state in range(len(accepting)):
-            step = tuple(steps(state, left))
-            if step not in shared:
-                shared[step] = [bits | rest if bits else rest for width, bits, after in step
-                                for rest in rows[left - width][after]] or empty
-            row.append(shared[step])
-        rows.append(row)
-        if left >= reach:
-            rows[left - reach] = None
+
+    def grow(top_row):  # build the missing rows through top_row, bottom up
+        for left in range(len(rows), top_row + 1):
+            row, shared = [], {}  # states with the same steps share one table
+            for state in range(len(accepting)):
+                step = tuple(steps(state, left))
+                if step not in shared:
+                    shared[step] = [bits | rest if bits else rest for width, bits, after in step
+                                    for rest in rows[left - width][after]] or empty
+                row.append(shared[step])
+            rows.append(row)
+        return len(rows) - 1
 
     def walk(start):
+        built = len(rows) - 1  # at most top, and refreshed only on growing
         stack = [start]
         while stack:
             left, state, prefix = stack.pop()
-            if left <= top:
-                if table := rows[left][state]:
-                    yield [prefix | rest for rest in table]
-            else:
-                stack += [(left - width, after, prefix | bits)
-                          for width, bits, after in reversed(steps(state, left))]
+            if left > built:  # so a read of a built row, the common case, costs one test
+                if left > top:
+                    stack += [(left - width, after, prefix | bits)
+                              for width, bits, after in reversed(steps(state, left))]
+                    continue
+                built = grow(left)
+            if table := rows[left][state]:
+                yield [prefix | rest for rest in table]
 
     return walk
 

@@ -2,9 +2,9 @@
 expansion, verification suites, and sequence-file comparison.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parameter error,
-3 enumeration budget exceeded.  Counts are always printed as decimal
-strings; enumeration uses JSON Lines by default.  All output is
-deterministic for a fixed request, regardless of --workers.
+3 enumeration budget exceeded or an answer too large to build.  Counts are
+always printed as decimal strings; enumeration uses JSON Lines by default.
+All output is deterministic for a fixed request, regardless of --workers.
 """
 
 from __future__ import annotations
@@ -408,8 +408,7 @@ def _cmd_verify(args) -> int:
             if value is not None and value < least:
                 raise InvalidParameterError(
                     f"suite {name} needs {flag} >= {least} to check anything, got {value}")
-    failures = 0
-    total = 0
+    failures = total = 0
     for name in chosen:
         for case, ok, detail in _SUITES[name][1](args, budget):
             total += 1
@@ -452,9 +451,7 @@ def _add_family_command(commands, name: str, handler, text: str):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="digicon",
-        description="Exact enumeration of digitally convex sets of graphs.",
-    )
+        prog="digicon", description="Exact enumeration of digitally convex sets of graphs.")
     commands = parser.add_subparsers(dest="command", required=True)
     _add_family_command(commands, "count", _cmd_count,
                         "count digitally convex sets of a graph family")
@@ -496,8 +493,8 @@ def main(argv=None) -> int:
         # buffered to devnull so that the final flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, OverflowError, MemoryError) as exc:  # too large to run
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except (InvalidParameterError, NotConvexError, NotMemberError, NotImageError,
             BfileParseError, EmptyOverlapError) as exc:

@@ -17,8 +17,8 @@ into the first.  A first run shorter than k is a rotation of one of
 length k, so only first runs >= k are walked, and how a string may end
 depends only on the positions left, the run bit and whether it is the
 first run's bit: the four states of a run automaton (_block_chunks), whose
-walk tabulates every ending of at most n // 2 positions and yields each
-prefix's table as a chunk, with no dead end.  The walk carries one int per
+walk yields each prefix's table of endings (of <= n // 2 positions, built
+when first read) as a chunk, with no dead end.  The walk carries one int per
 string, the position-ordered one (bit p holds position p); its code,
 position 0 at the top bit, is its reverse.  The walk places the convex sets
 too, a block of L ones at p as the vertices p..p+L-k-1 (_convex_set_codes).
@@ -164,8 +164,8 @@ def _block_chunks(k: int, n: int, trim: int = 0) -> Iterator[list[int]]:
                      << n - left, 3 - state) for length in lengths]
         return [(length, 0, 3 - state) for length in reversed(lengths)]
 
-    # a start's first step places two runs of >= k, so a step leaves <= n - 2k positions
-    walk = walk_chunks(max(0, min(n // 2, n - 2 * k)), n, steps, [True] * 4)
+    # a row past n - 2k serves only starts, which can step instead: a drain keeps none
+    walk = walk_chunks(max(0, min(n // 2, n - 2 * k)), steps, [True] * 4)
 
     def first_run(f, h):  # the chunks of the strings whose first run is f^h
         r = max(k - h, 0)

@@ -28,12 +28,12 @@ class BudgetExceededError(RuntimeError):
     """
 
     def __init__(self, required: int, limit: int, what: str = "subsets"):
+        from .sequences import _int_text  # here, as sequences imports this module
         self.required = required
         self.limit = limit
-        super().__init__(
-            f"needs {required} {what} but the budget allows {limit}; "
-            f"rerun with max_subsets >= {required}"
-        )
+        text = _int_text(required)  # a refused count may pass str(int)'s 4300-digit cap
+        super().__init__(f"needs {text} {what} but the budget allows {limit}; "
+                         f"rerun with max_subsets >= {text}")
 
 
 class BfileParseError(ValueError):

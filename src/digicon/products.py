@@ -9,8 +9,8 @@ on its own column and the two beside it, so the columns, read from the top
 (the most significant bits) down, drive a 24-state automaton (_ladder_step),
 every state of which can finish in any number of columns.  _ladder_chunks
 checks its count against the recurrence and walks it like the cycle-power
-strings, on walk_chunks: each prefix of the top columns yields the table
-of every way to finish the bottom n // 2 columns from its state as a chunk.
+strings, on walk_chunks: each prefix of the top columns yields as a chunk
+the table of the ways to finish the bottom columns, built when first read.
 
 The grid route rests on the fact that the distinct images of n x m binary
 arrays under the minimum-over-closed-neighbourhood transform are exactly the
@@ -219,20 +219,20 @@ def _ladder_chunks(n: int, budget: EnumerationBudget | None = None) -> Iterator[
     the words of n columns from the four start states must equal
     count_grid_p2(n), an independent check of the paper's recurrence; both
     checks come before the first mask.  Every state can finish, and
-    walk_chunks streams the words, lowest letter first, with every way to
-    finish the bottom n // 2 columns tabulated per state.
+    walk_chunks streams the words, lowest letter first, with the ways to
+    finish d <= n // 2 columns tabulated per state when first read.
     """
-    check_budget(count_grid_p2(n), budget, "sets")  # count_grid_p2 checks n >= 1
+    check_budget(count := count_grid_p2(n), budget, "sets")  # count_grid_p2 checks n >= 1
     steps, accepting = _ladder_automaton()
     counts = [int(ok) for ok in accepting]
     for _ in range(1, n):
         counts = [sum(counts[after] for _, after in row) for row in steps]
-    if sum(counts[:4]) != count_grid_p2(n):
+    if sum(counts[:4]) != count:
         raise AssertionError(f"column automaton disagrees with the recurrence at n={n}")
     # the steps with d columns left, each letter placed in column d - 1
     placed = [None] + [[[(1, letter << 2 * d - 2, after) for letter, after in row]
                         for row in steps] for d in range(1, n)]
-    walk = walk_chunks(n // 2, 1, lambda state, d: placed[d][state], accepting)
+    walk = walk_chunks(n // 2, lambda state, d: placed[d][state], accepting)
     return chain.from_iterable(map(walk, [(n - 1, x, x << 2 * n - 2) for x in range(4)]))
 
 

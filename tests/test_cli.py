@@ -888,6 +888,38 @@ def test_budget_exceeded_exits_3(capsys):
     assert "1073741824" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--family", "path-grid", "--n", "20000", "--m", "2", "--method", "recurrence"),
+    ("enumerate", "--family", "cycle", "--n", "30000", "--method", "bijection"),
+    ("count", "--family", "cycle-power", "--n", "30000", "--k", "1", "--method", "bijection"),
+])
+def test_a_refused_count_past_4300_digits_exits_3(capsys, argv):
+    # str(int) refuses these counts; the message prints them in full
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: needs ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    required = err.split()[2]
+    assert required.isdigit() and len(required) > 4300
+    assert err.endswith(f"rerun with max_subsets >= {required}\n")
+
+
+def test_an_answer_too_large_to_build_exits_3(capsys, monkeypatch):
+    # 2^(10^20) has too many digits for an int: OverflowError
+    code, out, err = run_cli(capsys, "count", "--family", "complete-product",
+                             "--n", "100000000000000000000", "--m", "2")
+    assert (code, out, err) == (3, "", "error: too many digits in integer\n")
+
+    # a MemoryError, raised here rather than provoked: an answer that does
+    # fit in an int could still take gigabytes
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(digicon.cli, "count_complete_product", no_memory)
+    code, out, err = run_cli(capsys, "count", "--family", "complete-product", "--n", "3", "--m", "2")
+    assert (code, out, err) == (3, "", "error: MemoryError\n")
+
+
 # parameters of each family's graph at a given order: n, or n x m
 def _order_params(family: str, order: int) -> tuple[str, ...]:
     if family in ("complete-product", "path-grid"):

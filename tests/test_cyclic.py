@@ -366,17 +366,20 @@ def test_dense_k_walk_streams_in_bounded_memory():
     assert peak < 2_000_000, peak
 
 
-def test_dense_k_first_mask_needs_no_rows_past_two_blocks():
-    # every block >= 2000 of 6000 positions: a start's first step leaves at
-    # most 6000 - 2 * 2000 positions, so no table is deeper (tabulating down
-    # to n // 2 took about 5 s and 259 MiB traced before the first mask)
+@pytest.mark.parametrize("k", [1999, 1499])
+def test_dense_k_first_mask_builds_only_the_rows_it_reads(k):
+    # every block >= k + 1 of 6000 positions: the first string's first run
+    # leaves k + 1 positions, so its walk reads the tables there and builds
+    # no deeper row (tabulating every row up to 6000 - 2(k + 1) before the
+    # first mask took 2.8 MiB traced at k = 1999, and about 3 s and 658 MB
+    # max RSS at k = 1499)
     peak = int(_fresh_python(
         "import tracemalloc\n"
         "from digicon.cyclic import _convex_set_codes\n"
         "tracemalloc.start()\n"
-        "next(_convex_set_codes(1999, 6000))\n"
+        f"next(_convex_set_codes({k}, 6000))\n"
         "print(tracemalloc.get_traced_memory()[1])\n"))
-    assert peak < 16 << 20, peak
+    assert peak < 4 << 20, peak
 
 
 def test_cycle_power_work_is_bounded_by_n_not_k():

@@ -245,6 +245,12 @@ def test_every_sweep_checks_the_width_then_the_budget_before_any_block(
     assert "rerun with max_subsets >= 64" in capsys.readouterr().err
 
 
+def test_a_budget_error_prints_a_count_past_the_digit_cap():
+    # str(int) stops at 4300 digits; a refused count can be longer
+    text, digits = str(BudgetExceededError(10**5000, 1, what="sets")), "1" + "0" * 5000
+    assert text == f"needs {digits} sets but the budget allows 1; rerun with max_subsets >= {digits}"
+
+
 def test_arrays_are_capped_at_the_swept_bits_like_bruteforce(capsys):
     # 6 x 9 arrays are 54-bit codes: within the width cap, past the budget
     for method in ("arrays", "bruteforce"):
@@ -315,15 +321,15 @@ def test_counts_over_several_blocks():
 # --- the chunk walk, on automata that no route uses ---
 
 
-def _no_adjacent_ones(n):
+def _no_adjacent_ones():
     """One position per step, the top one first: state 1 follows a one."""
     def steps(state, left):
         return [(1, 0, 0)] + ([(1, 1 << left - 1, 1)] if state == 0 else [])
 
-    return 1, steps, [True, True], [(n, 0, 0)]
+    return steps, [True, True], 0
 
 
-def _runs_of_three(n):
+def _runs_of_three():
     """One run of 3 or more per step, read as a plain (not cyclic) string:
     state b starts a run of b, state 2 the first run, of either bit."""
     def steps(state, left):
@@ -332,7 +338,7 @@ def _runs_of_three(n):
                 for length in range(3, left + 1)] if state != 0 else []
         return zeros + ones  # ascending: 0-runs longest first, 1-runs shortest first
 
-    return n, steps, [True] * 3, [(n, 2, 0)]
+    return steps, [True] * 3, 2
 
 
 def _runs_at_least_three(n, code):
@@ -345,14 +351,35 @@ def _runs_at_least_three(n, code):
 ])
 def test_walk_chunks_is_the_filter(automaton, keep):
     # every table depth from none to the whole word, steps of one position
-    # and of many; the filter ascends, so the stream must too, and one
-    # walker's tables serve every walk, the same start twice included
+    # and of many; the filter ascends, so the stream must too.  One walker's
+    # tables serve every walk: a start inside the tables (left <= top) comes
+    # first, then the whole word twice, which grows the tables it began
+    steps, accepting, state = automaton()
     for n in range(1, 17):
-        expected = [code for code in range(1 << n) if keep(n, code)]
-        reach, steps, accepting, starts = automaton(n)
         for top in {0, n // 2, n}:
-            walk = kernels.walk_chunks(top, reach, steps, accepting)
-            for _ in range(2):
-                chunks = list(itertools.chain.from_iterable(map(walk, starts)))
-                assert all(chunks), (n, top)  # no empty chunk
-                assert list(itertools.chain.from_iterable(chunks)) == expected, (n, top)
+            walk = kernels.walk_chunks(top, steps, accepting)
+            for left in ([top // 2] if top > 1 else []) + [n, n]:
+                expected = [code for code in range(1 << left) if keep(left, code)]
+                chunks = list(walk((left, state, 0)))
+                assert all(chunks), (n, top, left)  # no empty chunk
+                assert list(itertools.chain.from_iterable(chunks)) == expected, (n, top, left)
+
+
+def test_walk_chunks_builds_a_row_when_first_read_and_keeps_it():
+    # the tables may reach 16 positions, but a walk that reads them at
+    # left = 3 builds rows 1..3 only, each state's steps asked once; a
+    # second read of row 3 builds nothing, and a read of row 5 adds 4 and 5
+    steps, accepting, state = _no_adjacent_ones()
+    asked = []
+
+    def counted(state, left):
+        asked.append(left)
+        return steps(state, left)
+
+    walk = kernels.walk_chunks(16, counted, accepting)
+    assert asked == []  # nothing is built on the call
+    assert list(walk((3, state, 0))) == [[0b000, 0b001, 0b010, 0b100, 0b101]]
+    assert sorted(asked) == [1, 1, 2, 2, 3, 3]
+    assert list(walk((3, state, 0))) == [[0b000, 0b001, 0b010, 0b100, 0b101]]
+    assert len(next(walk((5, state, 0)))) == 13
+    assert sorted(asked) == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]

@@ -26,8 +26,10 @@ at 1, 2, 3, 4, 13 and 14 columns, and of the bijection streams of
 ``cycle-power --n 201 --k 99`` and ``cycle-power --n 300 --k 140`` (codes
 past 62 bits, a last run of ones merging into the first run and first
 runs walked as rotations), ``cycle-power --n 100 --k 30`` and ``cycle-power
---n 1000 --k 500`` (dense k, walk tables shallower than n // 2) and
-``cycle --n 24``, each in jsonl and plain.
+--n 1000 --k 500`` (dense k, walk tables shallower than n // 2),
+``cycle-power --n 200 --k 54`` (18,202 sets, blocks of 55, between n / 4
+and n / 3, where each shorter first run reads a deeper row of the walk
+tables, built then) and ``cycle --n 24``, each in jsonl and plain.
 The sweep-size cap is the default one: ``DIGICON_MAX_SUBSETS`` is unset
 while the matrix runs.
 
@@ -134,7 +136,9 @@ def matrix() -> list[list[str]]:
     # 13-byte masks, dense k past 62 bits with rotated first runs and merging
     # last runs, dense k whose tables stop short of n // 2 (at 100 - 2 * 31
     # positions) or hold only the empty ending (the two constant strings of
-    # 1000 positions), and 103,684 strings of 24 positions
+    # 1000 positions), blocks of 55 between n / 4 and n / 3 of 200 positions,
+    # where each shorter first run reads a deeper row of the tables, built
+    # then, and 103,684 strings of 24 positions
     block_edges = [("cycle-power", "--n", str(n), "--k", "4") for n in (9, 10, 19, 20)]
     block_edges += [("cycle-power", "--n", str(n), "--k", "29") for n in (59, 60, 61)]
     block_edges.append(("cycle-power", "--n", "60", "--k", "14"))
@@ -143,7 +147,8 @@ def matrix() -> list[list[str]]:
              ("cycle-power", "--n", "5", "--k", "7"), ("cycle-power", "--n", "60", "--k", "25"),
              ("cycle-power", "--n", "100", "--k", "20"), ("cycle-power", "--n", "201", "--k", "99"),
              ("cycle-power", "--n", "300", "--k", "140"), ("cycle-power", "--n", "100", "--k", "30"),
-             ("cycle-power", "--n", "1000", "--k", "500"), ("cycle", "--n", "24")),
+             ("cycle-power", "--n", "1000", "--k", "500"), ("cycle-power", "--n", "200", "--k", "54"),
+             ("cycle", "--n", "24")),
             ("jsonl", "plain")):
         runs.append(["enumerate", "--family", *params, "--method", "bijection", "--format", fmt])
     return runs
