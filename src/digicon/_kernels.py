@@ -19,6 +19,9 @@ bool-vector views convex_flags and mis_flags do.
 A stream lists the words of an automaton with no sweep, on walk_chunks (a
 walk per start, on tables of endings built as the walks first read them):
 the cycle-power strings a run per step, the ladder's sets a column per step.
+Sweeps and walks stream chunks (prefix, table), the sets prefix | rest for
+rest in the nonempty list table, each prefix bit below or above every bit of
+the table's entries; chunk_masks flattens them.
 """
 
 from __future__ import annotations
@@ -90,16 +93,22 @@ def count_flagged(bits: int, kernel, masks, budget: EnumerationBudget | None, wh
 
 
 def iter_flagged(bits: int, kernel, masks, budget: EnumerationBudget | None, what: str):
-    """The codes below 2^bits that kernel(masks(), lo, hi) marks, ascending;
-    checked and built like count_flagged on the call, not on the first code."""
+    """The codes below 2^bits that kernel(masks(), lo, hi) marks, ascending,
+    as a chunk (lo, offsets) per block, the codes lo | offset; checked and
+    built like count_flagged on the call, not on the first code."""
     closed = _checked_masks(bits, masks, budget, what)
-    return itertools.chain.from_iterable(
-        scan_blocks(1 << bits, lambda lo, hi: _set_bits(lo, kernel(closed, lo, hi))))
+    chunks = scan_blocks(1 << bits, lambda lo, hi: (lo, _set_bits(kernel(closed, lo, hi))))
+    return (chunk for chunk in chunks if chunk[1])
+
+
+def chunk_masks(chunks):
+    """The masks of a stream of chunks (prefix, table), in order."""
+    return itertools.chain.from_iterable([p | rest for rest in t] if p else t for p, t in chunks)
 
 
 def walk_chunks(top: int, steps, accepting):
     """walk(start): the words of an automaton from a (left, state, prefix)
-    start, in walk order, in chunks (lists, each nonempty).
+    start, in walk order, in chunks (prefix, table), each table nonempty.
 
     steps(state, left) gives the (width, bits, after) triples of a state
     with left positions still to fill, top down, in walk order; bits is
@@ -108,7 +117,7 @@ def walk_chunks(top: int, steps, accepting):
     left and a table per state, shared by every walk: a row is built from
     the rows under it the first time a walk reads it, and then kept.  walk
     goes depth first on one stack: a prefix that leaves left <= top
-    positions yields its nonempty table, or-ed with the prefix, as a chunk.
+    positions yields itself and its nonempty table, the kept row itself.
     """
     empty = []
     rows = [[[0] if ok else empty for ok in accepting]]
@@ -137,7 +146,7 @@ def walk_chunks(top: int, steps, accepting):
                     continue
                 built = grow(left)
             if table := rows[left][state]:
-                yield [prefix | rest for rest in table]
+                yield prefix, table
 
     return walk
 
@@ -148,10 +157,10 @@ def _byte_bits() -> tuple:
     return tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
 
 
-def _set_bits(lo: int, flags: int) -> list[int]:
-    """lo + i for each set bit i of flags, ascending; only nonzero bytes are visited."""
+def _set_bits(flags: int) -> list[int]:
+    """Each set bit i of flags, ascending; only nonzero bytes are visited."""
     data, table = flags.to_bytes((flags.bit_length() + 7) // 8, "little"), _byte_bits()
-    return [lo + (j << 3) + i for j in itertools.compress(range(len(data)), data)
+    return [(j << 3) + i for j in itertools.compress(range(len(data)), data)
             for i in table[data[j]]]
 
 

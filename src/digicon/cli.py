@@ -10,17 +10,18 @@ All output is deterministic for a fixed request, regardless of --workers.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
+import operator
 import os
 import sys
-from operator import getitem
 
-from ._kernels import (DEFAULT_MAX_SUBSETS, EnumerationBudget, check_budget, convex_bits,
-                       count_flagged, iter_flagged)
+from ._kernels import (DEFAULT_MAX_SUBSETS, EnumerationBudget, _byte_bits, check_budget,
+                       chunk_masks, convex_bits, count_flagged, iter_flagged)
 from .cyclic import (
     _block_chunks,
     _blocks_ok,
-    _convex_set_codes,
+    _convex_set_chunks,
     _dilated,
     _eroded,
     _series_fraction,
@@ -60,8 +61,8 @@ def _sweep(graph, order=lambda n, **_: n):
 
 
 def _streamed(enumerate_route):
-    """Count and enumerate routes where the count is the length of the stream."""
-    return (lambda budget, **p: sum(1 for _ in enumerate_route(budget, **p)[1]), enumerate_route)
+    """Count and enumerate routes where the count is the sum of the stream's table lengths."""
+    return (lambda budget, **p: sum(len(t) for _, t in enumerate_route(budget, **p)[1]), enumerate_route)
 
 
 def _cycle_graph(n: int, k: int | None = None):
@@ -77,21 +78,21 @@ def _ladder_length(n: int, m: int) -> int:
 # family -> ({parameter: least value}, {method: (count route, enumerate route or None)}).
 # The least values are checked before any route runs.  The first method is
 # the count default; enumerate defaults to bruteforce.  An enumerate route
-# returns the universe and a stream of set bitmasks.  Routes look library
-# functions up when called, never at import, so a function rebound on its
-# module (by a profiler, say) is the one that runs.
+# returns the universe and a stream of chunks (prefix, table) of set bitmasks.
+# Routes look library functions up when called, never at import, so a
+# function rebound on its module (by a profiler, say) is the one that runs.
 FAMILIES = {
     "path": ({"n": 1}, {
         "bruteforce": _sweep(lambda n: make_path(n)),
         # with the row-major cell order, an image code is its convex set's bitmask
         "arrays": (lambda budget, n: count_grid_via_arrays(n, 1, budget),
-                   lambda budget, n: (n, _image_codes(n, 1, budget))),
+                   lambda budget, n: (n, [(0, _image_codes(n, 1, budget))])),
     }),
     "cycle": ({"n": 3}, {
         "recurrence": (lambda budget, n: count_cycle_power(1, n), None),
         "bruteforce": _sweep(_cycle_graph),
         # the block-string bijection: strings with blocks >= 2 <-> convex sets of C_n
-        "bijection": _streamed(lambda budget, n: (n, _convex_set_codes(1, n, budget))),
+        "bijection": _streamed(lambda budget, n: (n, _convex_set_chunks(1, n, budget))),
     }),
     "complete": ({"n": 1}, {
         # N[S] is every vertex for nonempty S, so only the empty and full sets are convex
@@ -101,7 +102,7 @@ FAMILIES = {
     "cycle-power": ({"n": 3, "k": 1}, {
         "recurrence": (lambda budget, n, k: count_cycle_power(k, n), None),
         "bruteforce": _sweep(_cycle_graph),
-        "bijection": _streamed(lambda budget, n, k: (n, _convex_set_codes(k, n, budget))),
+        "bijection": _streamed(lambda budget, n, k: (n, _convex_set_chunks(k, n, budget))),
     }),
     "complete-product": ({"n": 1, "m": 1}, {
         "formula": (lambda budget, n, m: count_complete_product(n, m), None),
@@ -110,12 +111,11 @@ FAMILIES = {
     }),
     "path-grid": ({"n": 1, "m": 1}, {
         "arrays": (lambda budget, n, m: count_grid_via_arrays(n, m, budget),
-                   lambda budget, n, m: (n * m, _image_codes(n, m, budget))),
+                   lambda budget, n, m: (n * m, [(0, _image_codes(n, m, budget))])),
         "bruteforce": _sweep(lambda n, m: cartesian_product(make_path(n), make_path(m)),
                              lambda n, m: n * m),
         "recurrence": (lambda budget, n, m: count_grid_p2(_ladder_length(n, m)),
-                       lambda budget, n, m: (2 * n, itertools.chain.from_iterable(
-                           _ladder_chunks(_ladder_length(n, m), budget)))),
+                       lambda budget, n, m: (2 * n, _ladder_chunks(_ladder_length(n, m), budget))),
     }),
 }
 
@@ -177,76 +177,105 @@ def _cmd_count(args) -> int:
 # stream's first line goes out no later than with one print per line, and a
 # batch of long lines (big coefficients) holds no more than that
 _BATCH_CHARS = 8192
-# lines in a stream's first batch
-_BATCH_LINES = 256
-# high parts whose line pieces a stream keeps at once: about 1.6 MB for sets of 100 vertices
-_JOINED_HIGH_PARTS = 4096
+# lines per text of a chunk's lines, and table entries a stream keeps at
+# once (the 14-ladder's 11 tables hold 5,008)
+_BATCH_LINES, _KEPT_ENTRIES = 256, 1 << 13
 
 
-def _batches(items, sep: str):
-    """A stream of strings joined by sep in batches of about _BATCH_CHARS
-    characters: the first batch has _BATCH_LINES items, and each later one
-    as many as the mean length of the one before fits in _BATCH_CHARS."""
-    size = _BATCH_LINES
-    while batch := list(itertools.islice(items, size)):
-        text = sep.join(batch)
-        yield text
-        size = _BATCH_CHARS * len(batch) // (len(text) + 1) + 1
+def _batches(texts, sep: str):
+    """A stream of strings joined by sep in batches of about _BATCH_CHARS characters."""
+    batch, size = [], 0
+    for text in texts:
+        batch.append(text)
+        if (size := size + len(text)) >= _BATCH_CHARS:
+            yield sep.join(batch)
+            batch, size = [], 0
+    if batch:
+        yield sep.join(batch)
 
 
 def _print_lines(lines) -> None:
-    """Print a stream of lines, a batch of them per print."""
+    """Print a stream of lines, or of texts of several lines, a batch of them per print."""
     for text in _batches(lines, "\n"):
         print(text)
 
 
-def _format_lines(universe: int, fmt: str, masks):
-    """The lines of a stream of masks, each as set_to_json (jsonl) or the
-    1-based plain form prints VertexSet(universe, mask): frag[j][byte] holds
-    the joined labels of the set bits of byte j, and the low byte's
-    fragments carry the left bracket.  A line is the low byte's fragment
-    before the joined fragments of the nonzero bytes of mask >> 8.  Those
-    line pieces are made again only when the high part differs from the
-    previous mask's, so an ascending stream pays nothing per line and joins
-    each high part once.  Once the stream goes down (the bijection's string
-    order does), a high part can come back, so from then on the pieces are
-    kept in a dict and looked up before joining; the dict is cleared at
-    _JOINED_HIGH_PARTS entries, so that it stays small."""
+def _format_lines(universe: int, fmt: str, chunks):
+    """The lines of VertexSet(universe, prefix | rest) for rest in table, for
+    each chunk (prefix, table), as set_to_json (jsonl) or 1-based (plain), in
+    texts of up to _BATCH_LINES lines.  An entry's text is its low byte's
+    fragment and its higher bytes' joined fragments, joined again only when
+    those change.  The prefix's bits lie below the table's, above them or
+    both, so a chunk's lines are its entries' texts joined with the prefix's.
+    A table's first read keeps the table (so its id stays its own), a second
+    its texts, until the tables kept hold _KEPT_ENTRIES entries."""
     first, sep, left, right = (1, " ", "", "") if fmt == "plain" else (0, ", ", "[", "]")
-    width = max(1, (universe + 7) // 8)
-    frag = [[sep.join(str(8 * j + bit + first) for bit in range(8) if byte >> bit & 1)
-             for byte in range(256)] for j in range(width)]
-    low_frag = [left + text for text in frag[0]]
-    high_frag = frag[1:]
-    join, compress = sep.join, itertools.compress
-    joined = None  # high part -> (tail, bare), from the stream's first descent on
-    last = -1  # the previous mask's high part; tail and bare are its line pieces
-    for mask in masks:
-        high = mask >> 8
-        if high != last:
-            if high < last and joined is None:
-                joined = {}
-            pieces = joined and joined.get(high)
-            if not pieces:
-                data = high.to_bytes(width - 1, "little")
-                text = join(map(getitem, compress(high_frag, data), compress(data, data)))
-                pieces = (f"{sep}{text}{right}" if text else right, f"{left}{text}{right}")
-                if joined is not None:
-                    if len(joined) == _JOINED_HIGH_PARTS:
-                        joined.clear()
-                    joined[high] = pieces
-            tail, bare = pieces
-            last = high
-        low = mask & 255
-        yield low_frag[low] + tail if low else bare
+    join, compress, getitem, bits = sep.join, itertools.compress, operator.getitem, _byte_bits()
+
+    class Fragments(dict):  # byte -> the joined labels of its set bits from base, made on first use
+        def __init__(self, base):
+            self.base = base
+
+        def __missing__(self, byte):
+            text = self[byte] = join(str(self.base + i) for i in bits[byte])
+            return text
+
+    frag = [Fragments(8 * j + first) for j in range(max(1, (universe + 7) // 8))]
+    kept, held = {}, 0  # id(table) -> [table, its texts once read twice]; their entries
+
+    def labels(mask, frag=frag):  # the joined labels of mask, bit 0 at frag[0]
+        if mask < 256:
+            return frag[0][mask] if mask else ""
+        data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        return join(map(getitem, compress(frag, data), compress(data, data)))
+
+    def texts(table, skip):  # runs of entry texts, the empty entry's None; skip bytes are 0
+        low_frag, high_frag, last = frag[skip], frag[skip + 1:], -1
+        for i in range(0, len(table), _BATCH_LINES):
+            run, part = [], table[i:i + _BATCH_LINES]
+            for rest in [rest >> 8 * skip for rest in part] if skip else part:
+                if rest >> 8 != last:
+                    last = rest >> 8
+                    text = labels(last, high_frag)
+                    tail = sep + text if text else ""
+                if low := rest & 255:
+                    run.append(low_frag[low] + tail)
+                elif rest:
+                    run.append(text)
+                else:  # the empty entry: a run of its own
+                    yield from (run, None) if run else (None,)
+                    run = []
+            if run:
+                yield run
+
+    for prefix, table in chunks:
+        if len(table) == 1:
+            yield left + labels(prefix | table[0]) + right
+            continue
+        low = table[0] or table[1]  # the prefix's bits below it are below every entry
+        if not low & 255:  # the entries' lowest bit, under which texts skip whole bytes
+            low = functools.reduce(operator.or_, table)
+        low, skip = (low & -low) - 1, (low & -low or 1).bit_length() - 1 >> 3  # -1, 0 if all 0
+        if (got := kept.get(id(table))) is None:
+            if held > _KEPT_ENTRIES:
+                kept, held = {}, 0
+            held += len(table)
+            got = kept[id(table)] = [table, None]
+        elif got[1] is None:  # equal texts of other tables are kept once
+            got[1] = [run and [*map(sys.intern, run)] for run in texts(table, skip)]
+        under, over = labels(prefix & low), labels(prefix & ~low)
+        pre, post = f"{left}{under}{sep}" if under else left, f"{sep}{over}{right}" if over else right
+        glue = f"{post}\n{pre}"
+        for run in got[1] or texts(table, skip):
+            yield f"{pre}{glue.join(run)}{post}" if run else left + join(filter(None, (under, over))) + right
 
 
 def _cmd_enumerate(args) -> int:
-    params, _, enumerate_masks = _route(args, "enumerate")
+    params, _, enumerate_chunks = _route(args, "enumerate")
     if args.format == "csv":
         raise InvalidParameterError("enumerate emits jsonl or plain, not csv")
-    universe, masks = enumerate_masks(_budget_from(args), **params)
-    _print_lines(_format_lines(universe, args.format, masks))
+    universe, chunks = enumerate_chunks(_budget_from(args), **params)
+    _print_lines(_format_lines(universe, args.format, chunks))
     return 0
 
 
@@ -279,8 +308,8 @@ def _run(command: str, family: str, method: str | None, budget, **params):
     """What `count` or `enumerate` (command) gives for the family by method
     (None: the count default): a count, or the list of set bitmasks."""
     methods = FAMILIES[family][1]
-    count, enumerate_masks = methods[method or next(iter(methods))]
-    return count(budget, **params) if command == "count" else list(enumerate_masks(budget, **params)[1])
+    count, stream = methods[method or next(iter(methods))]
+    return count(budget, **params) if command == "count" else list(chunk_masks(stream(budget, **params)[1]))
 
 
 def _case(label: str, values: dict, *checks: tuple[bool, str]) -> tuple:
@@ -297,7 +326,7 @@ def _walked(k: int, n: int, budget) -> int:
     """The number of strings the walk of enumerate_B(k, n) yields, under the
     same budget, with no string built."""
     check_budget(a_count(k, n), budget, "strings")
-    return sum(map(len, _block_chunks(k, n)))
+    return sum(len(table) for _, table in _block_chunks(k, n))
 
 
 def _suite_cyclic_strings(max_k: int, max_n: int, budget) -> list:

@@ -84,8 +84,8 @@ def _convex_codes(g: Graph, budget: EnumerationBudget | None = None) -> Iterator
 
     The budget is checked on the call, before the first code is asked for.
     """
-    return _kernels.iter_flagged(g.order, _kernels.convex_bits, lambda: g.closed_masks,
-                                 budget, "subsets")
+    return _kernels.chunk_masks(_kernels.iter_flagged(
+        g.order, _kernels.convex_bits, lambda: g.closed_masks, budget, "subsets"))
 
 
 def count_digitally_convex(g: Graph, budget: EnumerationBudget | None = None) -> int:

@@ -17,11 +17,12 @@ into the first.  A first run shorter than k is a rotation of one of
 length k, so only first runs >= k are walked, and how a string may end
 depends only on the positions left, the run bit and whether it is the
 first run's bit: the four states of a run automaton (_block_chunks), whose
-walk yields each prefix's table of endings (of <= n // 2 positions, built
-when first read) as a chunk, with no dead end.  The walk carries one int per
-string, the position-ordered one (bit p holds position p); its code,
-position 0 at the top bit, is its reverse.  The walk places the convex sets
-too, a block of L ones at p as the vertices p..p+L-k-1 (_convex_set_codes).
+walk yields a chunk (prefix, table) per prefix, its table of endings (of
+<= n // 2 positions) built when first read and shared, with no dead end.
+The walk carries one int per string, the position-ordered one (bit p holds
+position p); its code, position 0 at the top bit, is its reverse.  The walk
+places the convex sets too, a block of L ones at p as the vertices
+p..p+L-k-1 (_convex_set_chunks).
 
 Window passes map single strings to sets and back (_eroded, _dilated)
 and test the blocks (_blocks_ok): the opening of a string's ones by a
@@ -36,7 +37,7 @@ from collections.abc import Iterator
 from itertools import chain, starmap
 from math import comb
 
-from ._kernels import EnumerationBudget, check_budget, walk_chunks
+from ._kernels import EnumerationBudget, check_budget, chunk_masks, walk_chunks
 from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotMemberError
 from .graphs import VertexSet
 from .sequences import LinearRecurrence, PowerSeries, _long_division, eval_recurrence
@@ -135,27 +136,28 @@ def enumerate_B(k: int, n: int, budget: EnumerationBudget | None = None) -> Iter
     The strings are read off the position-ordered ints of _block_chunks.
     """
     check_budget(a_count(k, n), budget, "strings")
-    for rev in chain.from_iterable(_block_chunks(k, n)):
+    for rev in chunk_masks(_block_chunks(k, n)):
         yield CyclicBinaryString(tuple(rev >> i & 1 for i in range(n)))
 
 
-def _block_chunks(k: int, n: int, trim: int = 0) -> Iterator[list[int]]:
+def _block_chunks(k: int, n: int, trim: int = 0) -> Iterator[tuple]:
     """Each length-n string whose cyclic blocks are all >= k, as the int
-    whose bit p is position p, in lists (chunks), each nonempty.  Flattened,
-    the chunks are the members of enumerate_B(k, n) in its order: increasing
+    whose bit p is position p, in chunks (prefix, table).  Flattened, the
+    chunks are the members of enumerate_B(k, n) in its order: increasing
     code order, position 0 at the top bit.  A block of L ones at p places
     bits p..p+L-trim-1, with trim = k - 1 the string's convex set.
 
     A string is a first run (bit f, length h), then alternating runs.  For
     h < k the strings with first run f^h are those with first run f^k
     rotated left by r = k - h: the same r f's move to the end of each, so
-    the order holds, and only first runs of length >= k are walked.  They
-    are the words of a run automaton on walk_chunks: state 2c + eq starts
-    a run of bit c, and eq says c = f.  A run of f is k..left - k long, or
-    the last, taking all of left and merging into the first run; a run of
-    the other bit is k..left long.  Only a last run reaches left = 0, so
-    every state accepts.  0-runs go longest first and 1-runs shortest
-    first, so that the codes ascend; the constant strings are the ends.
+    the order holds, only first runs of length >= k are walked, and a
+    rotated chunk gets a table of its own.  They are the words of a run
+    automaton on walk_chunks: state 2c + eq starts a run of bit c, and eq
+    says c = f.  A run of f is k..left - k long, or the last, taking all of
+    left and merging into the first run; a run of the other bit is k..left
+    long.  Only a last run reaches left = 0, so every state accepts.  0-runs
+    go longest first and 1-runs shortest first, so that the codes ascend;
+    the constant strings are the ends.
     """
     def steps(state, left):
         lengths = [*range(k, left - k + 1), left] if state & 1 else range(k, left + 1)
@@ -172,11 +174,11 @@ def _block_chunks(k: int, n: int, trim: int = 0) -> Iterator[list[int]]:
         prefix = f * ((1 << h + r - trim) - 1)
         chunks = walk((n - h - r, 2 - 2 * f, prefix))
         fill = (prefix & (1 << r) - 1) << n - r  # no later run places a bit below k
-        return ([x >> r | fill for x in chunk] for chunk in chunks) if r else chunks
+        return ((x >> r | fill, [y >> r for y in table]) for x, table in chunks) if r else chunks
 
     # a first run past n - k leaves no room for the next block; one of f starts state 2 - 2f
     firsts = [(0, h) for h in range(n - k, 0, -1)] + [(1, h) for h in range(1, n - k + 1)]
-    return chain([[0]], chain.from_iterable(starmap(first_run, firsts)), [[(1 << n) - 1]])
+    return chain([(0, [0])], chain.from_iterable(starmap(first_run, firsts)), [(0, [(1 << n) - 1])])
 
 
 def _q_poly(k: int) -> list[tuple[int, int]]:
@@ -335,14 +337,14 @@ def convex_set_from_string(k: int, n: int, s: CyclicBinaryString) -> VertexSet:
     return VertexSet(n, mask)
 
 
-def _convex_set_codes(k: int, n: int, budget: EnumerationBudget | None = None) -> Iterator[int]:
+def _convex_set_chunks(k: int, n: int, budget: EnumerationBudget | None = None) -> Iterator[tuple]:
     """The bitmasks of the digitally convex sets of the k-th power of C_n,
-    in the order enumerate_B(k + 1, n) yields their strings: the map of
-    convex_set_from_string, placed by the string walk with no window pass
-    and no string or set built.  The budget is checked on the call, before
-    the first code is asked for."""
+    in chunks (prefix, table), in the order enumerate_B(k + 1, n) yields
+    their strings: the map of convex_set_from_string, placed by the string
+    walk with no window pass and no string or set built.  The budget is
+    checked on the call, before the first chunk is asked for."""
     check_budget(a_count(k + 1, n), budget, "strings")
-    return chain.from_iterable(_block_chunks(k + 1, n, k))
+    return _block_chunks(k + 1, n, k)
 
 
 def count_cycle_power(k: int, n: int) -> int:

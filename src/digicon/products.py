@@ -9,8 +9,8 @@ on its own column and the two beside it, so the columns, read from the top
 (the most significant bits) down, drive a 24-state automaton (_ladder_step),
 every state of which can finish in any number of columns.  _ladder_chunks
 checks its count against the recurrence and walks it like the cycle-power
-strings, on walk_chunks: each prefix of the top columns yields as a chunk
-the table of the ways to finish the bottom columns, built when first read.
+strings, on walk_chunks: each prefix of the top columns yields the shared
+table of the ways to finish the bottom columns, built when first read.
 
 The grid route rests on the fact that the distinct images of n x m binary
 arrays under the minimum-over-closed-neighbourhood transform are exactly the
@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import chain
 
 from . import _kernels
-from ._kernels import EnumerationBudget, check_budget, walk_chunks
+from ._kernels import EnumerationBudget, check_budget, chunk_masks, walk_chunks
 from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotImageError
 from .graphs import VertexSet, cartesian_product, make_path
 from .sequences import LinearRecurrence, eval_recurrence
@@ -211,9 +211,9 @@ def _ladder_automaton() -> tuple[list[list[tuple[int, int]]], list[bool]]:
     return steps, accepting
 
 
-def _ladder_chunks(n: int, budget: EnumerationBudget | None = None) -> Iterator[list[int]]:
+def _ladder_chunks(n: int, budget: EnumerationBudget | None = None) -> Iterator[tuple]:
     """The bitmasks of the digitally convex sets of the n x 2 ladder in
-    lists (chunks), each nonempty; flattened, they ascend.
+    chunks (prefix, table); flattened, they ascend.
 
     Budgeted by the exact count on the call.  Then the automaton's count of
     the words of n columns from the four start states must equal
@@ -242,7 +242,7 @@ def _ladder_chunks(n: int, budget: EnumerationBudget | None = None) -> Iterator[
 def generate_grid_p2(n: int, budget: EnumerationBudget | None = None) -> tuple[VertexSet, ...]:
     """All digitally convex sets of the n x 2 ladder, ascending by bitmask:
     the sets of _ladder_chunks(n, budget), budgeted by their count."""
-    return tuple(VertexSet(2 * n, mask) for mask in chain.from_iterable(_ladder_chunks(n, budget)))
+    return tuple(VertexSet(2 * n, mask) for mask in chunk_masks(_ladder_chunks(n, budget)))
 
 
 def _closed_codes(n: int, m: int, code: int) -> int:
@@ -265,8 +265,8 @@ def _image_codes(n: int, m: int, budget: EnumerationBudget | None = None) -> lis
     """The images of the minimum transform over all n x m arrays, ascending:
     the codes that convex_bits keeps on the cross masks, each met once."""
     _check_dims(n, m)
-    return list(_kernels.iter_flagged(n * m, _kernels.convex_bits, lambda: _cross_masks(n, m),
-                                      budget, "arrays"))
+    return list(chunk_masks(_kernels.iter_flagged(n * m, _kernels.convex_bits,
+                                                  lambda: _cross_masks(n, m), budget, "arrays")))
 
 
 def count_grid_via_arrays(n: int, m: int, budget: EnumerationBudget | None = None) -> int:

@@ -328,3 +328,20 @@ def ladder_by_families(n):
             raise AssertionError(f"family total disagrees with the recurrence at n={k}")
         ladders = [a2, a1, combined]
     return ladders[-1]
+
+
+def checked_masks(chunks) -> list:
+    """The masks of a stream of chunks (prefix, table), flattened with loops,
+    after checking each chunk for what the line format relies on: the table
+    is a nonempty list, and no bit of the prefix lies between the lowest and
+    the highest bit of the table's entries."""
+    masks = []
+    for prefix, table in chunks:
+        assert type(table) is list and table, (prefix, table)
+        span = 0
+        for rest in table:
+            span |= rest
+        inside = (1 << span.bit_length()) - (span & -span) if span else 0
+        assert prefix & inside == 0, (prefix, table)
+        masks += [prefix | rest for rest in table]
+    return masks

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from decimal import Decimal
 
 import pytest
@@ -39,8 +40,9 @@ from digicon import (
     make_path,
     set_to_json,
 )
+from digicon._kernels import chunk_masks
 from digicon.cli import FAMILIES, main
-from oracles import cycle_count_by_lucas
+from oracles import checked_masks, cycle_count_by_lucas
 
 
 def run_cli(capsys, *argv):
@@ -318,9 +320,11 @@ def universes_and_masks(draw):
 def test_line_format_matches_the_set_serialisers(case):
     universe, mask = case
     s = VertexSet(universe, mask)
-    # a one-mask stream: the line of a generator's first mask
-    assert list(cli._format_lines(universe, "jsonl", [mask])) == [json.dumps(list(s.indices()))]
-    assert list(cli._format_lines(universe, "plain", [mask])) == [plain(s)]
+    # a one-set stream, the mask as its table's entry or as the prefix of
+    # the empty entry: the line of a generator's first chunk
+    for chunks in ([(0, [mask])], [(mask, [0])]):
+        assert list(cli._format_lines(universe, "jsonl", chunks)) == [json.dumps(list(s.indices()))]
+        assert list(cli._format_lines(universe, "plain", chunks)) == [plain(s)]
 
 
 def _stream_masks(universe: int, rng) -> list[int]:
@@ -341,35 +345,114 @@ def _stream_masks(universe: int, rng) -> list[int]:
     return sorted(picks)
 
 
+def _chunked(masks: list[int], lo: int, hi: int) -> list:
+    """The masks as chunks whose tables hold their bits lo..hi - 1 and whose
+    prefixes hold the rest, below the table's bits, above them or both; a
+    run of masks with one prefix is one chunk, and tables with equal
+    entries are one list object, read by every chunk that holds them."""
+    middle = (1 << hi) - (1 << lo)
+    chunks, tables = [], {}
+    for mask in masks:
+        if chunks and chunks[-1][0] == mask & ~middle:
+            chunks[-1][1].append(mask & middle)
+        else:
+            chunks.append((mask & ~middle, [mask & middle]))
+    return [(prefix, tables.setdefault(tuple(table), table)) for prefix, table in chunks]
+
+
+def _expected(universe: int, masks) -> dict:
+    """Each format's serialised lines of the masks' sets, joined."""
+    sets = [VertexSet(universe, mask) for mask in masks]
+    return {fmt: "\n".join(map(line, sets)) for fmt, line in (("jsonl", set_to_json),
+                                                              ("plain", plain))}
+
+
+def _assert_lines(universe: int, chunks: list, expected: dict | None = None) -> None:
+    """Each format's stream of the chunks, through one generator, is the
+    serialisers' lines of their sets, in order."""
+    expected = expected or _expected(universe, checked_masks(chunks))
+    for fmt, text in expected.items():
+        assert "\n".join(cli._format_lines(universe, fmt, iter(chunks))) == text, fmt
+
+
 @pytest.mark.parametrize("universe", [*range(1, 18), 24, 26, 70, 3000])
 def test_line_format_streams_match_the_set_serialisers(universe):
     rng = random.Random(universe)
     ascending = _stream_masks(universe, rng)
     shuffled = ascending * 2
     rng.shuffle(shuffled)
+    low, high = sorted(rng.sample(range(universe + 1), 2))
     for masks in (ascending, shuffled, ascending[::-1]):
-        # each order is one stream through one generator, so every line
-        # after the first is made from the state the lines before it left
-        jsonl = cli._format_lines(universe, "jsonl", iter(masks))
-        plain_lines = cli._format_lines(universe, "plain", iter(masks))
-        for mask, jsonl_line, plain_line in zip(masks, jsonl, plain_lines, strict=True):
-            s = VertexSet(universe, mask)
-            assert jsonl_line == set_to_json(s), mask
-            assert plain_line == plain(s), mask
+        # the prefix above the table's bits, below them and on both sides;
+        # a mask with no bit in the table's span is an empty entry
+        expected = _expected(universe, masks)
+        for lo, hi in ((0, high), (low, universe), (low, high)):
+            chunks = _chunked(masks, lo, hi)
+            assert checked_masks(chunks) == masks
+            _assert_lines(universe, chunks, expected)
+    # one table object read by many chunks, its empty entry first, in the
+    # middle and absent
+    for table in ([0, 0b01, 0b11, 0b100], [0b01, 0, 0b11], [0b10, 0b11]):
+        table = [rest << low for rest in table if rest << low >> hi == 0]
+        prefixes = sorted({mask & ~((1 << hi) - (1 << low)) for mask in ascending})[:16]
+        if len(table) > 1:
+            _assert_lines(universe, [(prefix, table) for prefix in prefixes * 3])
+
+
+def test_line_format_at_80000_positions():
+    # 10,000 bytes of labels, a shared table in the middle read under
+    # prefixes at both ends, and the empty and full sets
+    universe = 80000
+    full = (1 << universe) - 1
+    table = [0, 1 << 40000, 0b101 << 40020, (1 << 40100) - (1 << 40000)]
+    prefixes = [1, 1 << 79999, 0b11 << 50000 | 0b11, full ^ ((1 << 40200) - (1 << 39990))]
+    _assert_lines(universe, [(0, [0]), *((prefix, table) for prefix in prefixes), (0, [full]),
+                             (full, [0])])
+
+
+def test_the_two_sets_of_80000_positions_make_only_their_fragments():
+    # C_80000^40000 has two convex sets, the empty and the full one; making
+    # every byte fragment of 10,000 positions first took 5.2 s and 240 MB
+    proc = subprocess.run([sys.executable, "-c", (
+        "import os, sys, tracemalloc\n"
+        "from digicon.cli import main\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "tracemalloc.start()\n"
+        "assert main(['enumerate', '--family', 'cycle-power', '--n', '80000', '--k', '40000',\n"
+        "             '--method', 'bijection']) == 0\n"
+        "print(tracemalloc.get_traced_memory()[1], file=sys.stderr)\n")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr) < 24 << 20, proc.stderr
 
 
 @pytest.mark.parametrize("kept", [1, 3, 64])
-def test_line_format_clears_its_joined_high_parts(monkeypatch, kept):
-    # a stream out of order that holds more high parts than the formatter
-    # keeps joined: the dict is cleared on the way and refilled, and every
-    # line is still the set's
-    monkeypatch.setattr(cli, "_JOINED_HIGH_PARTS", kept)
-    rng = random.Random(kept)
-    masks = _stream_masks(26, rng) * 3
-    rng.shuffle(masks)
-    lines = cli._format_lines(26, "plain", iter(masks))
-    for mask, line in zip(masks, lines, strict=True):
-        assert line == plain(VertexSet(26, mask)), mask
+def test_line_format_keeps_tables_up_to_its_bound(monkeypatch, kept):
+    # 300 tables of three entries, each read by two chunks and then dropped
+    # by the stream: the formatter holds the tables it has read, and their
+    # texts, only until they hold _KEPT_ENTRIES entries, so no more than
+    # that stay alive; every line is still the set's
+    monkeypatch.setattr(cli, "_KEPT_ENTRIES", kept)
+
+    class Table(list):  # a list that a weak reference can follow
+        pass
+
+    read, masks, alive = [], [], []
+
+    def chunks():
+        for i in range(300):
+            table = Table([0, 1 + i % 7, 8 + i % 5 << 3])
+            read.append(weakref.ref(table))
+            for prefix in (i << 8, i + 300 << 8):
+                masks.extend(prefix | rest for rest in table)
+                yield prefix, table
+
+    lines = []
+    for text in cli._format_lines(18, "plain", chunks()):
+        lines += text.split("\n")
+        alive.append(sum(ref() is not None for ref in read))
+    assert lines == [plain(VertexSet(18, mask)) for mask in masks]
+    assert max(alive) <= kept // 3 + 3, max(alive)
 
 
 # the library's objects for each enumerate route, in the route's order: the
@@ -422,10 +505,13 @@ def test_enumerate_prints_the_library_sets(capsys, family, method, params):
 
 @pytest.mark.parametrize("family, method, params", enumerate_cases())
 def test_enumerate_routes_hand_the_cli_python_ints(family, method, params):
-    universe, masks = FAMILIES[family][1][method][1](EnumerationBudget(), **params)
-    masks = list(masks)
-    assert type(universe) is int and masks
-    assert all(type(mask) is int for mask in masks)
+    # chunks (prefix, table): an int prefix and a nonempty list of ints
+    universe, chunks = FAMILIES[family][1][method][1](EnumerationBudget(), **params)
+    chunks = list(chunks)
+    assert type(universe) is int and chunks
+    assert all(type(prefix) is int and type(table) is list and table
+               and all(type(rest) is int for rest in table) for prefix, table in chunks)
+    assert checked_masks(chunks)
 
 
 # the least value of each parameter of each family's graph
@@ -648,8 +734,9 @@ def test_verify_refuses_bounds_that_check_nothing(capsys, suite, flag, value, le
 
 def test_verify_cycle_power_suite_catches_a_lost_bijection_set(monkeypatch, capsys):
     # the strings column is the bijection route, not the recurrence again
-    real = cli._convex_set_codes
-    monkeypatch.setattr(cli, "_convex_set_codes",
+    # (its first chunk is the empty set's alone)
+    real = cli._convex_set_chunks
+    monkeypatch.setattr(cli, "_convex_set_chunks",
                         lambda k, n, budget=None: itertools.islice(real(k, n, budget), 1, None))
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "cycle-power-bijection", "--max-k", "1", "--max-n", "5"
@@ -664,8 +751,8 @@ def test_verify_grid_p2_runs_the_shipped_ladder_stream(monkeypatch, capsys):
     count, stream = FAMILIES["path-grid"][1]["recurrence"]
 
     def first_dropped(budget, **params):
-        universe, masks = stream(budget, **params)
-        return universe, itertools.islice(masks, 1, None)
+        universe, chunks = stream(budget, **params)
+        return universe, [(0, list(itertools.islice(chunk_masks(chunks), 1, None)))]
 
     monkeypatch.setitem(FAMILIES["path-grid"][1], "recurrence", (count, first_dropped))
     code, out, _ = run_cli(capsys, "verify", "--suite", "grid-p2", "--max-n", "3")
@@ -677,11 +764,12 @@ def test_verify_cycle_power_compares_the_bijection_sets(monkeypatch, capsys):
     # {0, 1} is a convex set of C_5 and {0, 2} is not: the swapped stream
     # keeps its length, so only the comparison of the sets catches it
     count, stream = FAMILIES["cycle-power"][1]["bijection"]
-    assert 0b11 in set(stream(None, n=5, k=1)[1]) and 0b101 not in set(stream(None, n=5, k=1)[1])
+    sets = set(chunk_masks(stream(None, n=5, k=1)[1]))
+    assert 0b11 in sets and 0b101 not in sets
 
     def swapped(budget, **params):
-        universe, masks = stream(budget, **params)
-        return universe, (0b101 if mask == 0b11 else mask for mask in masks)
+        universe, chunks = stream(budget, **params)
+        return universe, [(0, [0b101 if mask == 0b11 else mask for mask in chunk_masks(chunks)])]
 
     monkeypatch.setitem(FAMILIES["cycle-power"][1], "bijection", (count, swapped))
     code, out, _ = run_cli(capsys, "verify", "--suite", "cycle-power-bijection",
@@ -702,8 +790,8 @@ def test_verify_cycle_power_round_trip_fails_a_set_that_is_not_convex(monkeypatc
     count, stream = FAMILIES["cycle-power"][1]["bruteforce"]
 
     def swapped(budget, **params):
-        universe, masks = stream(budget, **params)
-        return universe, (0b101 if mask == 0b11 else mask for mask in masks)
+        universe, chunks = stream(budget, **params)
+        return universe, [(0, [0b101 if mask == 0b11 else mask for mask in chunk_masks(chunks)])]
 
     monkeypatch.setitem(FAMILIES["cycle-power"][1], "bruteforce", (count, swapped))
     code, out, err = run_cli(capsys, "verify", "--suite", "cycle-power-bijection",

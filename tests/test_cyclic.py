@@ -3,7 +3,7 @@
 import random
 import subprocess
 import sys
-from itertools import chain, compress
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +33,7 @@ from digicon.cyclic import (
     _a_recurrence,
     _block_chunks,
     _blocks_ok,
-    _convex_set_codes,
+    _convex_set_chunks,
     _cyclic_runs,
     _dilated,
     _eroded,
@@ -42,8 +42,9 @@ from digicon.cyclic import (
 from digicon import cyclic
 from digicon.cli import main
 from digicon.sequences import eval_recurrence
-from oracles import (berkowitz, block_strings_by_bits, dilate_by_rotations, erode_by_rotations,
-                     is_convex_naive, reverse_bits, run_length_automaton, walk_traces)
+from oracles import (berkowitz, block_strings_by_bits, checked_masks, dilate_by_rotations,
+                     erode_by_rotations, is_convex_naive, reverse_bits, run_length_automaton,
+                     walk_traces)
 
 
 def all_strings(n):
@@ -53,6 +54,12 @@ def all_strings(n):
 def rotated(s, r):
     n = s.length
     return CyclicBinaryString(tuple(s.bits[(i - r) % n] for i in range(n)))
+
+
+def _convex_set_codes(k, n, budget=None):
+    """The set masks of the bijection stream, flattened and checked;
+    budgeted on the call."""
+    return checked_masks(_convex_set_chunks(k, n, budget))
 
 
 # --- string plumbing ---
@@ -224,7 +231,7 @@ def test_enumeration_is_the_membership_filter(k, n):
 
 def walked(k, n):
     """The flattened chunks of the run walk: position-ordered ints."""
-    return list(chain.from_iterable(_block_chunks(k, n)))
+    return checked_masks(_block_chunks(k, n))
 
 
 def oracle_revs(k, n):
@@ -265,8 +272,8 @@ def test_chunks_are_nonempty_ascending_and_in_order():
     cases = [(k, n) for k in range(2, 9) for n in range(1, 21)] + [(21, 100), (34, 100)]
     for k, n in cases:
         below = -1
-        for chunk in _block_chunks(k, n):
-            codes = [reverse_bits(n, rev) for rev in chunk]
+        for prefix, table in _block_chunks(k, n):
+            codes = [reverse_bits(n, prefix | rest) for rest in table]
             assert codes, (k, n)
             assert codes[0] > below, (k, n)
             assert all(a < b for a, b in zip(codes, codes[1:])), (k, n)
@@ -345,9 +352,10 @@ def test_set_codes_stream_in_bounded_memory():
     peak = int(_fresh_python(
         "import tracemalloc\n"
         "from collections import deque\n"
-        "from digicon.cyclic import _convex_set_codes\n"
+        "from digicon._kernels import chunk_masks\n"
+        "from digicon.cyclic import _convex_set_chunks\n"
         "tracemalloc.start()\n"
-        "deque(_convex_set_codes(1, 28), 0)\n"
+        "deque(chunk_masks(_convex_set_chunks(1, 28)), 0)\n"
         "print(tracemalloc.get_traced_memory()[1])\n"))
     assert peak < 2_000_000, peak
 
@@ -375,9 +383,10 @@ def test_dense_k_first_mask_builds_only_the_rows_it_reads(k):
     # max RSS at k = 1499)
     peak = int(_fresh_python(
         "import tracemalloc\n"
-        "from digicon.cyclic import _convex_set_codes\n"
+        "from digicon._kernels import chunk_masks\n"
+        "from digicon.cyclic import _convex_set_chunks\n"
         "tracemalloc.start()\n"
-        f"next(_convex_set_codes({k}, 6000))\n"
+        f"next(chunk_masks(_convex_set_chunks({k}, 6000)))\n"
         "print(tracemalloc.get_traced_memory()[1])\n"))
     assert peak < 4 << 20, peak
 
@@ -389,10 +398,11 @@ def test_cycle_power_work_is_bounded_by_n_not_k():
     peaks = _fresh_python(
         "import tracemalloc\n"
         "from collections import deque\n"
-        "from digicon.cyclic import _convex_set_codes, count_cycle_power, enumerate_B\n"
+        "from digicon._kernels import chunk_masks\n"
+        "from digicon.cyclic import _convex_set_chunks, count_cycle_power, enumerate_B\n"
         "tracemalloc.start()\n"
         "for run in (lambda: count_cycle_power(10**5, 5),\n"
-        "            lambda: deque(_convex_set_codes(10**5, 5), 0),\n"
+        "            lambda: deque(chunk_masks(_convex_set_chunks(10**5, 5)), 0),\n"
         "            lambda: deque(enumerate_B(10**5, 5), 0)):\n"
         "    tracemalloc.reset_peak()\n"
         "    run()\n"
@@ -409,14 +419,14 @@ def test_walks_leave_no_garbage_for_the_cycle_collector():
     held = int(_fresh_python(
         "import gc, tracemalloc\n"
         "from collections import deque\n"
-        "from digicon.cyclic import _block_chunks, _convex_set_codes\n"
+        "from digicon.cyclic import _block_chunks, _convex_set_chunks\n"
         "gc.disable()\n"
         "tracemalloc.start()\n"
         "for k in range(2, 6):\n"
         "    for n in range(1, 15):\n"
         "        deque(_block_chunks(k, n), 0)\n"
         "        if n >= 3:\n"
-        "            deque(_convex_set_codes(k - 1, n), 0)\n"
+        "            deque(_convex_set_chunks(k - 1, n), 0)\n"
         "print(tracemalloc.get_traced_memory()[0])\n"))
     assert held < 64 * 1024, held
 
@@ -429,7 +439,7 @@ def test_enumeration_counts_match_recurrence_small():
 
 def test_enumeration_budget():
     # the budget caps the a_count(2, 5) = 12 members, not the 2^5 codes;
-    # enumerate_B checks it on the first item, _convex_set_codes on the call
+    # enumerate_B checks it on the first item, _convex_set_chunks on the call
     members = enumerate_B(2, 5, EnumerationBudget(max_subsets=11))
     with pytest.raises(BudgetExceededError) as exc:
         next(members)

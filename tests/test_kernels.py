@@ -31,7 +31,7 @@ from digicon import cli, products
 from digicon.cli import FAMILIES, main
 from digicon.convexity import _closure, _convex_codes, _neighborhood_mask
 from digicon.products import _closed_codes, _cross_masks, _image_codes
-from oracles import is_convex_naive, is_mis_naive, random_graph
+from oracles import checked_masks, is_convex_naive, is_mis_naive, random_graph
 
 
 def _cases():
@@ -360,9 +360,7 @@ def test_walk_chunks_is_the_filter(automaton, keep):
             walk = kernels.walk_chunks(top, steps, accepting)
             for left in ([top // 2] if top > 1 else []) + [n, n]:
                 expected = [code for code in range(1 << left) if keep(left, code)]
-                chunks = list(walk((left, state, 0)))
-                assert all(chunks), (n, top, left)  # no empty chunk
-                assert list(itertools.chain.from_iterable(chunks)) == expected, (n, top, left)
+                assert checked_masks(walk((left, state, 0))) == expected, (n, top, left)
 
 
 def test_walk_chunks_builds_a_row_when_first_read_and_keeps_it():
@@ -378,8 +376,25 @@ def test_walk_chunks_builds_a_row_when_first_read_and_keeps_it():
 
     walk = kernels.walk_chunks(16, counted, accepting)
     assert asked == []  # nothing is built on the call
-    assert list(walk((3, state, 0))) == [[0b000, 0b001, 0b010, 0b100, 0b101]]
+    [(prefix, table)] = walk((3, state, 0))
+    assert (prefix, table) == (0, [0b000, 0b001, 0b010, 0b100, 0b101])
     assert sorted(asked) == [1, 1, 2, 2, 3, 3]
-    assert list(walk((3, state, 0))) == [[0b000, 0b001, 0b010, 0b100, 0b101]]
-    assert len(next(walk((5, state, 0)))) == 13
+    [(_, again)] = walk((3, state, 0))
+    assert again is table  # the kept row itself, not a copy
+    assert len(next(walk((5, state, 0)))[1]) == 13
     assert sorted(asked) == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
+
+def test_sweep_chunks_are_the_flagged_blocks_under_their_lo():
+    # 2^20 codes of C_20^2 in 16 blocks: a chunk (lo, offsets) per block
+    # that flags a code, offsets below 2^16, the codes ascending; 5 of the
+    # blocks flag none and yield no chunk
+    ring = graph_power(make_cycle(20), 2)
+    chunks = list(kernels.iter_flagged(20, kernels.convex_bits, lambda: ring.closed_masks, None,
+                                       "subsets"))
+    flagged = [lo for lo in range(0, 1 << 20, 1 << 16)
+               if kernels.convex_bits(ring.closed_masks, lo, lo + (1 << 16))]
+    assert [lo for lo, _ in chunks] == flagged and len(flagged) == 11
+    assert all(0 <= rest < 1 << 16 for _, offsets in chunks for rest in offsets)
+    codes = checked_masks(chunks)
+    assert codes == sorted(codes) and len(codes) == a_count(3, 20)

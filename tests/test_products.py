@@ -37,6 +37,7 @@ import oracles
 from digicon.products import _antidiagonal_index, _grid_cells, _image_codes, _ladder_chunks
 from oracles import (
     all_convex_masks_naive,
+    checked_masks,
     is_convex_naive,
     is_mis_naive,
     ladder_by_families,
@@ -203,7 +204,7 @@ def test_ladder_generation_matches_enumeration():
 
 
 def _ladder_stream(n, budget=None):
-    return list(itertools.chain.from_iterable(_ladder_chunks(n, budget)))
+    return checked_masks(_ladder_chunks(n, budget))
 
 
 @pytest.mark.parametrize("n", range(8, 13))
@@ -220,13 +221,22 @@ def test_ladder_stream_is_the_family_construction():
         built = ladder_by_families(n)
         assert len(built) == count_grid_p2(n)
         assert _ladder_stream(n) == built, n
-        assert all(_ladder_chunks(n))  # no empty chunk
+
+
+def test_ladder_chunks_share_their_tables():
+    # every prefix that ends in the same state reads that state's table
+    # itself: the 916 chunks of the 13-ladder and of the 14-ladder each
+    # read 11 tables, the one object per table that the line format keeps
+    for n in (13, 14):
+        chunks = list(_ladder_chunks(n))
+        assert len(chunks) == 916
+        assert len({id(table) for _, table in chunks}) == 11
 
 
 def _traced_peak(script):
     # a fresh process, so that the traced peak is this stream's alone
     proc = subprocess.run([sys.executable, "-c", "import tracemalloc\n"
-                           "from itertools import chain\n"
+                           "from digicon._kernels import chunk_masks\n"
                            "from digicon.products import _ladder_chunks\n"
                            "tracemalloc.start()\n" + script +
                            "print(tracemalloc.get_traced_memory()[1])\n"],
@@ -238,14 +248,14 @@ def _traced_peak(script):
 def test_ladder_stream_drained_holds_no_ladder():
     # the 154,078 sets of the 13-ladder took about 10 MB as a built list;
     # the stream holds the 24 states' tables of 6 columns and one chunk
-    peak = _traced_peak("assert sum(map(len, _ladder_chunks(13))) == 154078\n")
+    peak = _traced_peak("assert sum(len(t) for _, t in _ladder_chunks(13)) == 154078\n")
     assert peak < 1_000_000, peak
 
 
 def test_ladder_stream_first_mask_needs_only_the_tables():
     # the 19-ladder has 37,205,230 sets; its first mask needs the tables of
     # the bottom 9 columns and nothing of the rest
-    peak = _traced_peak("assert next(chain.from_iterable(_ladder_chunks(19))) == 0\n")
+    peak = _traced_peak("assert next(chunk_masks(_ladder_chunks(19))) == 0\n")
     assert peak < 4_000_000, peak
 
 

@@ -29,7 +29,9 @@ runs walked as rotations), ``cycle-power --n 100 --k 30`` and ``cycle-power
 --n 1000 --k 500`` (dense k, walk tables shallower than n // 2),
 ``cycle-power --n 200 --k 54`` (18,202 sets, blocks of 55, between n / 4
 and n / 3, where each shorter first run reads a deeper row of the walk
-tables, built then) and ``cycle --n 24``, each in jsonl and plain.
+tables, built then), ``cycle-power --n 20000 --k 10000`` (the empty and the
+full set of 20,000 positions, whose lines make the byte fragments of 2,500
+positions, each on first use) and ``cycle --n 24``, each in jsonl and plain.
 The sweep-size cap is the default one: ``DIGICON_MAX_SUBSETS`` is unset
 while the matrix runs.
 
@@ -138,7 +140,8 @@ def matrix() -> list[list[str]]:
     # positions) or hold only the empty ending (the two constant strings of
     # 1000 positions), blocks of 55 between n / 4 and n / 3 of 200 positions,
     # where each shorter first run reads a deeper row of the tables, built
-    # then, and 103,684 strings of 24 positions
+    # then, the two sets of 20,000 positions, and 103,684 strings of 24
+    # positions
     block_edges = [("cycle-power", "--n", str(n), "--k", "4") for n in (9, 10, 19, 20)]
     block_edges += [("cycle-power", "--n", str(n), "--k", "29") for n in (59, 60, 61)]
     block_edges.append(("cycle-power", "--n", "60", "--k", "14"))
@@ -148,7 +151,7 @@ def matrix() -> list[list[str]]:
              ("cycle-power", "--n", "100", "--k", "20"), ("cycle-power", "--n", "201", "--k", "99"),
              ("cycle-power", "--n", "300", "--k", "140"), ("cycle-power", "--n", "100", "--k", "30"),
              ("cycle-power", "--n", "1000", "--k", "500"), ("cycle-power", "--n", "200", "--k", "54"),
-             ("cycle", "--n", "24")),
+             ("cycle-power", "--n", "20000", "--k", "10000"), ("cycle", "--n", "24")),
             ("jsonl", "plain")):
         runs.append(["enumerate", "--family", *params, "--method", "bijection", "--format", fmt])
     return runs
