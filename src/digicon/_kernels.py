@@ -12,9 +12,15 @@ thread.
 A kernel returns an int whose bit i stands for the code lo + i,
 so one AND or OR tests all 2^b subsets of a block at once.  The plane of
 a low vertex v < b has bit i set iff i holds v; a high vertex is in every
-code of the block or in none, as lo says.  The grid arrays sweep is
-convex_bits on the grid's cross masks.  No sweep imports numpy: only the
-bool-vector views convex_flags and mis_flags do.
+code of the block or in none, as lo says.  convex_bits runs on one plan
+per sweep (_convex_plan): only a vertex w with a high closed neighbour,
+a varying one, can have N[S] hold w in every code of a block, so the
+terms of the vertices u with no varying vertex in N[u] fold into one
+constant int, and every other term keeps a fixed int; a block redoes only
+the ANDs with the covers of the varying vertices that no high member
+fills.  The grid arrays sweep is convex_bits on the grid's cross masks.
+No sweep imports numpy: only the bool-vector views convex_flags and
+mis_flags do.
 
 A stream lists the words of an automaton with no sweep, on walk_chunks (a
 walk per start, on tables of endings built as the walks first read them):
@@ -208,29 +214,53 @@ def neighborhood_codes(closed_masks, lo: int, hi: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=1)
-def _convex_terms(closed_masks: tuple, b: int) -> tuple:
-    """For each vertex u, (the codes of a 2^b block whose S lacks u, the
-    vertices of N[u]): for a high u, S lacks it in every code or in none."""
-    full = _full(b)
-    outside = [full ^ plane for plane in planes(b)] + [full] * (len(closed_masks) - b)
-    return tuple((out, tuple(w for w in range(len(closed_masks)) if mask >> w & 1))
-                 for out, mask in zip(outside, closed_masks))
+def _convex_plan(closed_masks: tuple, b: int) -> tuple:
+    """The block-independent part of convex_bits for blocks of 2^b codes.
+
+    A vertex w varies when a high vertex is a closed neighbour of it: only
+    then can covered_w be full.  Returns (const_bad, terms, highs, covers):
+    const_bad ORs the swallowed codes of every low u with no varying vertex
+    in N[u]; terms holds, for every other u, (its bit if u is high, else 0,
+    the codes that lack u and cover its non-varying neighbours, the indices
+    of its varying ones); highs and covers hold each varying vertex's
+    closed mask and the OR of the planes of its low closed neighbours.  A
+    high u's neighbours all vary, so its fixed codes are full itself."""
+    full, low, plane = _full(b), (1 << b) - 1, planes(b)
+    covers = [union_of_masks(plane, mask & low) for mask in closed_masks]
+    varying = {w: i for i, w in enumerate(w for w, mask in enumerate(closed_masks) if mask >> b)}
+    const_bad, terms = 0, []
+    for u, mask in enumerate(closed_masks):
+        swallowed, around = full ^ plane[u] if u < b else full, []
+        for w in range(mask.bit_length()):
+            if mask >> w & 1:
+                if w in varying:
+                    around.append(varying[w])
+                else:
+                    swallowed &= covers[w]
+        if around:
+            terms.append((1 << u if u >= b else 0, swallowed, tuple(around)))
+        else:
+            const_bad |= swallowed
+    return (const_bad, tuple(terms), tuple(closed_masks[w] for w in varying),
+            tuple(covers[w] for w in varying))
 
 
 def convex_bits(closed_masks, lo: int, hi: int) -> int:
     """The int of the digitally convex codes in the block [lo, hi): those
     whose S swallows no vertex u outside it (N[u] inside N[S]), so the OR
-    over u of the codes that lack u and cover N[u] is dropped."""
+    over u of the codes that lack u and cover N[u] is dropped.  Only the
+    terms of _convex_plan are redone, each with the covers of its varying
+    neighbours that no high member makes full."""
     b, full = block(lo, hi)
-    covered = neighborhood_codes(closed_masks, lo, hi)
-    bad = 0
-    for u, (outside, around) in enumerate(_convex_terms(closed_masks, b)):
-        if lo >> u & 1:
+    bad, terms, highs, covers = _convex_plan(closed_masks, b)
+    # the low b bits of lo are 0, so mask & lo is w's high neighbours in S
+    covered = [full if mask & lo else cover for mask, cover in zip(highs, covers)]
+    for bit, swallowed, around in terms:
+        if lo & bit:
             continue
-        swallowed = outside
-        for w in around:
-            if covered[w] is not full:
-                swallowed &= covered[w]
+        for i in around:
+            if covered[i] is not full:
+                swallowed &= covered[i]
         if swallowed is full:
             return 0  # a high non-member swallowed by every code of the block
         bad |= swallowed

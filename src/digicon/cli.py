@@ -42,7 +42,7 @@ from .graphs import cartesian_product, graph_power, make_complete, make_cycle, m
 from .products import (
     _antidiagonal_index,
     _grid_cells,
-    _image_codes,
+    _image_chunks,
     _ladder_chunks,
     count_complete_product,
     count_grid_p2,
@@ -86,7 +86,7 @@ FAMILIES = {
         "bruteforce": _sweep(lambda n: make_path(n)),
         # with the row-major cell order, an image code is its convex set's bitmask
         "arrays": (lambda budget, n: count_grid_via_arrays(n, 1, budget),
-                   lambda budget, n: (n, [(0, _image_codes(n, 1, budget))])),
+                   lambda budget, n: (n, _image_chunks(n, 1, budget))),
     }),
     "cycle": ({"n": 3}, {
         "recurrence": (lambda budget, n: count_cycle_power(1, n), None),
@@ -111,7 +111,7 @@ FAMILIES = {
     }),
     "path-grid": ({"n": 1, "m": 1}, {
         "arrays": (lambda budget, n, m: count_grid_via_arrays(n, m, budget),
-                   lambda budget, n, m: (n * m, [(0, _image_codes(n, m, budget))])),
+                   lambda budget, n, m: (n * m, _image_chunks(n, m, budget))),
         "bruteforce": _sweep(lambda n, m: cartesian_product(make_path(n), make_path(m)),
                              lambda n, m: n * m),
         "recurrence": (lambda budget, n, m: count_grid_p2(_ladder_length(n, m)),
@@ -213,6 +213,8 @@ def _format_lines(universe: int, fmt: str, chunks):
     join, compress, getitem, bits = sep.join, itertools.compress, operator.getitem, _byte_bits()
 
     class Fragments(dict):  # byte -> the joined labels of its set bits from base, made on first use
+        __slots__ = ("base",)  # no attribute dict for each of the positions
+
         def __init__(self, base):
             self.base = base
 

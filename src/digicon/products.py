@@ -261,12 +261,19 @@ def _cross_masks(n: int, m: int) -> tuple[int, ...]:
     return tuple(full ^ _min_codes(n, m, full ^ 1 << c) for c in range(n * m))
 
 
-def _image_codes(n: int, m: int, budget: EnumerationBudget | None = None) -> list[int]:
-    """The images of the minimum transform over all n x m arrays, ascending:
-    the codes that convex_bits keeps on the cross masks, each met once."""
+def _image_chunks(n: int, m: int, budget: EnumerationBudget | None = None):
+    """The images of the minimum transform over all n x m arrays, ascending,
+    in chunks (lo, offsets), one per sweep block that flags one: the codes
+    that convex_bits keeps on the cross masks, each met once.  Checked on
+    the call, like iter_flagged."""
     _check_dims(n, m)
-    return list(chunk_masks(_kernels.iter_flagged(n * m, _kernels.convex_bits,
-                                                  lambda: _cross_masks(n, m), budget, "arrays")))
+    return _kernels.iter_flagged(n * m, _kernels.convex_bits, lambda: _cross_masks(n, m), budget,
+                                 "arrays")
+
+
+def _image_codes(n: int, m: int, budget: EnumerationBudget | None = None) -> list[int]:
+    """The codes of _image_chunks(n, m, budget), as one list."""
+    return list(chunk_masks(_image_chunks(n, m, budget)))
 
 
 def count_grid_via_arrays(n: int, m: int, budget: EnumerationBudget | None = None) -> int:

@@ -6,6 +6,7 @@ functions share code with the library paths they are used to judge; that
 independence is the whole point.
 """
 
+import functools
 from collections import deque
 
 from digicon import BinaryArray, Graph, cartesian_product, count_grid_p2, make_path
@@ -103,6 +104,48 @@ def min_transform_via_graph(a: BinaryArray) -> BinaryArray:
         for i in range(a.rows)
     )
     return BinaryArray(rows)
+
+
+@functools.cache
+def _planes(b):
+    """For each v < b, the 2^b-bit int whose bit i is bit v of i: 2^v zeros
+    then 2^v ones, that pair of runs repeated 2^(b-v-1) times."""
+    size = 1 << b
+    return tuple(((1 << (1 << v)) - 1 << (1 << v)) * (((1 << size) - 1) // ((1 << (2 << v)) - 1))
+                 for v in range(b))
+
+
+def convex_bits_per_block(closed_masks, lo, hi) -> int:
+    """The int whose bit i says whether the code lo + i is digitally convex,
+    for an aligned block [lo, hi) of 2^b codes, with every vertex term
+    rebuilt for the block (the sweep kernel's first formula).
+
+    covered_w, the codes whose N[S] holds w, is all ones when a high member
+    of the block (a vertex >= b set in lo) is a closed neighbour of w, else
+    the OR of the planes of w's low closed neighbours.  A vertex u outside
+    S is swallowed by the codes that lack u and cover all of N[u]; the
+    convex codes are those that swallow no such u."""
+    size = hi - lo
+    b = size.bit_length() - 1
+    assert size == 1 << b and lo % size == 0, (lo, hi)
+    full, planes, order = (1 << size) - 1, _planes(b), len(closed_masks)
+    covered = []
+    for mask in closed_masks:
+        cover = 0
+        for v in range(b):
+            if mask >> v & 1:
+                cover |= planes[v]
+        covered.append(full if mask >> b << b & lo else cover)
+    bad = 0
+    for u, mask in enumerate(closed_masks):
+        if u >= b and lo >> u & 1:
+            continue  # a high member is in every code of the block
+        swallowed = full ^ planes[u] if u < b else full
+        for w in range(order):
+            if mask >> w & 1:
+                swallowed &= covered[w]
+        bad |= swallowed
+    return full ^ bad
 
 
 def random_graph(rng, order, p=0.4) -> Graph:

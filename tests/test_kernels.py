@@ -1,7 +1,8 @@
 """The bit-sliced block kernels against the per-code definitions, at the
 edges of a 64-bit word, of one block and of two, and on spans that hold
-the top vertex; the bounded block scheduler; and the chunk walk against
-filters of all codes."""
+the top vertex; the per-sweep convexity plan against the per-block
+formula it replaced; the bounded block scheduler; and the chunk walk
+against filters of all codes."""
 
 import functools
 import itertools
@@ -31,7 +32,8 @@ from digicon import cli, products
 from digicon.cli import FAMILIES, main
 from digicon.convexity import _closure, _convex_codes, _neighborhood_mask
 from digicon.products import _closed_codes, _cross_masks, _image_codes
-from oracles import checked_masks, is_convex_naive, is_mis_naive, random_graph
+from oracles import (checked_masks, convex_bits_per_block, is_convex_naive, is_mis_naive,
+                     random_graph)
 
 
 def _cases():
@@ -316,6 +318,60 @@ def test_counts_over_several_blocks():
     budget = EnumerationBudget()
     assert count_grid_via_arrays(4, 5, budget) == 8706
     assert count_digitally_convex(ring, budget) == a_count(3, 20)
+
+
+# --- the per-sweep convexity plan against the per-block formula ---
+
+
+def _oracle_graphs():
+    """Random graphs of 17..20 vertices from sparse to dense, K_5 x K_5
+    (every vertex has a high neighbour at every block size), the 4 x 5 and
+    5 x 4 grids and C_20^2."""
+    rng = random.Random(30)
+    for order in range(17, 21):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            yield f"random-{order}-{p}", random_graph(rng, order, p)
+    yield "complete-5x5", cartesian_product(make_complete(5), make_complete(5))
+    yield "grid-4x5", cartesian_product(make_path(4), make_path(5))
+    yield "grid-5x4", cartesian_product(make_path(5), make_path(4))
+    yield "cycle-20^2", graph_power(make_cycle(20), 2)
+
+
+ORACLE_GRAPHS = dict(_oracle_graphs())
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_convex_plan_matches_the_per_block_formula(name):
+    # at each block size 2^4..2^16, the first and last block and up to 48
+    # more, read in a shuffled order; the sizes are visited in a shuffled
+    # order too, so the one cached plan is replaced at almost every size
+    masks = ORACLE_GRAPHS[name].closed_masks
+    rng = random.Random(name)
+    sizes = list(range(4, 17))
+    rng.shuffle(sizes)
+    for b in sizes:
+        count = 1 << len(masks) - b
+        picked = {0, count - 1, *rng.sample(range(count), min(count, 48))}
+        for k in rng.sample(sorted(picked), len(picked)):
+            lo, hi = k << b, k + 1 << b
+            assert kernels.convex_bits(masks, lo, hi) == convex_bits_per_block(masks, lo, hi), \
+                (name, b, lo)
+
+
+def test_convex_plan_follows_interleaved_sweeps():
+    # two graphs at two block sizes, swept a block of each in turn: the
+    # plan cache is switched at every block and each plan rebuilt many times
+    sweeps = [(g.closed_masks, b) for g in (ORACLE_GRAPHS["grid-4x5"], ORACLE_GRAPHS["cycle-20^2"])
+              for b in (12, 16)]
+    counts = [0] * len(sweeps)
+    blocks = [kernels.iter_blocks(1 << len(masks), 1 << b) for masks, b in sweeps]
+    for spans in itertools.zip_longest(*blocks):
+        for i, span in enumerate(spans):
+            if span is not None:
+                flags = kernels.convex_bits(sweeps[i][0], *span)
+                assert flags == convex_bits_per_block(sweeps[i][0], *span), (i, span)
+                counts[i] += flags.bit_count()
+    assert counts == [8706, 8706, a_count(3, 20), a_count(3, 20)]
 
 
 # --- the chunk walk, on automata that no route uses ---

@@ -31,7 +31,12 @@ runs walked as rotations), ``cycle-power --n 100 --k 30`` and ``cycle-power
 and n / 3, where each shorter first run reads a deeper row of the walk
 tables, built then), ``cycle-power --n 20000 --k 10000`` (the empty and the
 full set of 20,000 positions, whose lines make the byte fragments of 2,500
-positions, each on first use) and ``cycle --n 24``, each in jsonl and plain.
+positions, each on first use) and ``cycle --n 24``, each in jsonl and plain;
+plus the sweep streams of 20 vertices, sixteen blocks each, where the high
+members change the convexity terms from block to block: ``path-grid --n 4
+--m 5`` by ``bruteforce`` and by ``arrays``, ``complete-product --n 4 --m
+5`` by ``bruteforce`` (17 of its 20 vertices have a high neighbour) and
+``cycle-power --n 20 --k 2`` by the default method, each in jsonl and plain.
 The sweep-size cap is the default one: ``DIGICON_MAX_SUBSETS`` is unset
 while the matrix runs.
 
@@ -154,6 +159,16 @@ def matrix() -> list[list[str]]:
              ("cycle-power", "--n", "20000", "--k", "10000"), ("cycle", "--n", "24")),
             ("jsonl", "plain")):
         runs.append(["enumerate", "--family", *params, "--method", "bijection", "--format", fmt])
+    # sweep streams of 2^20 codes, sixteen blocks whose high members vary
+    # the convexity terms block by block: the 4 x 5 grid by both sweeps,
+    # K_4 x K_5, where 17 of the 20 vertices have a high neighbour, and
+    # C_20^2 by the default method
+    multi_block = [("path-grid", "--n", "4", "--m", "5", "--method", "bruteforce"),
+                   ("path-grid", "--n", "4", "--m", "5", "--method", "arrays"),
+                   ("complete-product", "--n", "4", "--m", "5", "--method", "bruteforce"),
+                   ("cycle-power", "--n", "20", "--k", "2")]
+    for params, fmt in itertools.product(multi_block, ("jsonl", "plain")):
+        runs.append(["enumerate", "--family", *params, "--format", fmt])
     return runs
 
 
