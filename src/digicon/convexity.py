@@ -7,6 +7,17 @@ fixed point of the closure S -> {v : N[v] inside N[S]}.  The enumeration
 here is the brute-force oracle the family-specific counters are validated
 against: the subset sweep, convex_bits on the _kernels drivers, which own
 its budget and width check.
+
+Convex sets are maximal independent sets (the closed double cover).  Let
+D(G) have two copies of V, with v0 ~ u1 iff u is in N[v].  A pair (S0, F1)
+is independent iff F misses N[S], and then maximal iff every other vertex
+has a neighbour in it: F = V - N[S] and S = V - N[F].  The first fixes F;
+given it, the second says that each vertex outside S has a closed
+neighbour outside N[S], which is digital convexity.  So S -> (S0,
+(V - N[S])1) is a bijection, and #convex(G) = #MIS(D(G)).  For a bipartite
+G, swapping the two copies of each vertex on one side maps D(G) onto
+G x K_2, so ``products.count_mis_grid3`` counts the convex sets of a grid
+as the maximal independent sets of the grid times P_2.
 """
 
 from __future__ import annotations

@@ -329,7 +329,7 @@ def _antidiagonal_index(n: int, m: int) -> int:
 def count_mis_grid3(n: int, m: int, budget: EnumerationBudget | None = None) -> int:
     """Number of maximal independent sets of P_n x P_m x P_2, by the subset
     sweep: the number of digitally convex sets of P_n x P_m, since every
-    bipartite G has #convex(G) = #MIS(G x P_2) (proof in the README)."""
+    bipartite G has #convex(G) = #MIS(G x P_2) (proof in ``convexity``)."""
     _check_dims(n, m)
     return _kernels.count_flagged(2 * n * m, _kernels.mis_bits, lambda: cartesian_product(
         cartesian_product(make_path(n), make_path(m)), make_path(2)).closed_masks, budget, "subsets")

@@ -94,6 +94,43 @@ def power_edges_naive(g, d) -> list:
     return sorted(out)
 
 
+def graph_from_edge_list(order, edges, family=None) -> Graph:
+    """A graph from its edge list, through neighbour sets and sorted rows
+    into the public Graph(order, adjacency) constructor."""
+    nbrs = [set() for _ in range(order)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return Graph(order, tuple(tuple(sorted(s)) for s in nbrs), family)
+
+
+def path_by_edges(n) -> Graph:
+    return graph_from_edge_list(n, [(i, i + 1) for i in range(n - 1)], f"P_{n}")
+
+
+def cycle_by_edges(n) -> Graph:
+    return graph_from_edge_list(n, [(i, (i + 1) % n) for i in range(n)], f"C_{n}")
+
+
+def complete_by_edges(n) -> Graph:
+    return graph_from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)], f"K_{n}")
+
+
+def power_by_bfs(g, d) -> Graph:
+    """The d-th power of g, joining the pairs that a BFS finds within distance d."""
+    tag = f"{g.family}^{d}" if g.family else None
+    return graph_from_edge_list(g.order, power_edges_naive(g, d), tag)
+
+
+def product_by_edges(g, h) -> Graph:
+    """The Cartesian product, (a, b) at a * h.order + b, from the factors' edges."""
+    m = h.order
+    edges = [(a * m + b, a * m + b2) for a in range(g.order) for b, b2 in h.edges()]
+    edges += [(a * m + b, a2 * m + b) for a, a2 in g.edges() for b in range(m)]
+    tag = f"{g.family} x {h.family}" if g.family and h.family else None
+    return graph_from_edge_list(g.order * m, edges, tag)
+
+
 def min_transform_via_graph(a: BinaryArray) -> BinaryArray:
     """Min over closed neighbourhoods, computed through the grid graph."""
     g = cartesian_product(make_path(a.rows), make_path(a.cols))

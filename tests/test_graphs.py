@@ -21,7 +21,17 @@ from digicon import (
     set_from_json,
     set_to_json,
 )
-from oracles import bfs_distances, closed_nbhd_of_set, power_edges_naive, random_graph
+from oracles import (
+    bfs_distances,
+    closed_nbhd_of_set,
+    complete_by_edges,
+    cycle_by_edges,
+    path_by_edges,
+    power_by_bfs,
+    power_edges_naive,
+    product_by_edges,
+    random_graph,
+)
 
 
 # --- family builders ---
@@ -67,6 +77,71 @@ def test_builders_reject_bad_order(builder, bad):
         builder(bad)
 
 
+# --- the mask builders against the edge-list oracles ---
+
+
+def assert_same_graph(built, oracle):
+    # closed_masks and family first: eq, hash and repr read adjacency
+    assert built.closed_masks == oracle.closed_masks
+    assert built.family == oracle.family
+    assert built == oracle and hash(built) == hash(oracle)
+    assert repr(built) == repr(oracle)
+    assert built.edges() == oracle.edges()
+
+
+FAMILIES = {
+    "path": (make_path, path_by_edges, 1),
+    "cycle": (make_cycle, cycle_by_edges, 3),
+    "complete": (make_complete, complete_by_edges, 1),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_builders_match_their_edge_lists(family):
+    build, oracle, least = FAMILIES[family]
+    for n in range(least, 13):
+        assert_same_graph(build(n), oracle(n))
+
+
+@pytest.mark.parametrize("left", FAMILIES)
+@pytest.mark.parametrize("right", FAMILIES)
+def test_products_match_their_edge_lists(left, right):
+    (build_g, _, least_g), (build_h, _, least_h) = FAMILIES[left], FAMILIES[right]
+    for n in range(least_g, 7):
+        for m in range(least_h, 7):
+            g, h = build_g(n), build_h(m)
+            assert_same_graph(cartesian_product(g, h), product_by_edges(g, h))
+
+
+def test_powers_match_bfs():
+    rng = random.Random(31)
+    bases = [make_cycle(n) for n in range(3, 13)] + [make_path(n) for n in range(1, 13)]
+    bases += [random_graph(rng, rng.randint(1, 10)) for _ in range(20)]
+    for g in bases:
+        for d in range(1, 7):
+            assert_same_graph(graph_power(g, d), power_by_bfs(g, d))
+
+
+def test_builders_derive_adjacency_only_when_read():
+    g, h = make_path(3), make_cycle(4)
+    p = cartesian_product(g, h)
+    # a product reads only its factors' masks
+    assert not {"adjacency"} & (vars(g).keys() | vars(h).keys() | vars(p).keys())
+    assert p.degree(0) == 3
+    assert vars(p)["adjacency"] is p.adjacency
+
+
+@pytest.mark.parametrize("masks, message", [
+    ((0b11, 0b10), "edge 0-1 is not symmetric"),
+    ((0b101, 0b010), "out of range"),
+    ((0b01, 0b00), "misses vertex 1"),
+    ((), "order must be >= 1"),
+])
+def test_from_masks_rejects_inconsistent_masks(masks, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        Graph._from_masks(masks, None)
+
+
 # --- Graph validation ---
 
 
@@ -88,6 +163,21 @@ def test_graph_rejects_out_of_range_neighbor():
 def test_graph_rejects_unsorted_row():
     with pytest.raises(InvalidParameterError):
         Graph(3, ((2, 1), (0, 2), (0, 1)))
+
+
+def test_graph_refuses_vertices_that_are_not_ints():
+    with pytest.raises(InvalidParameterError, match="must be an int, got '1'"):
+        Graph(2, (("1",), (0,)))
+    with pytest.raises(InvalidParameterError, match="must be an int, got True"):
+        Graph(2, ((True,), (0,)))
+    with pytest.raises(InvalidParameterError, match="order must be an int"):
+        Graph(True, ((),))
+
+
+def test_graph_stores_list_rows_as_tuples():
+    g = Graph(2, [[1], [0]])
+    assert g.adjacency == ((1,), (0,))
+    assert g == Graph(2, ((1,), (0,))) and hash(g) == hash(Graph(2, ((1,), (0,))))
 
 
 def test_from_edges_dedups_and_validates():
@@ -266,6 +356,17 @@ def test_graph_json_rejects_garbage():
         graph_from_json('{"nope": 1}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"order": 3, "edges": [["a", 1]]}',
+    '{"order": 3, "edges": [[0, 1.0]]}',
+    '{"order": true, "edges": []}',
+    '{"order": 3, "edges": [[0, true]]}',
+])
+def test_graph_json_refuses_entries_that_are_not_ints(text):
+    with pytest.raises(InvalidParameterError):
+        graph_from_json(text)
+
+
 def test_set_json_round_trip():
     s = VertexSet.from_indices(6, [5, 0, 3])
     assert set_to_json(s) == "[0, 3, 5]"
@@ -277,3 +378,5 @@ def test_set_json_rejects_bad_payload():
         set_from_json('{"not": "a list"}', 4)
     with pytest.raises(InvalidParameterError):
         set_from_json("[9]", 4)
+    with pytest.raises(InvalidParameterError):
+        set_from_json("[true]", 3)

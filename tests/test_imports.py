@@ -246,3 +246,59 @@ def test_a_route_loads_json_or_decimal_only_when_it_needs_them(argv, loads):
     assert after == loads
     assert [code, out] == _in_process(argv)
 
+
+
+# every name the package exported when its __init__ imported all of its
+# modules, by the module that defines it
+EXPORTED = {
+    "_kernels": ["DEFAULT_MAX_SUBSETS", "EnumerationBudget"],
+    "convexity": ["count_digitally_convex", "digital_convex_hull", "enumerate_digitally_convex",
+                  "has_private_neighbor", "is_digitally_convex"],
+    "cyclic": ["BlockProfile", "CyclicBinaryString", "a_count", "a_series",
+               "convex_set_from_string", "count_cycle_power", "cyclic_blocks", "enumerate_B",
+               "is_member_B", "string_from_convex_set"],
+    "errors": ["BfileParseError", "BudgetExceededError", "EmptyOverlapError",
+               "InvalidParameterError", "NotConvexError", "NotImageError", "NotMemberError"],
+    "graphs": ["Graph", "VertexSet", "cartesian_product", "closed_neighborhood",
+               "closed_neighborhood_of_set", "graph_from_json", "graph_power", "graph_to_json",
+               "make_complete", "make_cycle", "make_path", "set_from_json", "set_to_json"],
+    "products": ["BinaryArray", "array_from_set", "count_complete_product", "count_grid_p2",
+                 "count_grid_via_arrays", "count_mis_grid3", "generate_grid_p2", "max_transform",
+                 "min_transform", "set_from_array"],
+    "sequences": ["ComparisonReport", "LinearRecurrence", "PowerSeries", "compare_with_bfile",
+                  "eval_recurrence", "expand_rational", "parse_bfile"],
+}
+
+LAZY_PACKAGE = """\
+import importlib, sys
+import digicon
+loaded = sorted(m for m in sys.modules if m.startswith("digicon."))
+listed = dir(digicon)
+exported = {exported!r}
+same = [name for module, names in exported.items() for name in names
+        if getattr(digicon, name) is getattr(importlib.import_module("digicon." + module), name)]
+print(repr([loaded, digicon.__version__, same, sorted(set(same) - set(listed))]))
+"""
+
+
+def test_import_loads_no_module_until_a_name_is_read():
+    proc = _python(LAZY_PACKAGE.format(exported=EXPORTED))
+    assert proc.returncode == 0, proc.stderr
+    loaded, version, same, unlisted = ast.literal_eval(proc.stdout)
+    assert loaded == []
+    assert version == digicon.__version__ == "0.1.0"
+    # each name resolves to its module's object, and dir() lists it
+    assert same == [name for names in EXPORTED.values() for name in names]
+    assert unlisted == []
+
+
+def test_the_package_resolves_its_modules_and_refuses_unknown_names():
+    for module in EXPORTED:
+        assert getattr(digicon, module) is sys.modules["digicon." + module]
+        assert module in dir(digicon)
+    from digicon import graphs, make_path
+    assert make_path is graphs.make_path
+    with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
+        digicon.nonesuch
+    with pytest.raises(ImportError):
+        from digicon import nonesuch  # noqa: F401
