@@ -5,12 +5,19 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or parameter error,
 3 enumeration budget exceeded or an answer too large to build.  Counts are
 always printed as decimal strings; enumeration uses JSON Lines by default.
 All output is deterministic for a fixed request, regardless of --workers.
+
+``main(argv)`` is the in-process API: it runs one command and returns its
+exit code.  ``run()`` is the process entry point (``python -m digicon`` and
+the ``digicon`` script): it runs ``main`` on ``sys.argv``, then freezes the
+heap with ``gc.freeze()`` so that the interpreter's exit collections skip
+every object the process made, and exits with ``main``'s code.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import operator
 import os
@@ -514,6 +521,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command on argv (default sys.argv[1:]) and return its exit
+    code; a usage error raises argparse's SystemExit.  It never freezes the
+    heap, so a long-lived process may call it again and again."""
     args = _build_parser().parse_args(argv)
     try:
         code = args.handler(args)
@@ -533,5 +543,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """Run main on sys.argv and exit the process with its code.
+
+    The output is flushed when main returns, so all that is left is the
+    interpreter's finalization; frozen objects are skipped by its exit
+    collections.  atexit handlers still run.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -28,12 +28,21 @@ from collections.abc import Iterable, Iterator
 from .errors import FrozenRecord, InvalidParameterError
 
 
+def _int(value, what: str) -> int:
+    """value as an int; a bool, a float or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameterError(f"{what} must be an int, got {value!r}")
+    return int(value)
+
+
 class VertexSet(FrozenRecord):
     """A subset of the vertices 0..universe-1, stored as a bitmask."""
 
     _fields = ("universe", "mask")
 
     def __init__(self, universe: int, mask: int = 0):
+        if type(universe) is not int or type(mask) is not int:  # plain ints skip the calls
+            universe, mask = _int(universe, "universe"), _int(mask, "mask")
         if universe < 0:
             raise InvalidParameterError(f"universe must be >= 0, got {universe}")
         if not 0 <= mask < (1 << universe):
@@ -43,8 +52,9 @@ class VertexSet(FrozenRecord):
 
     @classmethod
     def from_indices(cls, universe: int, indices: Iterable[int]) -> "VertexSet":
-        mask = 0
+        universe, mask = _int(universe, "universe"), 0
         for v in indices:
+            v = _int(v, "vertex")
             if not 0 <= v < universe:
                 raise InvalidParameterError(f"vertex {v} out of range 0..{universe - 1}")
             mask |= 1 << v
@@ -52,6 +62,7 @@ class VertexSet(FrozenRecord):
 
     @classmethod
     def full(cls, universe: int) -> "VertexSet":
+        universe = _int(universe, "universe")
         return cls(universe, (1 << universe) - 1)
 
     def indices(self) -> tuple[int, ...]:
@@ -101,13 +112,6 @@ class VertexSet(FrozenRecord):
 
     def complement(self) -> "VertexSet":
         return VertexSet(self.universe, ~self.mask & (1 << self.universe) - 1)
-
-
-def _int(value, what: str) -> int:
-    """value as an int; a bool, a float or a string is refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameterError(f"{what} must be an int, got {value!r}")
-    return int(value)
 
 
 class Graph(FrozenRecord):
@@ -225,6 +229,7 @@ def _path_masks(n: int) -> list[int]:
 
 def make_path(n: int) -> Graph:
     """The path P_n on vertices 0..n-1, consecutive integers adjacent."""
+    n = _int(n, "path order")
     if n < 1:
         raise InvalidParameterError(f"path order must be >= 1, got {n}")
     return Graph._from_masks(_path_masks(n), f"P_{n}")
@@ -232,6 +237,7 @@ def make_path(n: int) -> Graph:
 
 def make_cycle(n: int) -> Graph:
     """The cycle C_n, n >= 3."""
+    n = _int(n, "cycle order")
     if n < 3:
         raise InvalidParameterError(f"cycle order must be >= 3, got {n}")
     masks = _path_masks(n)
@@ -242,6 +248,7 @@ def make_cycle(n: int) -> Graph:
 
 def make_complete(n: int) -> Graph:
     """The complete graph K_n."""
+    n = _int(n, "complete graph order")
     if n < 1:
         raise InvalidParameterError(f"complete graph order must be >= 1, got {n}")
     return Graph._from_masks([(1 << n) - 1] * n, f"K_{n}")
@@ -254,6 +261,7 @@ def graph_power(g: Graph, d: int) -> Graph:
     takes N of it, one step further, until d rounds are done or a round
     adds nothing.
     """
+    d = _int(d, "power")
     if d < 1:
         raise InvalidParameterError(f"power must be >= 1, got {d}")
     closed = reach = g.closed_masks
@@ -314,21 +322,28 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps({"order": g.order, "edges": [list(e) for e in g.edges()]})
 
 
-def graph_from_json(text: str) -> Graph:
+def _json_loads(text: str, what: str):
+    """text decoded as JSON; malformed JSON is a parameter error."""
     import json
-    data = json.loads(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(f"{what} is not valid JSON: {exc}") from None
+
+
+def graph_from_json(text: str) -> Graph:
+    data = _json_loads(text, "graph JSON")
     if not isinstance(data, dict) or "order" not in data or "edges" not in data:
         raise InvalidParameterError("graph JSON needs 'order' and 'edges' keys")
-    order = data["order"]
     edges = data["edges"]
-    if isinstance(order, bool) or not isinstance(order, int) or not isinstance(edges, list):
-        raise InvalidParameterError("graph JSON has wrong field types")
+    if not isinstance(edges, list):
+        raise InvalidParameterError("graph JSON edges must be an array")
     pairs = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2):
             raise InvalidParameterError(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
-    return Graph.from_edges(order, pairs)
+    return Graph.from_edges(data["order"], pairs)
 
 
 def set_to_json(s: VertexSet) -> str:
@@ -338,9 +353,7 @@ def set_to_json(s: VertexSet) -> str:
 
 
 def set_from_json(text: str, universe: int) -> VertexSet:
-    import json
-    data = json.loads(text)
-    if not isinstance(data, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in data):
+    data = _json_loads(text, "vertex set JSON")
+    if not isinstance(data, list):
         raise InvalidParameterError("vertex set JSON must be an array of ints")
     return VertexSet.from_indices(universe, data)

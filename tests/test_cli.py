@@ -2,6 +2,7 @@
 
 import bisect
 import decimal
+import gc
 import itertools
 import json
 import os
@@ -1168,16 +1169,6 @@ def test_count_bytes_identical_across_workers(capsys):
 # --- process-level entry points ---
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "digicon", "count", "--family", "cycle", "--n", "10"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "122\n"
-
-
 @pytest.mark.parametrize("argv,lines", [
     # about 200 kB, more than a pipe holds: a write meets the closed end mid-stream
     (("enumerate", "--family", "path-grid", "--n", "5", "--m", "4", "--method", "arrays"), 1),
@@ -1195,12 +1186,82 @@ def test_closed_stdout_ends_the_stream_quietly(argv, lines):
     assert (proc.returncode, err) == (0, b"")
 
 
-def test_console_script_usage_error():
+BUDGET_ERROR = ("error: needs 1073741824 arrays but the budget allows 67108864; "
+                "rerun with max_subsets >= 1073741824\n")
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (("count", "--family", "cycle", "--n", "10"), 0, b"122\n", ""),
+    (("oeis", "--max-cells", "2", "--bfile", "{bfile}"), 1,
+     b'{"matched": 2, "mismatches": [{"index": 3, "expected": "999", "found": "2"}], '
+     b'"only_left": [], "only_right": []}\n', ""),
+    (("count", "--family", "complete-product", "--n", "0", "--m", "2"), 2, b"",
+     "error: n must be >= 1, got 0\n"),
+    (("count", "--family", "nope"), 2, b"",
+     "digicon count: error: argument --family: invalid choice: 'nope' (choose from "),
+    (("count", "--family", "path-grid", "--n", "5", "--m", "6"), 3, b"", BUDGET_ERROR),
+], ids=["ok", "mismatch", "parameter", "argparse", "budget"])
+def test_process_exit_codes(tmp_path, argv, code, out, err):
+    """Each exit code through python -m digicon, the process entry point:
+    the code, the stdout bytes and the stderr text (for argparse, the text of
+    its last line up to the list of choices)."""
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("1 2\n2 2\n3 999\n")
+    env = {key: value for key, value in os.environ.items() if key != "DIGICON_MAX_SUBSETS"}
     proc = subprocess.run(
-        [sys.executable, "-m", "digicon", "count", "--family", "complete-product",
-         "--n", "0", "--m", "2"],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-m", "digicon", *(a.format(bfile=bfile) for a in argv)],
+        capture_output=True, env=env,
     )
-    assert proc.returncode == 2
-    assert proc.stderr != ""
+    stderr = proc.stderr.decode()
+    if argv[-1] == "nope":
+        stderr = stderr.splitlines()[-1][:len(err)]
+    assert (proc.returncode, proc.stdout, stderr) == (code, out, err)
+
+
+def test_profiled_entry_point_still_prints_its_stats():
+    # the entry point leaves through sys.exit, which the profiler catches
+    # before it prints its table
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "digicon", "count", "--family", "cycle",
+         "--n", "10"],
+        capture_output=True, text=True,
+    )
+    first, stats = proc.stdout.split("\n", 1)
+    assert (proc.returncode, first, proc.stderr) == (0, "122", "")
+    assert "function calls" in stats and "Ordered by" in stats
+
+
+def test_main_never_freezes(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "count", "--family", "cycle", "--n", "10") == (0, "122\n", "")
+    assert run_cli(capsys, "count", "--family", "path-grid", "--n", "5", "--m", "6")[0] == 3
+    assert gc.get_freeze_count() == before
+
+
+@pytest.fixture
+def unfreeze():
+    yield
+    gc.unfreeze()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["count", "--family", "cycle", "--n", "10"], 0),
+    (["count", "--family", "path-grid", "--n", "5", "--m", "6"], 3),
+])
+def test_run_exits_with_mains_code_after_freezing(monkeypatch, capsys, unfreeze, argv, code):
+    seen = []
+
+    def main_then_count_frozen(argv=None):
+        result = main(argv)
+        seen.append((argv, gc.get_freeze_count()))
+        return result
+
+    before = gc.get_freeze_count()
+    monkeypatch.setattr(sys, "argv", ["digicon", *argv])
+    monkeypatch.setattr(cli, "main", main_then_count_frozen)
+    with pytest.raises(SystemExit) as info:
+        cli.run()
+    assert info.value.code == code
+    # main ran on sys.argv and froze nothing; run froze the heap after it
+    assert seen == [(None, before)]
+    assert gc.get_freeze_count() > before

@@ -339,6 +339,29 @@ def test_vertex_set_rejects_bad_members():
         VertexSet(3, -1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: VertexSet.from_indices(3, [True]),
+    lambda: VertexSet.from_indices(3, ["a"]),
+    lambda: VertexSet.from_indices(3, [1.0]),
+    lambda: VertexSet.from_indices(3.0, [1]),
+    lambda: VertexSet(True, 1),
+    lambda: VertexSet(3, True),
+    lambda: VertexSet(3, 1.0),
+    lambda: VertexSet.full(2.5),
+    lambda: make_path(2.5),
+    lambda: make_path(True),
+    lambda: make_cycle(4.0),
+    lambda: make_complete("3"),
+    lambda: graph_power(make_path(3), 1.5),
+    lambda: graph_power(make_path(3), True),
+], ids=["from_indices-bool", "from_indices-str", "from_indices-float", "from_indices-universe",
+        "universe-bool", "mask-bool", "mask-float", "full-float", "path-float", "path-bool",
+        "cycle-float", "complete-str", "power-float", "power-bool"])
+def test_vertex_sets_and_builders_refuse_numbers_that_are_not_ints(build):
+    with pytest.raises(InvalidParameterError, match="must be an int"):
+        build()
+
+
 # --- serialization ---
 
 
@@ -365,6 +388,16 @@ def test_graph_json_rejects_garbage():
 def test_graph_json_refuses_entries_that_are_not_ints(text):
     with pytest.raises(InvalidParameterError):
         graph_from_json(text)
+
+
+@pytest.mark.parametrize("read", [
+    lambda: graph_from_json('{"order": 3, "edges": [[0, 1]]'),
+    lambda: set_from_json('[0,', 3),
+], ids=["graph", "set"])
+def test_json_readers_refuse_malformed_json(read):
+    with pytest.raises(InvalidParameterError, match="not valid JSON") as info:
+        read()
+    assert info.value.__cause__ is None and info.value.__suppress_context__
 
 
 def test_set_json_round_trip():
