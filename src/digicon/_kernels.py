@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import BudgetExceededError, FrozenRecord, InvalidParameterError
+from .errors import BudgetExceededError, FrozenRecord, InvalidParameterError, _int
 from .graphs import union_of_masks
 
 # 2^16 codes: a block int, and each plane, is 8 KiB
@@ -54,9 +54,7 @@ class EnumerationBudget(FrozenRecord):
     _fields = ("max_subsets",)
 
     def __init__(self, max_subsets: int = DEFAULT_MAX_SUBSETS):
-        if max_subsets < 1:
-            raise InvalidParameterError(f"max_subsets must be >= 1, got {max_subsets}")
-        object.__setattr__(self, "max_subsets", max_subsets)
+        object.__setattr__(self, "max_subsets", _int(max_subsets, "max_subsets", 1))
 
 
 def check_budget(required: int, budget: EnumerationBudget | None, what: str) -> None:

@@ -44,6 +44,7 @@ from .errors import (
     NotConvexError,
     NotImageError,
     NotMemberError,
+    _int,
 )
 from .graphs import cartesian_product, graph_power, make_complete, make_cycle, make_path
 from .products import (
@@ -142,10 +143,7 @@ def _route(args, command: str):
     route = routes[0] if command == "count" else routes[1]
     if route is None:
         raise InvalidParameterError(f"family {family} cannot {command} by method {method}")
-    params = {name: getattr(args, name) for name in least}
-    for name, value in params.items():
-        if value < least[name]:
-            raise InvalidParameterError(f"{name} must be >= {least[name]}, got {value}")
+    params = {name: _int(getattr(args, name), name, low) for name, low in least.items()}
     return params, method, route
 
 
@@ -159,8 +157,7 @@ def _budget_from(args) -> EnumerationBudget:
             raise InvalidParameterError(
                 f"DIGICON_MAX_SUBSETS must be an integer, got {env!r}") from None
     budget = EnumerationBudget(DEFAULT_MAX_SUBSETS if cap is None else cap)
-    if args.workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {args.workers}")
+    _int(args.workers, "workers", 1)
     return budget
 
 
@@ -532,7 +529,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout: end quietly, and send what is still
         # buffered to devnull so that the final flush cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except (BudgetExceededError, OverflowError, MemoryError) as exc:  # too large to run
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

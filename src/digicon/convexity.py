@@ -27,7 +27,7 @@ from collections.abc import Iterator
 from . import _kernels
 from ._kernels import EnumerationBudget
 from .errors import InvalidParameterError
-from .graphs import Graph, VertexSet, union_of_masks
+from .graphs import Graph, VertexSet, _vertex, union_of_masks
 
 
 def _member_mask(g: Graph, s: VertexSet) -> int:
@@ -42,8 +42,7 @@ def _neighborhood_mask(g: Graph, member_mask: int) -> int:
 
 def has_private_neighbor(g: Graph, v: int, s: VertexSet) -> bool:
     """True iff some vertex of N[v] lies outside N[S - {v}]."""
-    if not 0 <= v < g.order:
-        raise InvalidParameterError(f"vertex {v} out of range 0..{g.order - 1}")
+    v = _vertex(v, g.order)
     rest = _member_mask(g, s) & ~(1 << v)
     ns = _neighborhood_mask(g, rest)
     return (g.closed_masks[v] & ~ns) != 0

@@ -38,7 +38,7 @@ from itertools import chain, starmap
 from math import comb
 
 from ._kernels import EnumerationBudget, check_budget, chunk_masks, walk_chunks
-from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotMemberError
+from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotMemberError, _int, _ints
 from .graphs import VertexSet
 from .sequences import LinearRecurrence, PowerSeries, _long_division, eval_recurrence
 
@@ -49,10 +49,10 @@ class CyclicBinaryString(FrozenRecord):
     _fields = ("bits",)
 
     def __init__(self, bits: tuple[int, ...]):
-        bits = tuple(int(b) for b in bits)
+        bits = _ints(bits, "bit")
         if len(bits) < 1:
             raise InvalidParameterError("string must have length >= 1")
-        if any(b not in (0, 1) for b in bits):
+        if {*bits} - {0, 1}:
             raise InvalidParameterError("bits must be 0 or 1")
         object.__setattr__(self, "bits", bits)
 
@@ -65,8 +65,7 @@ class CyclicBinaryString(FrozenRecord):
     @classmethod
     def from_code(cls, n: int, code: int) -> "CyclicBinaryString":
         """Decode an n-bit integer; position 0 is the most significant bit."""
-        if n < 1:
-            raise InvalidParameterError(f"length must be >= 1, got {n}")
+        n, code = _int(n, "length", 1), _int(code, "code")
         if not 0 <= code < 1 << n:
             raise InvalidParameterError(f"code {code} out of range for length {n}")
         return cls(tuple(code >> (n - 1 - i) & 1 for i in range(n)))
@@ -121,9 +120,7 @@ def cyclic_blocks(s: CyclicBinaryString) -> BlockProfile:
 
 def is_member_B(k: int, s: CyclicBinaryString) -> bool:
     """Membership in the family of strings with all cyclic blocks >= k."""
-    if k < 2:
-        raise InvalidParameterError(f"k must be >= 2, got {k}")
-    [ok] = _blocks_ok(k, s.length, [s.code])
+    [ok] = _blocks_ok(_int(k, "k", 2), s.length, [s.code])
     return ok
 
 
@@ -211,10 +208,7 @@ def _a_recurrence(k: int) -> LinearRecurrence:
 
 def a_count(k: int, n: int) -> int:
     """Number of length-n cyclic strings with all blocks >= k, by blocks or recurrence."""
-    if k < 2:
-        raise InvalidParameterError(f"k must be >= 2, got {k}")
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
+    k, n = _int(k, "k", 2), _int(n, "n", 1)
     pairs = n // (2 * k)  # the most pairs of blocks that fit
     if pairs > 2 * k:  # more terms than the recurrence's order
         return eval_recurrence(_a_recurrence(k), n)
@@ -228,9 +222,7 @@ def _series_fraction(k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int
     the generating function of Q_k's power sums:
     (2x - 2x^2 + 2k x^{2k}) / (1 - 2x + x^2 - x^{2k}), each as its nonzero
     (degree, coefficient) pairs, so that their size does not grow with k."""
-    if k < 2:
-        raise InvalidParameterError(f"k must be >= 2, got {k}")
-    q = _q_poly(k)
+    q = _q_poly(_int(k, "k", 2))
     return [(i, -i * c) for i, c in q if i], q
 
 
@@ -242,10 +234,8 @@ def a_series(k: int, terms: int) -> PowerSeries:
 
 def _check_power(k: int, n: int) -> None:
     """The parameters of the k-th power of an n-cycle: k >= 1 and n >= 3."""
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    if n < 3:
-        raise InvalidParameterError(f"n must be >= 3, got {n}")
+    _int(k, "k", 1)
+    _int(n, "n", 3)
 
 
 def _window_steps(k: int, n: int) -> list[int]:

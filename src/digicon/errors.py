@@ -1,11 +1,38 @@
-"""Exception types shared across the package, and the base classes that
-give its record classes their value semantics."""
+"""Exception types shared across the package, the one check of an integer
+input, and the base classes that give its record classes their value
+semantics.
+
+Every integer parameter and record field goes through ``_int``: a bool, a
+float or a string is refused with ``{what} must be an int, got {value!r}``,
+and an int below the least value with ``{what} must be >= {least}, got
+{value}``, both as InvalidParameterError; nothing is truncated.
+"""
 
 import operator
 
 
 class InvalidParameterError(ValueError):
     """A parameter is outside its documented domain."""
+
+
+def _int(value, what: str, least: int | None = None) -> int:
+    """value as an int; a bool, a float, a string or an int below least is refused."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidParameterError(f"{what} must be an int, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise InvalidParameterError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints, each checked by _int; a tuple of plain
+    ints, as the per-item records are built from, skips the calls."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        values = tuple(_int(v, what) for v in values)
+    return values
 
 
 class NotConvexError(ValueError):

@@ -18,6 +18,10 @@ The sorted ``adjacency`` rows, which equality, hash, repr and ``edges``
 read, are derived from the masks on first read and then kept, so a sweep
 that reads only the masks never builds them.  ``Graph(order, adjacency)``
 and ``Graph.from_edges`` take a graph given as rows or as an edge list.
+
+Every order, universe, mask and power is checked by ``errors._int``, and
+every vertex argument by ``_vertex``: an int in 0..order-1, so a bool, a
+float or a string is an InvalidParameterError, not a vertex.
 """
 
 from __future__ import annotations
@@ -25,14 +29,15 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterable, Iterator
 
-from .errors import FrozenRecord, InvalidParameterError
+from .errors import FrozenRecord, InvalidParameterError, _int
 
 
-def _int(value, what: str) -> int:
-    """value as an int; a bool, a float or a string is refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameterError(f"{what} must be an int, got {value!r}")
-    return int(value)
+def _vertex(v, order: int) -> int:
+    """v as a vertex of a graph on order vertices, 0..order-1."""
+    v = _int(v, "vertex")
+    if not 0 <= v < order:
+        raise InvalidParameterError(f"vertex {v} out of range 0..{order - 1}")
+    return v
 
 
 class VertexSet(FrozenRecord):
@@ -41,10 +46,8 @@ class VertexSet(FrozenRecord):
     _fields = ("universe", "mask")
 
     def __init__(self, universe: int, mask: int = 0):
-        if type(universe) is not int or type(mask) is not int:  # plain ints skip the calls
-            universe, mask = _int(universe, "universe"), _int(mask, "mask")
-        if universe < 0:
-            raise InvalidParameterError(f"universe must be >= 0, got {universe}")
+        if type(universe) is not int or type(mask) is not int or universe < 0:  # plain ints skip
+            universe, mask = _int(universe, "universe", 0), _int(mask, "mask")
         if not 0 <= mask < (1 << universe):
             raise InvalidParameterError(f"mask {mask:#x} out of range for universe {universe}")
         object.__setattr__(self, "universe", universe)
@@ -52,17 +55,14 @@ class VertexSet(FrozenRecord):
 
     @classmethod
     def from_indices(cls, universe: int, indices: Iterable[int]) -> "VertexSet":
-        universe, mask = _int(universe, "universe"), 0
+        universe, mask = _int(universe, "universe", 0), 0
         for v in indices:
-            v = _int(v, "vertex")
-            if not 0 <= v < universe:
-                raise InvalidParameterError(f"vertex {v} out of range 0..{universe - 1}")
-            mask |= 1 << v
+            mask |= 1 << _vertex(v, universe)
         return cls(universe, mask)
 
     @classmethod
     def full(cls, universe: int) -> "VertexSet":
-        universe = _int(universe, "universe")
+        universe = _int(universe, "universe", 0)
         return cls(universe, (1 << universe) - 1)
 
     def indices(self) -> tuple[int, ...]:
@@ -97,14 +97,10 @@ class VertexSet(FrozenRecord):
         return VertexSet(self.universe, self.mask & ~other.mask)
 
     def with_vertex(self, v: int) -> "VertexSet":
-        if not 0 <= v < self.universe:
-            raise InvalidParameterError(f"vertex {v} out of range 0..{self.universe - 1}")
-        return VertexSet(self.universe, self.mask | 1 << v)
+        return VertexSet(self.universe, self.mask | 1 << _vertex(v, self.universe))
 
     def without_vertex(self, v: int) -> "VertexSet":
-        if not 0 <= v < self.universe:
-            raise InvalidParameterError(f"vertex {v} out of range 0..{self.universe - 1}")
-        return VertexSet(self.universe, self.mask & ~(1 << v))
+        return VertexSet(self.universe, self.mask & ~(1 << _vertex(v, self.universe)))
 
     def is_subset_of(self, other: "VertexSet") -> bool:
         self._check_same_universe(other)
@@ -130,9 +126,7 @@ class Graph(FrozenRecord):
 
     def __init__(self, order: int, adjacency: tuple[tuple[int, ...], ...],
                  family: str | None = None):
-        order = _int(order, "order")
-        if order < 1:
-            raise InvalidParameterError(f"order must be >= 1, got {order}")
+        order = _int(order, "order", 1)
         if len(adjacency) != order:
             raise InvalidParameterError(f"adjacency has {len(adjacency)} rows for order {order}")
         rows = tuple(tuple(_int(u, "vertex") for u in row) for row in adjacency)
@@ -166,9 +160,7 @@ class Graph(FrozenRecord):
         with the others: u in N[v] iff v in N[u].
         """
         closed_masks = tuple(closed_masks)
-        order = len(closed_masks)
-        if order < 1:
-            raise InvalidParameterError(f"order must be >= 1, got {order}")
+        order = _int(len(closed_masks), "order", 1)
         full = (1 << order) - 1
         for v, mask in enumerate(closed_masks):
             if not 0 <= mask <= full:
@@ -196,7 +188,7 @@ class Graph(FrozenRecord):
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]],
                    family: str | None = None) -> "Graph":
         """Build a graph from an edge list (pairs in any order, no loops)."""
-        order = _int(order, "order")
+        order = _int(order, "order", 1)
         masks = [1 << v for v in range(order)]
         for u, v in edges:
             u, v = _int(u, "edge end"), _int(v, "edge end")
@@ -206,8 +198,6 @@ class Graph(FrozenRecord):
                 raise InvalidParameterError(f"self-loop at vertex {u}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        if order < 1:
-            raise InvalidParameterError(f"order must be >= 1, got {order}")
         return cls._from_masks(masks, family)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -215,7 +205,7 @@ class Graph(FrozenRecord):
         return [(u, v) for u in range(self.order) for v in self.adjacency[u] if u < v]
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.adjacency[_vertex(v, self.order)])
 
     def vertex_set(self, indices: Iterable[int]) -> VertexSet:
         return VertexSet.from_indices(self.order, indices)
@@ -229,17 +219,13 @@ def _path_masks(n: int) -> list[int]:
 
 def make_path(n: int) -> Graph:
     """The path P_n on vertices 0..n-1, consecutive integers adjacent."""
-    n = _int(n, "path order")
-    if n < 1:
-        raise InvalidParameterError(f"path order must be >= 1, got {n}")
+    n = _int(n, "path order", 1)
     return Graph._from_masks(_path_masks(n), f"P_{n}")
 
 
 def make_cycle(n: int) -> Graph:
     """The cycle C_n, n >= 3."""
-    n = _int(n, "cycle order")
-    if n < 3:
-        raise InvalidParameterError(f"cycle order must be >= 3, got {n}")
+    n = _int(n, "cycle order", 3)
     masks = _path_masks(n)
     masks[0] |= 1 << n - 1
     masks[-1] |= 1
@@ -248,9 +234,7 @@ def make_cycle(n: int) -> Graph:
 
 def make_complete(n: int) -> Graph:
     """The complete graph K_n."""
-    n = _int(n, "complete graph order")
-    if n < 1:
-        raise InvalidParameterError(f"complete graph order must be >= 1, got {n}")
+    n = _int(n, "complete graph order", 1)
     return Graph._from_masks([(1 << n) - 1] * n, f"K_{n}")
 
 
@@ -261,9 +245,7 @@ def graph_power(g: Graph, d: int) -> Graph:
     takes N of it, one step further, until d rounds are done or a round
     adds nothing.
     """
-    d = _int(d, "power")
-    if d < 1:
-        raise InvalidParameterError(f"power must be >= 1, got {d}")
+    d = _int(d, "power", 1)
     closed = reach = g.closed_masks
     for _ in range(d - 1):
         grown = tuple(union_of_masks(closed, mask) for mask in reach)
@@ -293,9 +275,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 def closed_neighborhood(g: Graph, v: int) -> VertexSet:
     """N[v]: the vertex v together with its neighbours."""
-    if not 0 <= v < g.order:
-        raise InvalidParameterError(f"vertex {v} out of range 0..{g.order - 1}")
-    return VertexSet(g.order, g.closed_masks[v])
+    return VertexSet(g.order, g.closed_masks[_vertex(v, g.order)])
 
 
 def closed_neighborhood_of_set(g: Graph, s: VertexSet) -> VertexSet:

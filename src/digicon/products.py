@@ -31,7 +31,7 @@ from itertools import chain
 
 from . import _kernels
 from ._kernels import EnumerationBudget, check_budget, chunk_masks, walk_chunks
-from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotImageError
+from .errors import FrozenRecord, InvalidParameterError, NotConvexError, NotImageError, _int, _ints
 from .graphs import VertexSet, cartesian_product, make_path
 from .sequences import LinearRecurrence, eval_recurrence
 
@@ -51,14 +51,14 @@ class BinaryArray(FrozenRecord):
     _fields = ("cells",)
 
     def __init__(self, cells: tuple[tuple[int, ...], ...]):
-        cells = tuple(tuple(int(x) for x in row) for row in cells)
+        cells = tuple(_ints(row, "cell") for row in cells)
         if len(cells) < 1 or len(cells[0]) < 1:
             raise InvalidParameterError("array dimensions must be positive")
         width = len(cells[0])
         for row in cells:
             if len(row) != width:
                 raise InvalidParameterError("rows must all have the same length")
-            if any(x not in (0, 1) for x in row):
+            if {*row} - {0, 1}:
                 raise InvalidParameterError("cells must be 0 or 1")
         object.__setattr__(self, "cells", cells)
 
@@ -74,7 +74,7 @@ class BinaryArray(FrozenRecord):
     def from_code(cls, n: int, m: int, code: int) -> "BinaryArray":
         """Decode a row-major bit integer (bit i*m + j holds cell (i, j))."""
         _check_dims(n, m)
-        if not 0 <= code < 1 << (n * m):
+        if not 0 <= _int(code, "code") < 1 << (n * m):
             raise InvalidParameterError(f"code {code} out of range for {n} x {m}")
         return cls(tuple(
             tuple(code >> (i * m + j) & 1 for j in range(m)) for i in range(n)
@@ -133,8 +133,8 @@ def _min_codes(n: int, m: int, code: int) -> int:
 
 
 def _check_dims(n: int, m: int) -> None:
-    if n < 1 or m < 1:
-        raise InvalidParameterError(f"dimensions must be positive, got ({n}, {m})")
+    _int(n, "n", 1)
+    _int(m, "m", 1)
 
 
 def count_complete_product(n: int, m: int) -> int:
@@ -157,9 +157,7 @@ _GRID_P2_RECURRENCE = LinearRecurrence(
 def count_grid_p2(n: int) -> int:
     """Number of digitally convex sets of the n x 2 ladder:
     f(n) = f(n-1) + 3 f(n-2) + 2 f(n-3) with f(1), f(2), f(3) = 2, 6, 16."""
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    return eval_recurrence(_GRID_P2_RECURRENCE, n)
+    return eval_recurrence(_GRID_P2_RECURRENCE, _int(n, "n", 1))
 
 
 _SWAP = (0, 2, 1, 3)  # a column's letter with its two cells exchanged

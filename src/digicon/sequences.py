@@ -14,7 +14,8 @@ import re
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .errors import BfileParseError, EmptyOverlapError, FrozenRecord, InvalidParameterError, Record
+from .errors import (BfileParseError, EmptyOverlapError, FrozenRecord, InvalidParameterError,
+                     Record, _int, _ints)
 
 # ints up to this many bits convert directly; Decimal(int) is quadratic past it
 _PLAIN_BITS = 4096
@@ -91,17 +92,17 @@ class LinearRecurrence(FrozenRecord):
 
     def __init__(self, taps: tuple[tuple[int, int], ...], initial_terms: dict[int, int],
                  first_recurrent_index: int):
-        taps = tuple((int(o), int(c)) for o, c in taps)
-        initial_terms = {int(i): int(v) for i, v in initial_terms.items()}
+        taps = tuple((_int(o, "tap offset", 1), _int(c, "tap coefficient")) for o, c in taps)
+        initial_terms = {_int(i, "term index"): _int(v, "initial term")
+                         for i, v in initial_terms.items()}
         if not taps:
             raise InvalidParameterError("recurrence needs at least one tap")
-        if any(o < 1 for o, _ in taps):
-            raise InvalidParameterError("tap offsets must be >= 1")
         if not initial_terms:
             raise InvalidParameterError("recurrence needs initial terms")
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "initial_terms", initial_terms)
-        object.__setattr__(self, "first_recurrent_index", first_recurrent_index)
+        object.__setattr__(self, "first_recurrent_index",
+                           _int(first_recurrent_index, "first_recurrent_index"))
 
 
 def _advance(taps, window: deque, start: int, stop: int) -> None:
@@ -160,6 +161,7 @@ def eval_recurrence(rec: LinearRecurrence, n: int) -> int:
     sparse ones at modest n.  Either way memory holds O(span) numbers no
     larger than the answer, not n terms.
     """
+    n = _int(n, "index")
     initial = rec.initial_terms
     lowest = min(initial)
     if n < lowest:
@@ -189,7 +191,7 @@ class PowerSeries(FrozenRecord):
     _fields = ("coefficients",)
 
     def __init__(self, coefficients: tuple[int, ...]):
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in coefficients))
+        object.__setattr__(self, "coefficients", _ints(coefficients, "coefficient"))
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -201,7 +203,7 @@ class PowerSeries(FrozenRecord):
 def _coefficients(series) -> tuple[int, ...]:
     if isinstance(series, PowerSeries):
         return series.coefficients
-    return tuple(int(c) for c in series)
+    return _ints(series, "coefficient")
 
 
 def _long_division(numerator, denominator, terms: int) -> Iterator:
@@ -218,8 +220,7 @@ def _long_division(numerator, denominator, terms: int) -> Iterator:
     """
     num = dict(numerator)
     den = dict(denominator)
-    if terms < 0:
-        raise InvalidParameterError(f"terms must be >= 0, got {terms}")
+    terms = _int(terms, "terms", 0)
     if den.get(0) not in (1, -1):
         raise InvalidParameterError("denominator constant term must be 1 or -1")
     # a zero of the numerator's type: Decimal("0"), where 0 * Decimal(-1) is "-0"
@@ -281,7 +282,7 @@ def parse_bfile(source) -> list[tuple[int, int]]:
         if len(fields) != 2:
             raise BfileParseError(lineno, raw.rstrip("\n"), "expected two fields")
         try:
-            index, value = int(fields[0]), _exact_int(fields[1])
+            index, value = map(_exact_int, fields)
         except ValueError:
             raise BfileParseError(lineno, raw.rstrip("\n"), "fields must be integers") from None
         if index in seen:
@@ -328,7 +329,8 @@ def compare_with_bfile(values: Sequence[tuple[int, int]] | Mapping[int, int], bf
     value.  Raises an empty-overlap error when no index is shared, so a
     vacuous comparison can never look like success.
     """
-    left = dict(values.items() if isinstance(values, Mapping) else values)
+    left = {_int(i, "index"): _int(v, "value")
+            for i, v in (values.items() if isinstance(values, Mapping) else values)}
     right = dict(parse_bfile(bfile))
     overlap = sorted(left.keys() & right.keys())
     if not overlap:

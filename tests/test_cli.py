@@ -1186,6 +1186,18 @@ def test_closed_stdout_ends_the_stream_quietly(argv, lines):
     assert (proc.returncode, err) == (0, b"")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
+def test_closed_stdout_leaves_no_descriptor_open(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            assert main(["enumerate", "--family", "cycle", "--n", "12", "--method", "bijection"]) == 0
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 BUDGET_ERROR = ("error: needs 1073741824 arrays but the budget allows 67108864; "
                 "rerun with max_subsets >= 1073741824\n")
 

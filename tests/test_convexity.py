@@ -90,6 +90,17 @@ def test_private_neighbor_rejects_foreign_input():
         has_private_neighbor(g, 0, VertexSet(4))
 
 
+@pytest.mark.parametrize("v, message", [
+    (True, "vertex must be an int, got True"),
+    (1.0, "vertex must be an int, got 1.0"),
+    ("1", "vertex must be an int, got '1'"),
+], ids=["bool", "float", "str"])
+def test_private_neighbor_refuses_a_vertex_that_is_not_an_int(v, message):
+    with pytest.raises(InvalidParameterError) as info:
+        has_private_neighbor(make_path(3), v, VertexSet(3, 0b100))
+    assert str(info.value) == message
+
+
 # --- membership ---
 
 

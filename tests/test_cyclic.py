@@ -84,6 +84,38 @@ def test_string_validation():
         CyclicBinaryString((0, 2))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: CyclicBinaryString((1.5, 0)), "bit must be an int, got 1.5"),
+    (lambda: CyclicBinaryString((True, 0)), "bit must be an int, got True"),
+    (lambda: CyclicBinaryString(("1", 0)), "bit must be an int, got '1'"),
+    (lambda: CyclicBinaryString.from_code(3.0, 5), "length must be an int, got 3.0"),
+    (lambda: CyclicBinaryString.from_code(True, 1), "length must be an int, got True"),
+    (lambda: CyclicBinaryString.from_code(3, 5.0), "code must be an int, got 5.0"),
+    (lambda: is_member_B(2.0, CyclicBinaryString((1, 1))), "k must be an int, got 2.0"),
+    (lambda: is_member_B(True, CyclicBinaryString((1, 1))), "k must be an int, got True"),
+    (lambda: is_member_B("2", CyclicBinaryString((1, 1))), "k must be an int, got '2'"),
+    (lambda: a_count(2.0, 10), "k must be an int, got 2.0"),
+    (lambda: a_count(2, 10.0), "n must be an int, got 10.0"),
+    (lambda: a_count(2, "10"), "n must be an int, got '10'"),
+    (lambda: a_series(2, 3.0), "terms must be an int, got 3.0"),
+    (lambda: a_series(2.0, 3), "k must be an int, got 2.0"),
+    (lambda: a_series(True, 3), "k must be an int, got True"),
+    (lambda: enumerate_B(2, 6.0), "n must be an int, got 6.0"),
+    (lambda: count_cycle_power(1, 10.0), "n must be an int, got 10.0"),
+    (lambda: count_cycle_power(1.0, 10), "k must be an int, got 1.0"),
+    (lambda: count_cycle_power(True, 5), "k must be an int, got True"),
+    (lambda: string_from_convex_set(1, "5", VertexSet(5)), "n must be an int, got '5'"),
+], ids=["bit-float", "bit-bool", "bit-str", "from_code-length-float", "from_code-length-bool",
+        "from_code-code-float", "member-k-float", "member-k-bool", "member-k-str",
+        "a_count-k-float", "a_count-n-float", "a_count-n-str", "series-terms-float",
+        "series-k-float", "series-k-bool", "enumerate-n-float", "power-n-float",
+        "power-k-float", "power-k-bool", "string-n-str"])
+def test_cyclic_entry_points_refuse_numbers_that_are_not_ints(call, message):
+    with pytest.raises(InvalidParameterError) as info:
+        next(iter(call()))
+    assert str(info.value) == message
+
+
 # --- block profiles ---
 
 

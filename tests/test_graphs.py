@@ -339,27 +339,39 @@ def test_vertex_set_rejects_bad_members():
         VertexSet(3, -1)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: VertexSet.from_indices(3, [True]),
-    lambda: VertexSet.from_indices(3, ["a"]),
-    lambda: VertexSet.from_indices(3, [1.0]),
-    lambda: VertexSet.from_indices(3.0, [1]),
-    lambda: VertexSet(True, 1),
-    lambda: VertexSet(3, True),
-    lambda: VertexSet(3, 1.0),
-    lambda: VertexSet.full(2.5),
-    lambda: make_path(2.5),
-    lambda: make_path(True),
-    lambda: make_cycle(4.0),
-    lambda: make_complete("3"),
-    lambda: graph_power(make_path(3), 1.5),
-    lambda: graph_power(make_path(3), True),
+@pytest.mark.parametrize("build, message", [
+    (lambda: VertexSet.from_indices(3, [True]), "vertex must be an int, got True"),
+    (lambda: VertexSet.from_indices(3, ["a"]), "vertex must be an int, got 'a'"),
+    (lambda: VertexSet.from_indices(3, [1.0]), "vertex must be an int, got 1.0"),
+    (lambda: VertexSet.from_indices(3.0, [1]), "universe must be an int, got 3.0"),
+    (lambda: VertexSet(True, 1), "universe must be an int, got True"),
+    (lambda: VertexSet(3, True), "mask must be an int, got True"),
+    (lambda: VertexSet(3, 1.0), "mask must be an int, got 1.0"),
+    (lambda: VertexSet.full(2.5), "universe must be an int, got 2.5"),
+    (lambda: VertexSet.full(-1), "universe must be >= 0, got -1"),
+    (lambda: VertexSet(3, 1).with_vertex(True), "vertex must be an int, got True"),
+    (lambda: VertexSet(3, 1).with_vertex("2"), "vertex must be an int, got '2'"),
+    (lambda: VertexSet(3, 1).without_vertex(1.0), "vertex must be an int, got 1.0"),
+    (lambda: closed_neighborhood(make_path(3), True), "vertex must be an int, got True"),
+    (lambda: closed_neighborhood(make_path(3), 1.0), "vertex must be an int, got 1.0"),
+    (lambda: make_path(3).degree(-1), "vertex -1 out of range 0..2"),
+    (lambda: make_path(3).degree(True), "vertex must be an int, got True"),
+    (lambda: Graph.from_edges(0, [(0, 1)]), "order must be >= 1, got 0"),
+    (lambda: make_path(2.5), "path order must be an int, got 2.5"),
+    (lambda: make_path(True), "path order must be an int, got True"),
+    (lambda: make_cycle(4.0), "cycle order must be an int, got 4.0"),
+    (lambda: make_complete("3"), "complete graph order must be an int, got '3'"),
+    (lambda: graph_power(make_path(3), 1.5), "power must be an int, got 1.5"),
+    (lambda: graph_power(make_path(3), True), "power must be an int, got True"),
 ], ids=["from_indices-bool", "from_indices-str", "from_indices-float", "from_indices-universe",
-        "universe-bool", "mask-bool", "mask-float", "full-float", "path-float", "path-bool",
+        "universe-bool", "mask-bool", "mask-float", "full-float", "full-negative",
+        "with_vertex-bool", "with_vertex-str", "without_vertex-float", "neighborhood-bool",
+        "neighborhood-float", "degree-negative", "degree-bool", "from_edges-order-first", "path-float", "path-bool",
         "cycle-float", "complete-str", "power-float", "power-bool"])
-def test_vertex_sets_and_builders_refuse_numbers_that_are_not_ints(build):
-    with pytest.raises(InvalidParameterError, match="must be an int"):
+def test_vertex_sets_and_builders_refuse_numbers_that_are_not_ints(build, message):
+    with pytest.raises(InvalidParameterError) as info:
         build()
+    assert str(info.value) == message
 
 
 # --- serialization ---

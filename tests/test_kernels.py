@@ -253,6 +253,17 @@ def test_a_budget_error_prints_a_count_past_the_digit_cap():
     assert text == f"needs {digits} sets but the budget allows 1; rerun with max_subsets >= {digits}"
 
 
+@pytest.mark.parametrize("cap, message", [
+    (2.5, "max_subsets must be an int, got 2.5"),
+    (True, "max_subsets must be an int, got True"),
+    ("5", "max_subsets must be an int, got '5'"),
+], ids=["float", "bool", "str"])
+def test_a_budget_refuses_a_cap_that_is_not_an_int(cap, message):
+    with pytest.raises(InvalidParameterError) as info:
+        EnumerationBudget(cap)
+    assert str(info.value) == message
+
+
 def test_arrays_are_capped_at_the_swept_bits_like_bruteforce(capsys):
     # 6 x 9 arrays are 54-bit codes: within the width cap, past the budget
     for method in ("arrays", "bruteforce"):

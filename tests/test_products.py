@@ -80,6 +80,31 @@ def test_array_validation():
         BinaryArray.from_code(0, 2, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: BinaryArray(((0.9, 1),)), "cell must be an int, got 0.9"),
+    (lambda: BinaryArray(((True, 0),)), "cell must be an int, got True"),
+    (lambda: BinaryArray((("1", 0),)), "cell must be an int, got '1'"),
+    (lambda: BinaryArray.from_code(2, 2, 3.0), "code must be an int, got 3.0"),
+    (lambda: BinaryArray.from_code(2, True, 1), "m must be an int, got True"),
+    (lambda: count_complete_product(2.0, 3), "n must be an int, got 2.0"),
+    (lambda: count_complete_product(2, True), "m must be an int, got True"),
+    (lambda: count_complete_product(0, 2), "n must be >= 1, got 0"),
+    (lambda: count_grid_via_arrays(2, 0), "m must be >= 1, got 0"),
+    (lambda: count_mis_grid3(2, 2.0), "m must be an int, got 2.0"),
+    (lambda: array_from_set((2, "2"), VertexSet(4)), "m must be an int, got '2'"),
+    (lambda: count_grid_p2(True), "n must be an int, got True"),
+    (lambda: count_grid_p2(2.5), "n must be an int, got 2.5"),
+    (lambda: generate_grid_p2(2.0), "n must be an int, got 2.0"),
+], ids=["cell-float", "cell-bool", "cell-str", "from_code-code-float", "from_code-m-bool",
+        "complete-n-float", "complete-m-bool", "complete-n-zero", "arrays-m-zero",
+        "mis-m-float", "array_from_set-m-str", "ladder-bool", "ladder-float",
+        "ladder-generate-float"])
+def test_product_entry_points_refuse_numbers_that_are_not_ints(call, message):
+    with pytest.raises(InvalidParameterError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # --- transforms ---
 
 

@@ -163,6 +163,36 @@ def test_recurrence_validation():
         LinearRecurrence(taps=((1, 1),), initial_terms={}, first_recurrent_index=1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: LinearRecurrence(((1, 0.5),), {1: 1}, 2), "tap coefficient must be an int, got 0.5"),
+    (lambda: LinearRecurrence(((1.0, 1),), {1: 1}, 2), "tap offset must be an int, got 1.0"),
+    (lambda: LinearRecurrence(((0, 1),), {1: 1}, 2), "tap offset must be >= 1, got 0"),
+    (lambda: LinearRecurrence(((1, 1),), {1.5: 1}, 2), "term index must be an int, got 1.5"),
+    (lambda: LinearRecurrence(((1, 1),), {1: "1"}, 2), "initial term must be an int, got '1'"),
+    (lambda: LinearRecurrence(((1, 1),), {1: 1}, 2.0),
+     "first_recurrent_index must be an int, got 2.0"),
+    (lambda: eval_recurrence(_GRID_P2_RECURRENCE, 5.0),
+     "index must be an int, got 5.0"),
+    (lambda: eval_recurrence(LinearRecurrence(((1, 1),), {1: 1}, 2), True),
+     "index must be an int, got True"),
+    (lambda: PowerSeries((2.7,)), "coefficient must be an int, got 2.7"),
+    (lambda: PowerSeries((True,)), "coefficient must be an int, got True"),
+    (lambda: expand_rational([1.5], [1, -1], 3), "coefficient must be an int, got 1.5"),
+    (lambda: expand_rational([1], [True, -1], 3), "coefficient must be an int, got True"),
+    (lambda: expand_rational([1], [1, -1], 3.0), "terms must be an int, got 3.0"),
+    (lambda: compare_with_bfile([(1, 2.5)], ["1 2"]).to_json(), "value must be an int, got 2.5"),
+    (lambda: compare_with_bfile({1.0: 2}, ["1 2"]), "index must be an int, got 1.0"),
+    (lambda: compare_with_bfile([(1, "2")], ["1 2"]), "value must be an int, got '2'"),
+], ids=["tap-coefficient-float", "tap-offset-float", "tap-offset-zero", "term-index-float",
+        "initial-term-str", "first-index-float", "index-float", "index-bool", "series-float",
+        "series-bool", "numerator-float", "denominator-bool", "terms-float", "value-float",
+        "compared-index-float", "value-str"])
+def test_sequence_entry_points_refuse_numbers_that_are_not_ints(call, message):
+    with pytest.raises(InvalidParameterError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_recurrence_is_frozen():
     rec = LinearRecurrence(taps=((1, 1),), initial_terms={0: 7}, first_recurrent_index=1)
     with pytest.raises(FrozenInstanceError):

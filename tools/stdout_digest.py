@@ -17,7 +17,10 @@ ignored, then a usage error); plus
 alone at bounds other than its defaults, ``verify --suite all`` under a
 budget of 1000 subsets, and ``oeis --max-cells 22``; plus single runs of
 ``series --k 2 --terms 6500`` in each format, of ``series --k 1000000
---terms 3`` (a denominator of degree two million), of the ladder streams
+--terms 3`` (a denominator of degree two million), of the refusals that
+the library, not the CLI, makes: ``series --k 1 --terms 3``, ``series --k
+2 --terms -1`` and ``count --family complete-product --n
+100000000000000000000 --m 2`` (exit 3), of the ladder streams
 at 1, 2, 3, 4, 13 and 14 columns, and of the bijection streams of
 ``cycle-power --k 4`` at 9, 10, 19 and 20 positions, ``cycle-power --k
 29`` at 59, 60 and 61, ``cycle-power --n 60 --k 14``, ``cycle-power --n 40
@@ -128,6 +131,12 @@ def matrix() -> list[list[str]]:
     for fmt in (None, "jsonl", "csv", "plain"):
         runs.append(["series", "--k", "2", "--terms", "6500"] + (["--format", fmt] if fmt else []))
     runs.append(["series", "--k", "1000000", "--terms", "3"])
+    # library refusals that reach the CLI unchecked: a block bound and a
+    # term count below their least values, and a product past any memory
+    runs.append(["series", "--k", "1", "--terms", "3"])
+    runs.append(["series", "--k", "2", "--terms", "-1"])
+    runs.append(["count", "--family", "complete-product", "--n", "100000000000000000000",
+                 "--m", "2"])
     # ladder streams: 1, 2, 3 and 4 columns, where the prefix walk meets the
     # tables of the bottom n // 2 columns at once or after a step or two,
     # and the 13- and 14-ladders (154,078 and 386,974 sets); 3 columns is a
