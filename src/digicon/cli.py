@@ -15,13 +15,13 @@ every object the process made, and exits with ``main``'s code.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import itertools
 import operator
 import os
 import sys
+import types
 
 from ._kernels import (DEFAULT_MAX_SUBSETS, EnumerationBudget, _byte_bits, check_budget,
                        chunk_masks, convex_bits, count_flagged, iter_flagged)
@@ -463,67 +463,87 @@ def _cmd_oeis(args) -> int:
     return 0 if report.all_match else 1
 
 
-def _add_budget(sub):
-    sub.add_argument("--workers", type=int, default=1,
-                     help="accepted (>= 1) and ignored: every sweep runs on one thread")
-    sub.add_argument("--max-subsets", type=int, default=None,
-                     help="cap on the subsets a sweep visits, or on the exact count for --method "
-                          "bijection and the path-grid recurrence stream "
-                          f"(default {DEFAULT_MAX_SUBSETS}, env DIGICON_MAX_SUBSETS)")
+_FORMATS = ("jsonl", "csv", "plain")
+# flag -> (int, str or the tuple of its choices; its default, ... if required)
+_BUDGET = {"--workers": (int, 1), "--max-subsets": (int, None)}
+_FAMILY_FLAGS = {"--family": (tuple(FAMILIES), ...), **dict.fromkeys(("--n", "--m", "--k"), (int, None)),
+                 "--method": (tuple(dict.fromkeys(m for _, ms in FAMILIES.values() for m in ms)), None),
+                 **_BUDGET, "--format": (_FORMATS, None)}
+# command -> (handler, its flags in synopsis order)
+_COMMANDS = {
+    "count": (_cmd_count, _FAMILY_FLAGS),
+    "enumerate": (_cmd_enumerate, _FAMILY_FLAGS),
+    "series": (_cmd_series, {"--k": (int, ...), "--terms": (int, ...), "--format": (_FORMATS, None)}),
+    "verify": (_cmd_verify, {"--suite": ((*_SUITES, "all"), ...), **dict.fromkeys(
+        ("--max-n", "--max-k", "--max-cells"), (int, None)), "--bfile": (str, None), **_BUDGET}),
+    "oeis": (_cmd_oeis, {"--bfile": (str, None), "--max-cells": (int, 20), **_BUDGET}),
+}
 
 
-def _add_family_command(commands, name: str, handler, text: str):
-    sub = commands.add_parser(name, help=text)
-    sub.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    for param in ("--n", "--m", "--k"):
-        sub.add_argument(param, type=int, default=None)
-    sub.add_argument("--method", default=None, choices=tuple(
-        dict.fromkeys(method for _, methods in FAMILIES.values() for method in methods)))
-    _add_budget(sub)
-    sub.add_argument("--format", choices=("jsonl", "csv", "plain"), default=None)
-    sub.set_defaults(handler=handler)
+def _synopsis(command: str) -> str:
+    words = [f"digicon {command}"]
+    for flag, (kind, default) in _COMMANDS[command][1].items():
+        word = f"{flag} {{{','.join(kind)}}}" if isinstance(kind, tuple) else f"{flag} {flag[2:].upper()}"
+        words.append(word if default is ... else f"[{word}]")
+    return " ".join(words)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="digicon", description="Exact enumeration of digitally convex sets of graphs.")
-    commands = parser.add_subparsers(dest="command", required=True)
-    _add_family_command(commands, "count", _cmd_count,
-                        "count digitally convex sets of a graph family")
-    _add_family_command(commands, "enumerate", _cmd_enumerate,
-                        "stream the digitally convex sets themselves")
+def _exit(command: str | None, message: str | None = None):
+    """Exit 0 after the synopsis of command (None: of every command) on stdout;
+    or, given a message, exit 2 after a usage line and the message on stderr."""
+    if message is None:
+        print(*(f"usage: {_synopsis(name)}" for name in ([command] if command else _COMMANDS)), sep="\n")
+        raise SystemExit(0)
+    print(f"usage: {_synopsis(command) if command else 'digicon COMMAND [--flag VALUE]...'}\n"
+          f"digicon{' ' + command if command else ''}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    series = commands.add_parser("series", help="expand the block-string counting series")
-    series.add_argument("--k", type=int, required=True, help="minimum block length, >= 2")
-    series.add_argument("--terms", type=int, required=True, help="highest exponent to expand")
-    series.add_argument("--format", choices=("jsonl", "csv", "plain"), default=None)
-    series.set_defaults(handler=_cmd_series)
 
-    verify = commands.add_parser("verify", help="cross-validate counts between independent methods")
-    verify.add_argument("--suite", required=True,
-                        choices=(*_SUITES, "all"))
-    verify.add_argument("--max-n", type=int, default=None)
-    verify.add_argument("--max-k", type=int, default=None)
-    verify.add_argument("--max-cells", type=int, default=None)
-    verify.add_argument("--bfile", default=None, help="sequence file for the oeis suite")
-    _add_budget(verify)
-    verify.set_defaults(handler=_cmd_verify)
-
-    oeis = commands.add_parser("oeis", help="compare grid counts against a sequence file")
-    oeis.add_argument("--bfile", default=None, help="path to the sequence file (default: bundled snapshot)")
-    oeis.add_argument("--max-cells", type=int, default=20, help="largest n*m to compute")
-    _add_budget(oeis)
-    oeis.set_defaults(handler=_cmd_oeis)
-    return parser
+def _parse(argv: list):
+    """The handler and arguments of `COMMAND [--flag VALUE | --flag=VALUE]...`:
+    exact flag names, a repeated flag's last value, int values read by int().
+    Help exits 0, a usage error 2 in the wording of Python 3.11's option parser."""
+    command, *tokens = argv or [None]
+    if command not in _COMMANDS:
+        choose = ", ".join(map(repr, _COMMANDS))
+        _exit(None, None if command in ("-h", "--help") else
+              f"argument command: invalid choice: {command!r} (choose from {choose})"
+              if command and command[:1] != "-" else "the following arguments are required: command")
+    handler, flags = _COMMANDS[command]
+    values, unknown, tokens = {flag: default for flag, (_, default) in flags.items()}, [], iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _exit(command)
+        flag, inline, value = token.partition("=")
+        if flag not in flags:
+            unknown.append(token)
+            continue
+        # the next token, if any, is the value unless it starts with "-" and is no negative int
+        if not inline and (value := next(tokens, "-"))[:1] == "-" and not value[1:].isdecimal():
+            _exit(command, f"argument {flag}: expected one argument")
+        kind, _ = flags[flag]
+        if kind not in (int, str) and value not in kind:
+            _exit(command, f"argument {flag}: invalid choice: {value!r} (choose from "
+                           f"{', '.join(map(repr, kind))})")
+        try:
+            values[flag] = int(value) if kind is int else value
+        except ValueError:
+            _exit(command, f"argument {flag}: invalid int value: {value!r}")
+    if missing := [flag for flag, value in values.items() if value is ...]:
+        _exit(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _exit(None, f"unrecognized arguments: {' '.join(unknown)}")
+    return handler, types.SimpleNamespace(**{f[2:].replace("-", "_"): v for f, v in values.items()})
 
 
 def main(argv=None) -> int:
     """Run one command on argv (default sys.argv[1:]) and return its exit
-    code; a usage error raises argparse's SystemExit.  It never freezes the
-    heap, so a long-lived process may call it again and again."""
-    args = _build_parser().parse_args(argv)
+    code; a usage error raises SystemExit(2), a help request SystemExit(0).
+    It never freezes the heap, so a long-lived process may call it again and
+    again."""
+    handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        code = args.handler(args)
+        code = handler(args)
         sys.stdout.flush()  # a closed stdout must fail here, not in the flush at exit
         return code
     except BrokenPipeError:

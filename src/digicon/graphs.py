@@ -72,7 +72,10 @@ class VertexSet(FrozenRecord):
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices())
 
-    def __contains__(self, v: int) -> bool:
+    def __contains__(self, v) -> bool:
+        """Whether v is a member; a value that is no vertex, a bool among them, is not."""
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
+            return False
         return 0 <= v < self.universe and bool(self.mask >> v & 1)
 
     def __len__(self) -> int:

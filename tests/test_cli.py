@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -55,9 +56,16 @@ def run_cli(capsys, *argv):
 # --- count ---
 
 
-def test_count_cycle_recurrence(capsys):
-    code, out, err = run_cli(capsys, "count", "--family", "cycle", "--n", "10")
-    assert (code, out) == (0, "122\n")
+@pytest.mark.parametrize("argv", [
+    ("--family", "cycle", "--n", "10"),
+    # a value after "=", flags in any order, and a repeated flag's last value
+    ("--family=cycle", "--n=10"),
+    ("--n", "10", "--family", "cycle"),
+    ("--family", "cycle", "--n", "5", "--n", "10"),
+    ("--family", "cycle", "--n", "1_000", "--n=10"),
+])
+def test_count_cycle_recurrence(capsys, argv):
+    assert run_cli(capsys, "count", *argv) == (0, "122\n", "")
 
 
 def test_count_methods_agree_for_grids(capsys):
@@ -241,23 +249,66 @@ def test_workers_below_one_exit_2(capsys, argv):
         2, "", "error: max_subsets must be >= 1, got 0\n")
 
 
-def test_unknown_family_is_an_argparse_error(capsys):
+FAMILY_CHOICES = "'path', 'cycle', 'complete', 'cycle-power', 'complete-product', 'path-grid'"
+
+
+@pytest.mark.parametrize("argv, last", [
+    (("count", "--family", "hypercube", "--n", "3"), "digicon count: error: argument --family: "
+     f"invalid choice: 'hypercube' (choose from {FAMILY_CHOICES})"),
+    (("count", "--family=", "--n", "3"),
+     f"digicon count: error: argument --family: invalid choice: '' (choose from {FAMILY_CHOICES})"),
+    (("count", "--family", "path", "--n", "3", "--method", "magic"),
+     "digicon count: error: argument --method: invalid choice: 'magic' "
+     "(choose from 'bruteforce', 'arrays', 'recurrence', 'bijection', 'formula')"),
+    (("verify", "--suite", "every"), "digicon verify: error: argument --suite: invalid choice: "
+     "'every' (choose from 'cyclic-strings', 'cycle-power-bijection', 'complete-product', "
+     "'grid-p2', 'grid-arrays', 'oeis', 'all')"),
+    (("bogus",), "digicon: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'count', 'enumerate', 'series', 'verify', 'oeis')"),
+    (("count", "--family", "cycle", "--n", "x"),
+     "digicon count: error: argument --n: invalid int value: 'x'"),
+    (("count", "--family", "cycle", "--n="), "digicon count: error: argument --n: invalid int value: ''"),
+    (("count", "--family", "cycle", "--n"), "digicon count: error: argument --n: expected one argument"),
+    (("count", "--family", "cycle", "--n", "--m", "2"),
+     "digicon count: error: argument --n: expected one argument"),
+    (("count", "--family", "cycle", "--n", "-x"),
+     "digicon count: error: argument --n: expected one argument"),
+    (("count", "--family", "cycle", "--n", "10", "--bogus", "1"),
+     "digicon: error: unrecognized arguments: --bogus 1"),
+    (("series", "--k", "2", "--terms", "5", "--workers", "2"),
+     "digicon: error: unrecognized arguments: --workers 2"),
+    (("series", "--k", "2", "--terms", "5", "--max-subsets", "2"),
+     "digicon: error: unrecognized arguments: --max-subsets 2"),
+    # no prefix abbreviations: --fam is no flag of count
+    (("count", "--fam", "cycle", "--n", "10"),
+     "digicon count: error: the following arguments are required: --family"),
+    (("series",), "digicon series: error: the following arguments are required: --k, --terms"),
+    ((), "digicon: error: the following arguments are required: command"),
+])
+def test_parser_usage_errors_exit_2(capsys, argv, last):
     with pytest.raises(SystemExit) as exc:
-        main(["count", "--family", "hypercube", "--n", "3"])
-    assert exc.value.code == 2
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err.splitlines()[-1]) == (2, "", last)
+    assert err.startswith("usage: digicon")
 
 
-@pytest.mark.parametrize("flag", ["--workers", "--max-subsets"])
-def test_series_takes_no_sweep_flags(capsys, flag):
+@pytest.mark.parametrize("argv, words", [
+    (["-h"], ["count", "enumerate", "series", "verify", "oeis"]),
+    (["count", "--help"], ["--family", *FAMILIES, "--n", "--m", "--k", "--method",
+                           *(method for _, methods in FAMILIES.values() for method in methods),
+                           "--workers", "--max-subsets", "--format", "jsonl", "csv", "plain"]),
+    (["verify", "-h"], ["--suite", *cli._SUITES, "all", "--max-n", "--max-k", "--max-cells",
+                        "--bfile", "--workers", "--max-subsets"]),
+    # help as soon as it is read, whatever follows
+    (["enumerate", "--family", "cycle", "-h", "--n", "x"], ["enumerate", "--family", *FAMILIES]),
+])
+def test_help_names_every_command_flag_and_choice(capsys, argv, words):
     with pytest.raises(SystemExit) as exc:
-        main(["series", "--k", "2", "--terms", "5", flag, "2"])
-    assert exc.value.code == 2
-
-
-def test_unknown_method_is_an_argparse_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--family", "path", "--n", "3", "--method", "magic"])
-    assert exc.value.code == 2
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert set(words) <= set(re.findall(r"[-\w]+", out))
 
 
 # --- enumerate ---
@@ -556,6 +607,8 @@ def bad_parameters():
         (("--family", "cycle-power", "--n", "1", "--k", "2"), "n must be >= 3, got 1"),
         (("--family", "cycle-power", "--n", "2", "--k", "3"), "n must be >= 3, got 2"),
         (("--family", "cycle-power", "--n", "5", "--k", "0"), "k must be >= 1, got 0"),
+        # a negative int is a value, which the parameter check refuses
+        (("--family", "cycle", "--n", "-3"), "n must be >= 3, got -3"),
     ]
     for family, least in LEAST.items():
         for bad in least:
@@ -1212,11 +1265,11 @@ BUDGET_ERROR = ("error: needs 1073741824 arrays but the budget allows 67108864; 
     (("count", "--family", "nope"), 2, b"",
      "digicon count: error: argument --family: invalid choice: 'nope' (choose from "),
     (("count", "--family", "path-grid", "--n", "5", "--m", "6"), 3, b"", BUDGET_ERROR),
-], ids=["ok", "mismatch", "parameter", "argparse", "budget"])
+], ids=["ok", "mismatch", "parameter", "usage", "budget"])
 def test_process_exit_codes(tmp_path, argv, code, out, err):
     """Each exit code through python -m digicon, the process entry point:
-    the code, the stdout bytes and the stderr text (for argparse, the text of
-    its last line up to the list of choices)."""
+    the code, the stdout bytes and the stderr text (for a usage error, the
+    text of its last line up to the list of choices)."""
     bfile = tmp_path / "b.txt"
     bfile.write_text("1 2\n2 2\n3 999\n")
     env = {key: value for key, value in os.environ.items() if key != "DIGICON_MAX_SUBSETS"}

@@ -339,6 +339,19 @@ def test_vertex_set_rejects_bad_members():
         VertexSet(3, -1)
 
 
+class Vertex(int):
+    pass
+
+
+@pytest.mark.parametrize("value, member", [
+    (1, True), (Vertex(2), True), (3, False), (-1, False),
+    (True, False), (False, False), (1.0, False), (1.5, False), ("1", False), (None, False),
+])
+def test_vertex_set_membership_is_false_for_what_is_no_vertex(value, member):
+    # 0b111: every vertex of the universe is a member, and a bool is not vertex 1
+    assert (value in VertexSet(3, 7)) is member
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: VertexSet.from_indices(3, [True]), "vertex must be an int, got True"),
     (lambda: VertexSet.from_indices(3, ["a"]), "vertex must be an int, got 'a'"),

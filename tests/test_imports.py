@@ -247,6 +247,18 @@ def test_a_route_loads_json_or_decimal_only_when_it_needs_them(argv, loads):
     assert [code, out] == _in_process(argv)
 
 
+def test_the_process_entry_point_loads_no_argparse_gettext_or_locale():
+    # -X importtime names on stderr every module the process imports; what
+    # a bare interpreter loads at start-up does not count
+    bare = set(_python("import sys; print(*sys.modules)").stdout.split())
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "digicon", "count",
+                           "--family", "cycle", "--n", "10"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "122\n"), proc.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "digicon.cli" in loaded
+    assert {"argparse", "gettext", "locale"} & loaded - bare == set()
+
 
 # every name the package exported when its __init__ imported all of its
 # modules, by the module that defines it

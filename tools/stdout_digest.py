@@ -39,7 +39,12 @@ plus the sweep streams of 20 vertices, sixteen blocks each, where the high
 members change the convexity terms from block to block: ``path-grid --n 4
 --m 5`` by ``bruteforce`` and by ``arrays``, ``complete-product --n 4 --m
 5`` by ``bruteforce`` (17 of its 20 vertices have a high neighbour) and
-``cycle-power --n 20 --k 2`` by the default method, each in jsonl and plain.
+``cycle-power --n 20 --k 2`` by the default method, each in jsonl and plain;
+plus the parser's edge cases: ``bogus`` and an empty argv, ``count --family
+cycle --n x``, ``count --family cycle --n`` (no value), ``count
+--family=cycle --n=10``, ``count --family cycle --n 5 --n 10``, ``count
+--family cycle --n 10 --bogus 1`` and ``series --k 2 --terms 5 --workers
+2``.  ``--help`` is left out: its text is no part of the output contract.
 The sweep-size cap is the default one: ``DIGICON_MAX_SUBSETS`` is unset
 while the matrix runs.
 
@@ -178,6 +183,14 @@ def matrix() -> list[list[str]]:
                    ("cycle-power", "--n", "20", "--k", "2")]
     for params, fmt in itertools.product(multi_block, ("jsonl", "plain")):
         runs.append(["enumerate", "--family", *params, "--format", fmt])
+    # the parser's edge cases: an unknown command and none, a bad and a
+    # missing int value, values after "=", a repeated flag, an unknown flag
+    # and a flag the command does not take
+    runs += [["bogus"], [], ["count", "--family", "cycle", "--n", "x"],
+             ["count", "--family", "cycle", "--n"], ["count", "--family=cycle", "--n=10"],
+             ["count", "--family", "cycle", "--n", "5", "--n", "10"],
+             ["count", "--family", "cycle", "--n", "10", "--bogus", "1"],
+             ["series", "--k", "2", "--terms", "5", "--workers", "2"]]
     return runs
 
 
@@ -187,7 +200,7 @@ def run(main, argv: list[str]) -> list:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects the arguments
+        except SystemExit as exc:  # the parser rejects the arguments
             code = exc.code if isinstance(exc.code, int) else 1
     errors = err.getvalue().splitlines()
     return [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), errors[-1] if errors else ""]
